@@ -25,10 +25,17 @@ Gradients use the parameter-shift rule, df/dt = (f(t + pi/2) - f(t - pi/2)) / 2,
 which is exact for the RY/RZ rotations used here. An input angle that is
 encoded more than once (vanilla) gets one shift pair per occurrence, summed.
 All shifted circuits share one gate sequence and differ only in angles, so
-they are simulated together as rows of a single amplitude matrix. Rows never
-interact, and every per-row operation (including the readout accumulation) is
-elementwise with a fixed order, so a row's result is bit-identical whether it
-is simulated alone or inside a batch.
+they are simulated together as rows of one amplitude matrix by one kernel,
+which ``pqc_forward`` also uses with a single row. Per call it computes the
+trig of every row's angles at once, fuses each qubit's rotations between two
+entanglers into one 2x2 per row (RY @ RZ; in vanilla, the trainable RY and the
+next layer's encoding RY), applies each layer's entangler as one compiled basis
+permutation or sign vector, and reads every <Z_q> out with one contraction.
+Rows never interact, and the kernel relies on one condition: along the
+amplitude axis it uses only elementwise arithmetic, gathers and fixed-order
+sums, never BLAS or a matmul whose summation order may depend on the batch
+shape. So a row's result is bit-identical whether it is simulated alone or
+inside a batch of any size.
 """
 from __future__ import annotations
 
@@ -76,11 +83,6 @@ def layer_entangler(layer_index: int, num_qubits: int = 4) -> list[tuple[str, in
     return [("cz", q, q + 2) for q in range(max(0, num_qubits - 2))]
 
 
-def cnot_ring(num_qubits: int = 4) -> list[tuple[str, int, int]]:
-    """The fixed circular CNOT chain used in every vanilla layer."""
-    return [("cx", q, (q + 1) % num_qubits) for q in range(num_qubits)]
-
-
 def pqc_param_count(config: PqcConfig) -> int:
     """Number of trainable angles: 8 per layer (optimized), 4 per layer (vanilla)."""
     per_layer = 2 if config.variant is Ansatz.OPTIMIZED else 1
@@ -97,56 +99,60 @@ def _encoding_layers(config: PqcConfig) -> int:
 
 
 # --- batched amplitude kernel ----------------------------------------------
-# Rows of `amps` are independent circuits sharing one gate sequence; gates act
-# on index pairs selected by bit arithmetic (little-endian, as in statevector).
+# Rows are independent circuits sharing one gate sequence; basis indices are
+# little-endian, as in statevector.
 
 
 @lru_cache(maxsize=None)
-def _bit_indices(num_qubits: int, qubit: int):
+def _compiled_entangler(num_qubits: int, layer_index: int):
+    """One layer's entangler as a signed basis permutation, new[j] = sign[j] * old[perm[j]].
+
+    Returns ``(perm, sign)``; ``perm`` is None for the CZ pairs and ``sign`` is
+    None for the CNOT ring, so each layer costs one gather or one multiply.
+    """
     idx = np.arange(2**num_qubits)
-    i1 = idx[(idx >> qubit) & 1 == 1]
-    return i1 - (1 << qubit), i1
-
-
-@lru_cache(maxsize=None)
-def _cx_indices(num_qubits: int, control: int, target: int):
-    idx = np.arange(2**num_qubits)
-    j0 = idx[(((idx >> control) & 1) == 1) & (((idx >> target) & 1) == 0)]
-    return j0, j0 + (1 << target)
-
-
-@lru_cache(maxsize=None)
-def _cz_indices(num_qubits: int, a: int, b: int):
-    idx = np.arange(2**num_qubits)
-    return idx[(((idx >> a) & 1) == 1) & (((idx >> b) & 1) == 1)]
-
-
-def _ry_rows(amps, num_qubits, qubit, angles):
-    i0, i1 = _bit_indices(num_qubits, qubit)
-    c = np.cos(0.5 * angles)[:, None]
-    s = np.sin(0.5 * angles)[:, None]
-    a0 = amps[:, i0]
-    a1 = amps[:, i1]
-    amps[:, i0] = c * a0 - s * a1
-    amps[:, i1] = s * a0 + c * a1
-
-
-def _rz_rows(amps, num_qubits, qubit, angles):
-    i0, i1 = _bit_indices(num_qubits, qubit)
-    phase = np.exp(-0.5j * angles)[:, None]
-    amps[:, i0] *= phase
-    amps[:, i1] *= np.conj(phase)
-
-
-def _entangle_rows(amps, num_qubits, gates):
-    for kind, a, b in gates:
+    perm, sign = idx, np.ones(2**num_qubits)
+    for kind, a, b in layer_entangler(layer_index, num_qubits):
+        bit_a = (idx >> a) & 1
         if kind == "cx":
-            j0, j1 = _cx_indices(num_qubits, a, b)
-            swapped = amps[:, j1]
-            amps[:, j1] = amps[:, j0]
-            amps[:, j0] = swapped
+            step = idx ^ (bit_a << b)
+            perm, sign = perm[step], sign[step]
         else:
-            amps[:, _cz_indices(num_qubits, a, b)] *= -1.0
+            sign = sign * (1 - 2 * (bit_a & (idx >> b) & 1))
+    return (
+        None if np.array_equal(perm, idx) else perm,
+        None if np.all(sign == 1.0) else sign,
+    )
+
+
+@lru_cache(maxsize=None)
+def _z_signs(num_qubits: int) -> np.ndarray:
+    """[2**nq, nq] matrix of Z eigenvalues: +1 where the qubit's bit is 0, else -1."""
+    idx = np.arange(2**num_qubits)[:, None]
+    return 1.0 - 2.0 * ((idx >> np.arange(num_qubits)) & 1)
+
+
+def _layer_rotations(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
+    """Per layer and qubit, the 2x2 rotation of every row that follows the entangler.
+
+    Optimized layers apply RZ then RY, fused into RY @ RZ. In the vanilla
+    ansatz the trainable RY of layer k is followed by the re-encoding RY of
+    layer k + 1 with nothing in between, so the two merge into one RY of the
+    summed angle. Returns [2 (out), 2 (in), L, nq, C].
+    """
+    rows, layers, nq = thetas.shape[0], config.num_layers, config.num_qubits
+    if config.variant is Ansatz.OPTIMIZED:
+        angles = thetas.T.reshape(layers, 2, nq, rows)
+        phase = np.exp(-0.5j * angles[:, 0])
+        cos, sin = np.cos(0.5 * angles[:, 1]), np.sin(0.5 * angles[:, 1])
+        conj = phase.conj()
+        gates = (cos * phase, -sin * conj, sin * phase, cos * conj)
+    else:
+        angles = thetas.T.reshape(layers, nq, rows).copy()
+        angles[:-1] += encodings[:, 1:].transpose(1, 2, 0)
+        cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
+        gates = (cos, -sin, sin, cos)
+    return np.array(gates).reshape(2, 2, layers, nq, rows)
 
 
 def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
@@ -154,50 +160,43 @@ def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> 
 
     ``encodings`` carries one row per encoding event (a single event for the
     optimized ansatz, one per layer for vanilla) so that gradient code can
-    shift individual encoding occurrences. Returns amplitudes [C, 2**nq].
+    shift individual encoding occurrences. Returns amplitudes [C, 2**nq]:
+    complex for the optimized ansatz, real for vanilla, whose RY and CNOT
+    gates are real.
+
+    The state is held as [2**nq, C], rows last, so that every numpy call's
+    inner loop runs along the batch.
     """
     nq = config.num_qubits
     rows = thetas.shape[0]
-    amps = np.zeros((rows, 2**nq), dtype=np.complex128)
-    amps[:, 0] = 1.0
-    if config.variant is Ansatz.OPTIMIZED:
+    # The first encoding acts on |0...0>: a product state of RY(x_q)|0>.
+    half = 0.5 * encodings[:, 0].T
+    factors = np.array((np.cos(half), np.sin(half)))  # [2, nq, C]
+    amps = factors[:, 0]
+    for q in range(1, nq):
+        amps = (factors[:, q, None] * amps).reshape(-1, rows)
+    # Each 2x2 meets a [2**(nq-1-q), 1, 2 (in), 2**q, C] view of the state.
+    gates = _layer_rotations(config, thetas, encodings)
+    for layer in range(config.num_layers):
+        perm, sign = _compiled_entangler(nq, layer if config.variant is Ansatz.OPTIMIZED else 0)
+        if perm is not None:
+            amps = amps[perm]
+        if sign is not None:
+            amps = amps * sign[:, None]
         for q in range(nq):
-            _ry_rows(amps, nq, q, encodings[:, 0, q])
-        for layer in range(config.num_layers):
-            _entangle_rows(amps, nq, layer_entangler(layer, nq))
-            base = 2 * nq * layer
-            for q in range(nq):
-                _rz_rows(amps, nq, q, thetas[:, base + q])
-            for q in range(nq):
-                _ry_rows(amps, nq, q, thetas[:, base + nq + q])
-    else:
-        ring = cnot_ring(nq)
-        for layer in range(config.num_layers):
-            for q in range(nq):
-                _ry_rows(amps, nq, q, encodings[:, layer, q])
-            _entangle_rows(amps, nq, ring)
-            base = nq * layer
-            for q in range(nq):
-                _ry_rows(amps, nq, q, thetas[:, base + q])
-    return amps
+            pairs = amps.reshape(-1, 1, 2, 1 << q, rows)
+            amps = np.add.reduce(gates[:, :, layer, q, None] * pairs, axis=2).reshape(-1, rows)
+    return amps.T
 
 
 def _z_readout(amps: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Per-qubit <Z> for every row: 1 - 2 P(bit = 1).
+    """Per-qubit <Z> for every row: sum_i |amp_i|^2 * z_i.
 
-    Accumulates probabilities column by column in a fixed order (not via a
-    shape-dependent reduction) so a row's readout is bit-identical whether it
-    is simulated alone or inside a larger batch.
+    einsum without ``optimize`` runs numpy's own loop, not BLAS, so the sum
+    over basis states has one order for every row and batch size.
     """
     probs = amps.real**2 + amps.imag**2
-    out = np.empty((amps.shape[0], num_qubits))
-    for q in range(num_qubits):
-        _, i1 = _bit_indices(num_qubits, q)
-        acc = probs[:, i1[0]].copy()
-        for column in i1[1:]:
-            acc += probs[:, column]
-        out[:, q] = 1.0 - 2.0 * acc
-    return out
+    return np.einsum("ri,iq->rq", probs, _z_signs(num_qubits))
 
 
 def _check_shapes(config, theta, x):
@@ -245,11 +244,27 @@ def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> Stat
         for layer in range(config.num_layers):
             for q in range(nq):
                 state = apply_ry(state, q, x[q])
-            state = entangle(state, cnot_ring(nq))
+            state = entangle(state, layer_entangler(0, nq))
             base = nq * layer
             for q in range(nq):
                 state = apply_ry(state, q, theta[base + q])
     return state
+
+
+@lru_cache(maxsize=None)
+def _shift_tables(config: PqcConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Row offsets of one parameter-shift batch: thetas [R, P], encodings [R, E, nq].
+
+    Row 0 is the unshifted circuit; then every angle occurrence (each theta,
+    then each encoding event's input angle) gets a +pi/2 row and a -pi/2 row.
+    """
+    p = pqc_param_count(config)
+    occurrences = p + _encoding_layers(config) * config.num_qubits
+    offsets = np.zeros((1 + 2 * occurrences, occurrences))
+    offsets[1::2] = SHIFT * np.eye(occurrences)
+    offsets[2::2] = -SHIFT * np.eye(occurrences)
+    offsets.setflags(write=False)
+    return offsets[:, :p], offsets[:, p:].reshape(len(offsets), -1, config.num_qubits)
 
 
 def pqc_value_and_gradients(
@@ -261,34 +276,13 @@ def pqc_value_and_gradients(
     baseline circuit plus two per shifted angle occurrence, all as one batch.
     """
     theta, x = _check_shapes(config, theta, x)
-    nq = config.num_qubits
-    p = theta.size
-    enc_layers = _encoding_layers(config)
-    occurrences = enc_layers * nq
-
-    rows = 1 + 2 * (p + occurrences)
-    thetas = np.tile(theta, (rows, 1))
-    encodings = np.tile(x, (rows, enc_layers, 1))
-    row = 1
-    for j in range(p):
-        thetas[row, j] += SHIFT
-        thetas[row + 1, j] -= SHIFT
-        row += 2
-    for layer in range(enc_layers):
-        for i in range(nq):
-            encodings[row, layer, i] += SHIFT
-            encodings[row + 1, layer, i] -= SHIFT
-            row += 2
-
-    out = _z_readout(_run_batch(config, thetas, encodings), nq)
-    value = out[0]
-    shifts = out[1:].reshape(p + occurrences, 2, nq)
+    nq, p = config.num_qubits, theta.size
+    theta_shifts, encoding_shifts = _shift_tables(config)
+    out = _z_readout(_run_batch(config, theta + theta_shifts, x + encoding_shifts), nq)
+    shifts = out[1:].reshape(-1, 2, nq)
     diffs = 0.5 * (shifts[:, 0, :] - shifts[:, 1, :])  # [K, nq]
-    jac_theta = diffs[:p].T.copy()
-    jac_x = np.zeros((nq, nq))
-    for layer in range(enc_layers):
-        jac_x += diffs[p + layer * nq : p + (layer + 1) * nq].T
-    return value, jac_theta, jac_x
+    jac_x = diffs[p:].reshape(-1, nq, nq).sum(axis=0).T  # summed over encoding events
+    return out[0], diffs[:p].T.copy(), jac_x
 
 
 def pqc_gradients(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import grad_variance_probe, probe_csv
-from .encoder import FfnKind, save_model
+from .encoder import PAPER_DEPTHS, FfnKind, save_model
 from .runconfig import ConfigError, RunConfig, build_task_data, load_run_config
 from .training import MetricsReport, TrainingDiverged, train
 
@@ -131,8 +131,8 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
         fractions = rc.sweep["fractions"]
         if rc.strict_depths:
             for d in depths:
-                if d not in (1, 2, 4, 8):
-                    raise ConfigError("sweep.depths", f"depth {d} not in the benchmark grid (1, 2, 4, 8)")
+                if d not in PAPER_DEPTHS:
+                    raise ConfigError("sweep.depths", f"depth {d} not in the benchmark grid {PAPER_DEPTHS}")
         train_set, val_set, vocab = build_task_data(rc)
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(exc)

@@ -190,8 +190,9 @@ def model_param_count(config: ModelConfig) -> int:
         ffn = classical_ffn_param_count(h, config.intermediate)
     else:
         variant = Ansatz.OPTIMIZED if config.ffn_kind is FfnKind.QFFN else Ansatz.VANILLA
-        circuit = pqc_param_count(PqcConfig(variant, config.pqc_layers))
-        ffn = (4 * h + 4) + (h * 4 + h) + circuit
+        pqc = PqcConfig(variant, config.pqc_layers)
+        nq = pqc.num_qubits
+        ffn = (nq * h + nq) + (h * nq + h) + pqc_param_count(pqc)
     total += config.num_layers * (attn + norms + ffn)
     total += config.num_classes * h + config.num_classes
     return total

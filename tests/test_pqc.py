@@ -16,7 +16,7 @@ from qffn.circuits import (
 )
 from qffn.diagnostics import finite_diff
 
-from _oracles import dense_ansatz_output, reduced_purity
+from _oracles import cnot_op, cz_op, dense_ansatz_output, reduced_purity
 
 ALL_CONFIGS = [
     PqcConfig(variant, layers)
@@ -195,3 +195,36 @@ class TestGradients:
         jac_theta, jac_x = pqc_gradients(config, theta, x)
         assert jac_theta.shape == (4, 16)
         assert jac_x.shape == (4, 4)
+
+
+class TestBatchKernel:
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=str)
+    @pytest.mark.parametrize("rows", [73, 129])
+    def test_rows_match_alone_and_dense_oracle(self, config, rows):
+        # every row of a batch equals the same circuit simulated alone, bit
+        # for bit, and the dense 16x16 product of the ansatz gates
+        rng = np.random.default_rng(503 + rows + config.num_layers)
+        thetas = rng.uniform(-np.pi, np.pi, (rows, pqc_param_count(config)))
+        xs = rng.uniform(-np.pi, np.pi, (rows, 4))
+        encodings = np.repeat(xs[:, None, :], circuits._encoding_layers(config), axis=1)
+        batch = circuits._z_readout(circuits._run_batch(config, thetas, encodings), 4)
+        for r in range(rows):
+            alone = circuits._z_readout(circuits._run_batch(config, thetas[r : r + 1], encodings[r : r + 1]), 4)
+            np.testing.assert_array_equal(batch[r], alone[0])
+            expected, _ = dense_ansatz_output(config.variant.value, config.num_layers, thetas[r], xs[r])
+            assert np.max(np.abs(batch[r] - expected)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "layer,dense_gate,compiled_as",
+        [(0, cnot_op, "permutation"), (1, cz_op, "signs")],
+    )
+    def test_compiled_entangler_equals_dense_gate_product(self, layer, dense_gate, compiled_as):
+        expected = np.eye(16, dtype=np.complex128)
+        for _, a, b in layer_entangler(layer):
+            expected = dense_gate(4, a, b) @ expected
+        perm, sign = circuits._compiled_entangler(4, layer)
+        assert (perm is None, sign is None) == (compiled_as == "signs", compiled_as == "permutation")
+        # the kernel maps new[j] = sign[j] * old[perm[j]]
+        compiled = np.zeros((16, 16), dtype=np.complex128)
+        compiled[np.arange(16), np.arange(16) if perm is None else perm] = 1.0 if sign is None else sign
+        np.testing.assert_array_equal(compiled, expected)
