@@ -8,12 +8,13 @@ Subcommands:
     ablate   sweep with the vanilla quantum block (no internal residual) forced
     probe    gradient-variance probe across depths -> probe.csv
 
-Every artifact is written to a temporary name and atomically renamed, so
-output files are either complete or absent, and a rejected config produces no
-output at all. The source config file is copied verbatim into the output
-directory for provenance; resolved settings are echoed inside metrics.json.
-Measured wall-clock time is printed on stdout but stored as null in
-metrics.json so that identical configs produce byte-identical files.
+Every artifact is written to a uniquely named temporary file and atomically
+renamed (``encoder.atomic_write``), so output files are either complete or
+absent, and a rejected config produces no output at all. The source config
+file is copied verbatim into the output directory for provenance; resolved
+settings are echoed inside metrics.json. Measured wall-clock time is printed
+on stdout but stored as null in metrics.json so that identical configs produce
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import grad_variance_probe, probe_csv
-from .encoder import PAPER_DEPTHS, FfnKind, save_model
+from .encoder import PAPER_DEPTHS, FfnKind, atomic_write, save_model
 from .runconfig import ConfigError, RunConfig, build_task_data, load_run_config
 from .training import MetricsReport, TrainingDiverged, train
 
@@ -32,17 +33,11 @@ CONFIG_COPY = "config.json"
 QUANTUM_KINDS = (FfnKind.QFFN, FfnKind.VANILLA_QFFN)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def _copy_config_verbatim(config: RunConfig, out_dir: Path) -> None:
     target = out_dir / CONFIG_COPY
     if target.exists() and os.path.samefile(config.source_path, target):
         return
-    _atomic_write(target, config.source_path.read_text(encoding="utf-8"))
+    atomic_write(target, config.source_path.read_text(encoding="utf-8"))
 
 
 def _metrics_json(report: MetricsReport, echo: dict) -> str:
@@ -97,8 +92,8 @@ def cmd_train(config_path, out=None, seed=None, strict_depths=None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _copy_config_verbatim(rc, out_dir)
     echo = rc.echo(resolved_model=_model_echo(model_cfg), train_fraction=train_cfg.fraction)
-    _atomic_write(out_dir / "metrics.json", _metrics_json(report, echo))
-    _atomic_write(out_dir / "epochs.csv", _epochs_csv(report))
+    atomic_write(out_dir / "metrics.json", _metrics_json(report, echo))
+    atomic_write(out_dir / "epochs.csv", _epochs_csv(report))
     save_model(model, out_dir)
     print(report.summary_line())
     return 0
@@ -171,8 +166,8 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
         cell_dir = out_dir / "cells" / name
         cell_dir.mkdir(parents=True, exist_ok=True)
         echo = rc.echo(resolved_model=_model_echo(model_cfg), train_fraction=fraction)
-        _atomic_write(cell_dir / "metrics.json", _metrics_json(report, echo))
-        _atomic_write(cell_dir / "epochs.csv", _epochs_csv(report))
+        atomic_write(cell_dir / "metrics.json", _metrics_json(report, echo))
+        atomic_write(cell_dir / "epochs.csv", _epochs_csv(report))
         rows.append(
             f"{cell_kind.value},{'-' if depth is None else depth},{fraction!r},"
             f"{report.validation_accuracy!r},{report.training_accuracy!r},"
@@ -181,10 +176,10 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
         print(f"{name}: {report.summary_line()}")
 
     header = "model,layers,fraction,val_acc,train_acc,gap,acc_per_param"
-    _atomic_write(out_dir / "table.csv", "\n".join([header, *rows]) + "\n")
+    atomic_write(out_dir / "table.csv", "\n".join([header, *rows]) + "\n")
     if failures:
         lines = ["cell,error"] + [f"{name},{msg!r}" for name, msg in failures]
-        _atomic_write(out_dir / "failures.csv", "\n".join(lines) + "\n")
+        atomic_write(out_dir / "failures.csv", "\n".join(lines) + "\n")
         return 1
     return 0
 
@@ -214,7 +209,7 @@ def cmd_probe(config_path, out=None, seed=None) -> int:
     out_dir = rc.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _copy_config_verbatim(rc, out_dir)
-    _atomic_write(out_dir / "probe.csv", probe_csv(*results))
+    atomic_write(out_dir / "probe.csv", probe_csv(*results))
     for result in results:
         for entry in result.entries:
             print(

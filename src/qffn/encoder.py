@@ -13,6 +13,16 @@ Each sublayer sits inside the standard post-norm residual,
 ``h <- LayerNorm(h + sublayer(h))``; the quantum block's internal residual
 exists in addition to that outer one.
 
+Only row 0 of the last layer reaches the classifier, so that layer computes
+queries for row 0 alone: keys and values still cover all S rows, the scores
+are [B, heads, 1, S], and both layer norms and the feedforward sublayer run
+on [B, 1, H]; ``cache["final"]`` is [B, 1, H]. Backward is the exact adjoint:
+the query gradient exists for row 0 only, key and value gradients cover every
+row, and the post-norm residual's gradient lands on row 0 of the layer
+input. Earlier layers compute every row. Dropout masks are drawn at the full
+[B, S, H] shape and sliced, so the rng stream does not depend on the rows a
+layer computes.
+
 All forward and backward arithmetic is explicit numpy; gradients for the
 circuit angles arrive through the parameter-shift rule inside the quantum
 block. Weights are float64 in memory and serialize to a little-endian
@@ -27,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
 
@@ -245,8 +255,9 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
 
 
-def _attention_forward(attn: AttentionWeights, h, mask, num_heads):
-    q = _split_heads(h @ attn.wq.T + attn.bq, num_heads)
+def _attention_forward(attn: AttentionWeights, h, mask, num_heads, rows):
+    """Self-attention for the first ``rows`` query rows over all key/value rows."""
+    q = _split_heads(h[:, :rows] @ attn.wq.T + attn.bq, num_heads)
     k = _split_heads(h @ attn.wk.T + attn.bk, num_heads)
     v = _split_heads(h @ attn.wv.T + attn.bv, num_heads)
     scale = 1.0 / np.sqrt(q.shape[-1])
@@ -259,8 +270,9 @@ def _attention_forward(attn: AttentionWeights, h, mask, num_heads):
 
 
 def _attention_backward(attn: AttentionWeights, d_out, cache, num_heads):
+    """Adjoint of ``_attention_forward``; ``d_h`` covers every input row."""
     h, q, k, v, probs, ctx = cache
-    flat = h.reshape(-1, h.shape[-1])
+    rows = q.shape[2]
     grads = {
         "wo": d_out.reshape(-1, d_out.shape[-1]).T @ ctx.reshape(-1, ctx.shape[-1]),
         "bo": d_out.sum(axis=(0, 1)),
@@ -273,25 +285,27 @@ def _attention_backward(attn: AttentionWeights, d_out, cache, num_heads):
     d_q = (d_scores @ k) * scale
     d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
     d_h = np.zeros_like(h)
-    for d_proj, w_name, b_name, w in (
-        (d_q, "wq", "bq", attn.wq),
-        (d_k, "wk", "bk", attn.wk),
-        (d_v, "wv", "bv", attn.wv),
+    for d_proj, w_name, b_name, w, x, d_x in (
+        (d_q, "wq", "bq", attn.wq, h[:, :rows], d_h[:, :rows]),
+        (d_k, "wk", "bk", attn.wk, h, d_h),
+        (d_v, "wv", "bv", attn.wv, h, d_h),
     ):
         merged = _merge_heads(d_proj)
         flat_d = merged.reshape(-1, merged.shape[-1])
-        grads[w_name] = flat_d.T @ flat
+        grads[w_name] = flat_d.T @ x.reshape(-1, x.shape[-1])
         grads[b_name] = merged.sum(axis=(0, 1))
-        d_h += merged @ w
+        d_x += merged @ w
     return grads, d_h
 
 
-def _dropout_mask(shape, p, rng):
+def _dropout_mask(shape, rows, p, rng):
+    """Mask for the first ``rows`` rows, drawn at the full [B, S, H] ``shape``
+    so the rng stream does not depend on how many rows a layer computes."""
     if p <= 0.0:
         return None
     if rng is None:
         raise ValueError("dropout > 0 requires an rng for the training pass")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    return ((rng.random(shape) >= p) / (1.0 - p))[:, :rows]
 
 
 def _check_inputs(model: EncoderModel, token_ids, attention_mask):
@@ -319,12 +333,17 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
     h = model.tok_emb[token_ids] + model.pos_emb[:seq]
     p = cfg.dropout if train else 0.0
     caches = []
-    for layer in model.layers:
-        attn_out, attn_cache = _attention_forward(layer.attn, h, mask, cfg.num_heads)
-        attn_drop = _dropout_mask(attn_out.shape, p, rng)
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        # Only row 0 of the last layer reaches the classifier.
+        rows = 1 if i == last else seq
+        attn_out, attn_cache = _attention_forward(layer.attn, h, mask, cfg.num_heads, rows)
+        attn_drop = _dropout_mask(h.shape, rows, p, rng)
         if attn_drop is not None:
             attn_out = attn_out * attn_drop
-        mid, ln1_cache = _layer_norm(h + attn_out, layer.ln1_g, layer.ln1_b, cfg.layer_norm_eps)
+        mid, ln1_cache = _layer_norm(
+            h[:, :rows] + attn_out, layer.ln1_g, layer.ln1_b, cfg.layer_norm_eps
+        )
 
         if isinstance(layer.ffn, QffnBlock):
             ffn_out = np.empty_like(mid)
@@ -332,12 +351,10 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
                 ffn_out[b] = qffn_forward(layer.ffn, mid[b], 0)
             ffn_cache = None
         else:
-            flat = mid.reshape(-1, cfg.hidden)
-            out_flat, pre = layer.ffn.forward(flat)
+            out_flat, ffn_cache = layer.ffn.forward(mid.reshape(-1, cfg.hidden))
             ffn_out = out_flat.reshape(mid.shape)
-            ffn_cache = pre
 
-        ffn_drop = _dropout_mask(ffn_out.shape, p, rng)
+        ffn_drop = _dropout_mask(h.shape, rows, p, rng)
         if ffn_drop is not None:
             ffn_out = ffn_out * ffn_drop
         h_new, ln2_cache = _layer_norm(
@@ -408,12 +425,12 @@ def _backward(model: EncoderModel, cache, d_logits):
         d_sum1, d_g1, d_b1 = _layer_norm_backward(d_mid, lc["ln1"], layer.ln1_g)
         grads[prefix + "ln1_g"] = d_g1
         grads[prefix + "ln1_b"] = d_b1
-        d_h = d_sum1.copy()
         d_attn_out = d_sum1 if lc["attn_drop"] is None else d_sum1 * lc["attn_drop"]
-        attn_grads, d_attn_in = _attention_backward(layer.attn, d_attn_out, lc["attn"], cfg.num_heads)
+        attn_grads, d_h = _attention_backward(layer.attn, d_attn_out, lc["attn"], cfg.num_heads)
         for name, g in attn_grads.items():
             grads[prefix + "attn." + name] = g
-        d_h += d_attn_in
+        # The post-norm residual feeds the query rows of the layer input.
+        d_h[:, : d_sum1.shape[1]] += d_sum1
 
     token_ids = cache["token_ids"]
     d_tok = np.zeros_like(model.tok_emb)
@@ -453,10 +470,25 @@ WEIGHTS_BIN = "weights.bin"
 WEIGHTS_MANIFEST = "weights.json"
 
 
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+def atomic_write(path: Path, data: bytes | str) -> None:
+    """Write ``data`` (str as UTF-8) to ``path`` completely or not at all.
+
+    The bytes go to a uniquely named temporary file beside ``path``, which is
+    renamed over it, or removed if anything fails. Writers sharing a directory
+    never share a temporary name. The exclusive create keeps the umask-derived
+    mode that a plain write gives (``tempfile.mkstemp`` would force 0600).
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    stream = open(tmp, "xb")
+    try:
+        with stream:
+            stream.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_model(model: EncoderModel, directory) -> None:
@@ -481,27 +513,51 @@ def save_model(model: EncoderModel, directory) -> None:
         "config": cfg,
         "tensors": tensors,
     }
-    _atomic_write_bytes(directory / WEIGHTS_BIN, b"".join(chunks))
-    _atomic_write_bytes(
-        directory / WEIGHTS_MANIFEST,
-        json.dumps(manifest, indent=2, sort_keys=True).encode("utf-8"),
-    )
+    atomic_write(directory / WEIGHTS_BIN, b"".join(chunks))
+    atomic_write(directory / WEIGHTS_MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_model(directory) -> EncoderModel:
-    """Rebuild a model from ``save_model`` output; values are the stored float32s."""
+    """Rebuild a model from ``save_model`` output; values are the stored float32s.
+
+    Raises ``ValueError`` naming the field or tensor when the manifest, the
+    blob and the model its config describes disagree in any way.
+    """
     directory = Path(directory)
     manifest = json.loads((directory / WEIGHTS_MANIFEST).read_text())
     blob = (directory / WEIGHTS_BIN).read_bytes()
-    config = ModelConfig(**manifest["config"])
-    model = EncoderModel(config, seed=0)
+    for field, expected in (("dtype", "float32"), ("byte_order", "little")):
+        if manifest.get(field) != expected:
+            raise ValueError(f"manifest {field} must be {expected!r}, got {manifest.get(field)!r}")
+    config_doc = manifest["config"]
+    known = {f.name for f in fields(ModelConfig)}
+    required = {f.name for f in fields(ModelConfig) if f.default is MISSING}
+    unknown, missing = sorted(set(config_doc) - known), sorted(required - set(config_doc))
+    if unknown or missing:
+        raise ValueError(f"manifest config has unknown keys {unknown}, missing keys {missing}")
+    model = EncoderModel(ModelConfig(**config_doc), seed=0)
     stored = {t["name"]: t for t in manifest["tensors"]}
+    end = 0
     for name, param in model.named_parameters():
-        t = stored.pop(name)
-        raw = np.frombuffer(blob, dtype="<f4", count=param.size, offset=t["offset"])
+        t = stored.pop(name, None)
+        if t is None:
+            raise ValueError(f"archive is missing tensor {name}")
         if tuple(t["shape"]) != param.shape:
             raise ValueError(f"shape mismatch for tensor {name}")
+        offset, size = t["offset"], t["size"]
+        if size != 4 * param.size:
+            raise ValueError(f"tensor {name} has size {size}, expected {4 * param.size} bytes")
+        if offset < 0 or offset + size > len(blob):
+            raise ValueError(
+                f"tensor {name} spans bytes [{offset}, {offset + size}) of a {len(blob)}-byte blob"
+            )
+        raw = np.frombuffer(blob, dtype="<f4", count=param.size, offset=offset)
+        if not np.isfinite(raw).all():
+            raise ValueError(f"tensor {name} holds non-finite values")
         param[...] = raw.reshape(param.shape).astype(np.float64)
+        end = max(end, offset + size)
     if stored:
         raise ValueError(f"archive holds unknown tensors: {sorted(stored)}")
+    if len(blob) != end:
+        raise ValueError(f"{WEIGHTS_BIN} has {len(blob) - end} trailing bytes after the last tensor")
     return model

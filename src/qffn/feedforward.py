@@ -21,14 +21,6 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-
-
 @dataclass
 class ClassicalFeedForward:
     """Position-wise two-layer MLP with GELU, applied to every row."""
@@ -48,14 +40,18 @@ class ClassicalFeedForward:
         )
 
     def forward(self, hidden: np.ndarray):
+        """Output and the cache ``(pre, cdf, act)``: GELU(x) = x * Phi(x) with
+        ``cdf`` = Phi(pre), so backward needs no second ``erf``."""
         pre = hidden @ self.w1.T + self.b1
-        out = gelu(pre) @ self.w2.T + self.b2
-        return out, pre
+        cdf = 0.5 * (1.0 + erf(pre * _INV_SQRT2))
+        act = pre * cdf
+        out = act @ self.w2.T + self.b2
+        return out, (pre, cdf, act)
 
-    def backward(self, hidden: np.ndarray, pre: np.ndarray, upstream: np.ndarray):
-        act = gelu(pre)
+    def backward(self, hidden: np.ndarray, cache, upstream: np.ndarray):
+        pre, cdf, act = cache
         d_act = upstream @ self.w2
-        d_pre = d_act * gelu_grad(pre)
+        d_pre = d_act * (cdf + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI)
         grads = {
             "w1": d_pre.T @ hidden,
             "b1": d_pre.sum(axis=0),

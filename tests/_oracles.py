@@ -6,6 +6,7 @@ in-place gate kernels. Bit order matches the package convention: qubit 0 is
 the least significant bit of the basis index.
 """
 import numpy as np
+from scipy.special import erf
 
 I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -113,3 +114,65 @@ def reduced_purity(num_qubits, amplitudes, qubit):
     psi = np.moveaxis(psi, num_qubits - 1 - qubit, 0).reshape(2, -1)
     rho = psi @ psi.conj().T
     return float(np.real(np.trace(rho @ rho)))
+
+
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def gelu(x):
+    """GELU as the classical block computed it before caching its terms."""
+    return 0.5 * x * (1.0 + erf(x * _INV_SQRT2))
+
+
+def gelu_grad(x):
+    return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+
+
+def full_row_logits(model, token_ids, mask):
+    """Reference encoder forward: every layer over every row.
+
+    Restates the documented post-norm encoder from the model's weights alone:
+    scaled dot-product attention with a -1e9 additive padding mask, layer
+    norm, the GELU MLP, and the quantum block on row 0 through
+    ``dense_ansatz_output``. Nothing is skipped for rows the classifier never
+    reads, so it checks the package's last-layer row pruning.
+    """
+    cfg = model.config
+    batch, seq = token_ids.shape
+    heads, width = cfg.num_heads, cfg.hidden // cfg.num_heads
+    mask = np.asarray(mask, dtype=np.float64)
+
+    def layer_norm(x, g, b):
+        centered = x - x.mean(axis=-1, keepdims=True)
+        var = (centered**2).mean(axis=-1, keepdims=True)
+        return centered / np.sqrt(var + cfg.layer_norm_eps) * g + b
+
+    def split(x):
+        return x.reshape(batch, seq, heads, width).transpose(0, 2, 1, 3)
+
+    h = model.tok_emb[token_ids] + model.pos_emb[:seq]
+    for layer in model.layers:
+        a = layer.attn
+        q, k, v = (split(h @ w.T + b) for w, b in ((a.wq, a.bq), (a.wk, a.bk), (a.wv, a.bv)))
+        scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(width)
+        scores = scores + (mask[:, None, None, :] - 1.0) * 1e9
+        probs = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        probs /= probs.sum(axis=-1, keepdims=True)
+        ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(batch, seq, cfg.hidden)
+        mid = layer_norm(h + ctx @ a.wo.T + a.bo, layer.ln1_g, layer.ln1_b)
+        ffn = layer.ffn
+        if hasattr(ffn, "w1"):
+            out = gelu(mid @ ffn.w1.T + ffn.b1) @ ffn.w2.T + ffn.b2
+        else:
+            out = mid.copy()
+            pqc = ffn.pqc_config
+            for b in range(batch):
+                row = mid[b, 0]
+                z, _ = dense_ansatz_output(
+                    pqc.variant.value, pqc.num_layers, ffn.theta, ffn.w_in @ row + ffn.b_in
+                )
+                branch = ffn.w_out @ z + ffn.b_out
+                out[b, 0] = row + branch if ffn.residual else branch
+        h = layer_norm(mid + out, layer.ln2_g, layer.ln2_b)
+    return h[:, 0] @ model.cls_w.T + model.cls_b

@@ -1,7 +1,11 @@
 """Encoder forward/backward, parameter accounting, and the weight archive."""
+import json
+import re
+
 import numpy as np
 import pytest
 
+from _oracles import full_row_logits, gelu, gelu_grad
 from qffn.encoder import (
     EncoderModel,
     FfnKind,
@@ -17,13 +21,42 @@ from qffn.encoder import (
     softmax,
 )
 from qffn.diagnostics import finite_diff
+from qffn.feedforward import ClassicalFeedForward
 
 MICRO = dict(vocab_size=20, num_classes=2, hidden=16, num_layers=2, num_heads=1,
              intermediate=32, max_seq_len=6)
 
 
-def micro_config(kind=FfnKind.CLASSICAL, pqc_layers=1):
-    return ModelConfig(ffn_kind=kind, pqc_layers=pqc_layers, **MICRO)
+def micro_config(kind=FfnKind.CLASSICAL, pqc_layers=1, num_layers=2):
+    return ModelConfig(ffn_kind=kind, pqc_layers=pqc_layers, **{**MICRO, "num_layers": num_layers})
+
+
+def spread_model(config, seed):
+    """A model whose weights are far from init, so attention is not near
+    uniform and every gradient is well above finite-difference noise."""
+    model = EncoderModel(config, seed=seed)
+    rng = np.random.default_rng(seed + 1000)
+    for name, p in model.named_parameters():
+        if not name.endswith("theta"):
+            p += rng.normal(0.0, 0.3, p.shape)
+    return model
+
+
+def assert_matches_finite_differences(model, ids, mask, labels, names):
+    _, grads = model_backward(model, ids, mask, labels)
+    named = dict(model.named_parameters())
+    for name in names:
+        param = named[name]
+
+        def loss_at(values, param=param):
+            saved = param.copy()
+            param[...] = values
+            loss = cross_entropy(model_forward(model, ids, mask), labels)
+            param[...] = saved
+            return loss
+
+        fd = finite_diff(loss_at, param)
+        np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7, err_msg=name)
 
 
 def micro_batch(seed=0, batch=2, seq=6):
@@ -88,25 +121,25 @@ class TestBackward:
     def test_gradients_match_finite_differences_on_sample_tensors(self, kind):
         model = EncoderModel(micro_config(kind), seed=11)
         ids, mask, labels = micro_batch(seed=12)
-        _, grads = model_backward(model, ids, mask, labels)
 
         ffn_tensor = "layers.0.ffn.w1" if kind is FfnKind.CLASSICAL else "layers.0.ffn.theta"
         check = ["tok_emb", "layers.0.attn.wq", "layers.1.ln2_g", "cls_w", ffn_tensor]
         if kind is not FfnKind.CLASSICAL:
             check.append("layers.1.ffn.w_in")
-        named = dict(model.named_parameters())
-        for name in check:
-            param = named[name]
+        assert_matches_finite_differences(model, ids, mask, labels, check)
 
-            def loss_at(values, param=param):
-                saved = param.copy()
-                param[...] = values
-                loss = cross_entropy(model_forward(model, ids, mask), labels)
-                param[...] = saved
-                return loss
-
-            fd = finite_diff(loss_at, param)
-            np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7, err_msg=name)
+    @pytest.mark.parametrize("kind", list(FfnKind))
+    def test_single_layer_gradients_match_finite_differences(self, kind):
+        # With one layer, the layer that computes only row 0 is also the one
+        # whose input gradient reaches the embeddings.
+        model = spread_model(micro_config(kind, num_layers=1), seed=27)
+        ids, mask, labels = micro_batch(seed=28)
+        ffn = ["ffn.w1", "ffn.b2"] if kind is FfnKind.CLASSICAL else ["ffn.w_in", "ffn.theta"]
+        check = ["tok_emb", "pos_emb", "cls_w"] + [
+            "layers.0." + n for n in ["attn.wq", "attn.bq", "attn.wk", "attn.wv", "attn.wo",
+                                      "ln1_g", "ln2_b", *ffn]
+        ]
+        assert_matches_finite_differences(model, ids, mask, labels, check)
 
     def test_gradient_keys_match_parameters(self):
         for kind in FfnKind:
@@ -159,6 +192,54 @@ class TestBackward:
         np.testing.assert_array_equal(
             model_forward(model, ids, mask), model_forward(model, ids, mask)
         )
+
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_dropout_draws_full_shape_masks(self, num_layers):
+        # Two [B, S, H] masks per layer, also for the layer that keeps row 0
+        # only, so the rng stream does not depend on which rows are computed.
+        config = micro_config(num_layers=num_layers)
+        config.dropout = 0.2
+        model = EncoderModel(config, seed=29)
+        ids, mask, labels = micro_batch(seed=30, batch=3)
+        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
+        model_backward(model, ids, mask, labels, rng=rng)
+        reference.random(2 * num_layers * ids.size * config.hidden)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestLastLayerRows:
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("kind", list(FfnKind))
+    def test_logits_match_full_row_oracle(self, kind, num_layers):
+        model = spread_model(micro_config(kind, pqc_layers=2, num_layers=num_layers), seed=33)
+        ids, mask, _ = micro_batch(seed=34, batch=3)
+        mask[2, 1:] = 0  # only the classification token attends
+        logits, cache = _forward(model, ids, mask)
+        assert cache["final"].shape == (3, 1, model.config.hidden)
+        want = full_row_logits(model, ids, mask)
+        assert np.max(np.abs(want)) > 0.1
+        np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
+
+
+class TestClassicalFeedForward:
+    def test_cached_gelu_terms_match_the_gelu_formulas_bitwise(self):
+        rng = np.random.default_rng(35)
+        ffn = ClassicalFeedForward.create(16, 32, rng)
+        ffn.w1 *= 100.0  # pre-activations across both tails of erf
+        hidden = rng.normal(0.0, 1.0, (40, 16))
+        upstream = rng.normal(0.0, 1.0, (40, 16))
+        out, cache = ffn.forward(hidden)
+        pre, _, act = cache
+        assert np.min(pre) < -4.0 and np.max(pre) > 4.0
+        np.testing.assert_array_equal(act, gelu(pre))
+        np.testing.assert_array_equal(out, gelu(pre) @ ffn.w2.T + ffn.b2)
+        grads, d_in = ffn.backward(hidden, cache, upstream)
+        d_pre = (upstream @ ffn.w2) * gelu_grad(pre)
+        np.testing.assert_array_equal(grads["w1"], d_pre.T @ hidden)
+        np.testing.assert_array_equal(grads["b1"], d_pre.sum(axis=0))
+        np.testing.assert_array_equal(grads["w2"], upstream.T @ gelu(pre))
+        np.testing.assert_array_equal(d_in, d_pre @ ffn.w1)
 
 
 class TestParamCount:
@@ -217,6 +298,65 @@ class TestWeightArchive:
         b = load_model(tmp_path)
         ids, mask, _ = micro_batch(seed=22)
         np.testing.assert_array_equal(model_forward(a, ids, mask), model_forward(b, ids, mask))
+
+
+class TestArchiveValidation:
+    """``load_model`` rejects a corrupt archive with a ValueError naming it."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        save_model(EncoderModel(micro_config(), seed=37), tmp_path)
+        return tmp_path, json.loads((tmp_path / "weights.json").read_text())
+
+    @staticmethod
+    def rewrite(directory, manifest=None, blob=None):
+        if manifest is not None:
+            (directory / "weights.json").write_text(json.dumps(manifest))
+        if blob is not None:
+            (directory / "weights.bin").write_bytes(blob)
+
+    @pytest.mark.parametrize("field,value", [("dtype", "float64"), ("byte_order", "big")])
+    def test_foreign_encoding(self, saved, field, value):
+        directory, manifest = saved
+        manifest[field] = value
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=field):
+            load_model(directory)
+
+    def test_unknown_config_key(self, saved):
+        directory, manifest = saved
+        manifest["config"]["hiden"] = 16
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match="hiden"):
+            load_model(directory)
+
+    def test_size_disagrees_with_shape(self, saved):
+        directory, manifest = saved
+        manifest["tensors"][2]["size"] -= 4
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=re.escape(manifest["tensors"][2]["name"])):
+            load_model(directory)
+
+    def test_tensor_past_end_of_blob(self, saved):
+        directory, manifest = saved
+        self.rewrite(directory, blob=(directory / "weights.bin").read_bytes()[:-4])
+        with pytest.raises(ValueError, match="cls_b"):
+            load_model(directory)
+
+    def test_trailing_bytes(self, saved):
+        directory, _ = saved
+        self.rewrite(directory, blob=(directory / "weights.bin").read_bytes() + bytes(4))
+        with pytest.raises(ValueError, match="weights.bin has 4 trailing bytes"):
+            load_model(directory)
+
+    def test_non_finite_weight(self, saved):
+        directory, manifest = saved
+        tensor = next(t for t in manifest["tensors"] if t["name"] == "layers.1.ln1_g")
+        blob = bytearray((directory / "weights.bin").read_bytes())
+        blob[tensor["offset"] + 8 : tensor["offset"] + 12] = np.float32(np.nan).tobytes()
+        self.rewrite(directory, blob=bytes(blob))
+        with pytest.raises(ValueError, match=re.escape("layers.1.ln1_g")):
+            load_model(directory)
 
 
 class TestConfigValidation:
