@@ -31,6 +31,8 @@ trig of every row's angles at once, fuses each qubit's rotations between two
 entanglers into one 2x2 per row (RY @ RZ; in vanilla, the trainable RY and the
 next layer's encoding RY), applies each layer's entangler as one compiled basis
 permutation or sign vector, and reads every <Z_q> out with one contraction.
+The gates are the rows-last primitives of ``statevector``, which the register
+simulator runs too, so its dense-matrix checks cover this kernel.
 Rows never interact, and the kernel relies on one condition: along the
 amplitude axis it uses only elementwise arithmetic, gathers and fixed-order
 sums, never BLAS or a matmul whose summation order may depend on the batch
@@ -45,7 +47,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevector import StateVector, apply_cnot, apply_cz, apply_ry, apply_rz, zero_state
+from .statevector import StateVector, cnot_permutation, cz_signs, rotate_rows, z_readout
 
 SHIFT = np.pi / 2.0
 
@@ -98,9 +100,7 @@ def _encoding_layers(config: PqcConfig) -> int:
     return 1 if config.variant is Ansatz.OPTIMIZED else config.num_layers
 
 
-# --- batched amplitude kernel ----------------------------------------------
-# Rows are independent circuits sharing one gate sequence; basis indices are
-# little-endian, as in statevector.
+# --- batched amplitude kernel: independent circuits, one per row ------------
 
 
 @lru_cache(maxsize=None)
@@ -113,23 +113,15 @@ def _compiled_entangler(num_qubits: int, layer_index: int):
     idx = np.arange(2**num_qubits)
     perm, sign = idx, np.ones(2**num_qubits)
     for kind, a, b in layer_entangler(layer_index, num_qubits):
-        bit_a = (idx >> a) & 1
         if kind == "cx":
-            step = idx ^ (bit_a << b)
+            step = cnot_permutation(num_qubits, a, b)
             perm, sign = perm[step], sign[step]
         else:
-            sign = sign * (1 - 2 * (bit_a & (idx >> b) & 1))
+            sign = sign * cz_signs(num_qubits, a, b)
     return (
         None if np.array_equal(perm, idx) else perm,
         None if np.all(sign == 1.0) else sign,
     )
-
-
-@lru_cache(maxsize=None)
-def _z_signs(num_qubits: int) -> np.ndarray:
-    """[2**nq, nq] matrix of Z eigenvalues: +1 where the qubit's bit is 0, else -1."""
-    idx = np.arange(2**num_qubits)[:, None]
-    return 1.0 - 2.0 * ((idx >> np.arange(num_qubits)) & 1)
 
 
 def _layer_rotations(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
@@ -160,12 +152,9 @@ def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> 
 
     ``encodings`` carries one row per encoding event (a single event for the
     optimized ansatz, one per layer for vanilla) so that gradient code can
-    shift individual encoding occurrences. Returns amplitudes [C, 2**nq]:
-    complex for the optimized ansatz, real for vanilla, whose RY and CNOT
-    gates are real.
-
-    The state is held as [2**nq, C], rows last, so that every numpy call's
-    inner loop runs along the batch.
+    shift individual encoding occurrences. Returns the rows-last amplitudes
+    [2**nq, C]: complex for the optimized ansatz, real for vanilla, whose RY
+    and CNOT gates are real.
     """
     nq = config.num_qubits
     rows = thetas.shape[0]
@@ -175,7 +164,6 @@ def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> 
     amps = factors[:, 0]
     for q in range(1, nq):
         amps = (factors[:, q, None] * amps).reshape(-1, rows)
-    # Each 2x2 meets a [2**(nq-1-q), 1, 2 (in), 2**q, C] view of the state.
     gates = _layer_rotations(config, thetas, encodings)
     for layer in range(config.num_layers):
         perm, sign = _compiled_entangler(nq, layer if config.variant is Ansatz.OPTIMIZED else 0)
@@ -184,19 +172,11 @@ def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> 
         if sign is not None:
             amps = amps * sign[:, None]
         for q in range(nq):
-            pairs = amps.reshape(-1, 1, 2, 1 << q, rows)
-            amps = np.add.reduce(gates[:, :, layer, q, None] * pairs, axis=2).reshape(-1, rows)
-    return amps.T
+            amps = rotate_rows(amps, q, gates[:, :, layer, q])
+    return amps
 
 
-def _z_readout(amps: np.ndarray, num_qubits: int) -> np.ndarray:
-    """Per-qubit <Z> for every row: sum_i |amp_i|^2 * z_i.
-
-    einsum without ``optimize`` runs numpy's own loop, not BLAS, so the sum
-    over basis states has one order for every row and batch size.
-    """
-    probs = amps.real**2 + amps.imag**2
-    return np.einsum("ri,iq->rq", probs, _z_signs(num_qubits))
+_z_readout = z_readout  # per-qubit <Z> [C, nq] of rows-last amplitudes [2**nq, C]
 
 
 def _check_shapes(config, theta, x):
@@ -210,45 +190,21 @@ def _check_shapes(config, theta, x):
     return theta, x
 
 
-def pqc_forward(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Per-qubit Z expectations of the circuit evaluated at (theta, x)."""
+def _single_row(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     theta, x = _check_shapes(config, theta, x)
     encodings = np.tile(x, (1, _encoding_layers(config), 1))
-    amps = _run_batch(config, theta[None, :], encodings)
-    return _z_readout(amps, config.num_qubits)[0]
+    return _run_batch(config, theta[None, :], encodings)
+
+
+def pqc_forward(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Per-qubit Z expectations of the circuit evaluated at (theta, x)."""
+    return _z_readout(_single_row(config, theta, x), config.num_qubits)[0]
 
 
 def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> StateVector:
-    """Full statevector after the circuit, built gate by gate on the register
-    simulator; doubles as a readable reference for the batched kernel."""
-    theta, x = _check_shapes(config, theta, x)
-    nq = config.num_qubits
-    state = zero_state(nq)
-
-    def entangle(state, gates):
-        for kind, a, b in gates:
-            state = apply_cnot(state, a, b) if kind == "cx" else apply_cz(state, a, b)
-        return state
-
-    if config.variant is Ansatz.OPTIMIZED:
-        for q in range(nq):
-            state = apply_ry(state, q, x[q])
-        for layer in range(config.num_layers):
-            state = entangle(state, layer_entangler(layer, nq))
-            base = 2 * nq * layer
-            for q in range(nq):
-                state = apply_rz(state, q, theta[base + q])
-            for q in range(nq):
-                state = apply_ry(state, q, theta[base + nq + q])
-    else:
-        for layer in range(config.num_layers):
-            for q in range(nq):
-                state = apply_ry(state, q, x[q])
-            state = entangle(state, layer_entangler(0, nq))
-            base = nq * layer
-            for q in range(nq):
-                state = apply_ry(state, q, theta[base + q])
-    return state
+    """Full statevector after the circuit: the batched kernel's single row."""
+    amps = _single_row(config, theta, x)
+    return StateVector(config.num_qubits, amps[:, 0].astype(np.complex128))
 
 
 @lru_cache(maxsize=None)

@@ -36,6 +36,7 @@ are exactly reproducible.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
@@ -64,6 +65,21 @@ class FfnKind(str, Enum):
     VANILLA_QFFN = "vanilla_qffn"
 
 
+class ModelConfigError(ValueError):
+    """Invalid ``ModelConfig`` value; ``field`` names the offending field."""
+
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field} {message}")
+
+
+# Lower bounds of the integer fields; vocab_size must cover the special tokens.
+_MODEL_MINIMUMS = {
+    "vocab_size": 4, "num_classes": 2, "hidden": 1, "num_heads": 1, "max_seq_len": 2, "pqc_layers": 1,
+}
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # ModelConfig annotations
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -82,27 +98,20 @@ class ModelConfig:
         self.ffn_kind = FfnKind(self.ffn_kind)
 
     def validate(self, strict_depths: bool = False) -> None:
-        if self.vocab_size < 4:
-            raise ValueError(f"vocab_size must cover the special tokens, got {self.vocab_size}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        for f in fields(self):
+            kind, value = _FIELD_TYPES.get(f.type), getattr(self, f.name)
+            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+                raise ModelConfigError(f.name, f"must be {f.type}, got {type(value).__name__}")
+        for name, low in _MODEL_MINIMUMS.items():
+            if getattr(self, name) < low:
+                raise ModelConfigError(name, f"must be >= {low}, got {getattr(self, name)}")
         if self.hidden % self.num_heads != 0:
-            raise ValueError(
-                f"hidden {self.hidden} not divisible by num_heads {self.num_heads}"
-            )
-        if self.max_seq_len < 2:
-            raise ValueError("max_seq_len must be >= 2")
-        if self.pqc_layers < 1:
-            raise ValueError(f"pqc_layers must be >= 1, got {self.pqc_layers}")
+            raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if (
-            strict_depths
-            and self.ffn_kind is not FfnKind.CLASSICAL
-            and self.pqc_layers not in PAPER_DEPTHS
-        ):
-            raise ValueError(
-                f"pqc_layers must be one of {PAPER_DEPTHS} in strict-depth mode, got {self.pqc_layers}"
+            raise ModelConfigError("dropout", f"must be in [0, 1), got {self.dropout}")
+        if strict_depths and self.ffn_kind is not FfnKind.CLASSICAL and self.pqc_layers not in PAPER_DEPTHS:
+            raise ModelConfigError(
+                "pqc_layers", f"must be one of {PAPER_DEPTHS} in strict-depth mode, got {self.pqc_layers}"
             )
 
 
@@ -526,9 +535,19 @@ def load_model(directory) -> EncoderModel:
     directory = Path(directory)
     manifest = json.loads((directory / WEIGHTS_MANIFEST).read_text())
     blob = (directory / WEIGHTS_BIN).read_bytes()
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{WEIGHTS_MANIFEST} must hold a JSON object, got {type(manifest).__name__}")
     for field, expected in (("dtype", "float32"), ("byte_order", "little")):
         if manifest.get(field) != expected:
             raise ValueError(f"manifest {field} must be {expected!r}, got {manifest.get(field)!r}")
+    for field, kind in (("config", dict), ("tensors", list)):
+        if not isinstance(manifest.get(field), kind):
+            raise ValueError(f"manifest {field} must be {kind.__name__}, got {type(manifest.get(field)).__name__}")
+    for i, t in enumerate(manifest["tensors"]):
+        for field, kind in (("name", str), ("shape", list), ("offset", int), ("size", int)):
+            value = t.get(field) if isinstance(t, dict) else None
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"manifest tensors[{i}].{field} must be {kind.__name__}, got {value!r}")
     config_doc = manifest["config"]
     known = {f.name for f in fields(ModelConfig)}
     required = {f.name for f in fields(ModelConfig) if f.default is MISSING}

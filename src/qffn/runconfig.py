@@ -43,7 +43,7 @@ from pathlib import Path
 from .circuits import Ansatz
 from .data import MAX_SYNTH_CLASSES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
 from .diagnostics import MIN_PROBE_SAMPLES
-from .encoder import FfnKind, ModelConfig, PAPER_DEPTHS
+from .encoder import FfnKind, ModelConfig, ModelConfigError, PAPER_DEPTHS
 from .training import TrainConfig
 
 
@@ -115,8 +115,8 @@ class RunConfig:
         )
         try:
             cfg.validate(strict_depths=self.strict_depths)
-        except ValueError as exc:
-            raise ConfigError("model", str(exc)) from exc
+        except ModelConfigError as exc:
+            raise ConfigError(f"model.{exc.field}", str(exc)) from exc
         return cfg
 
     def echo(self, **resolved) -> dict:
@@ -199,6 +199,7 @@ def load_run_config(
     _expect(train, "batch_size", int, "train")
     _expect(train, "max_epochs", int, "train")
     _expect(train, "fraction", float, "train")
+    _expect(train, "shuffle_seed", int, "train")
 
     sweep = _section("sweep") if raw.get("sweep") is not None else None
     if sweep is not None:

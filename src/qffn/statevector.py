@@ -13,12 +13,22 @@ Gate conventions (half-angle form):
 CNOT flips the target bit where the control bit is 1; CZ negates the
 amplitude of basis states where both bits are 1.
 
+Every gate is one of a few rows-last primitives on ``[2**n, rows]`` amplitude
+matrices, one independent state per column so that numpy's inner loops run
+along the rows: ``rotate_rows`` (a per-row 2x2 on one qubit),
+``cnot_permutation`` (a basis gather), ``cz_signs`` (a +-1 vector) and
+``z_readout`` (a contraction with the ``z_signs`` table). The batched circuit
+kernel in ``circuits`` runs them on many rows; the register simulator below
+runs them on one. Along the amplitude axis they use only elementwise
+arithmetic, gathers and fixed-order sums, never BLAS.
+
 Gate application returns a new ``StateVector``; inputs are never mutated, so
 states are safe to share and to simulate in parallel.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,11 +41,52 @@ class StateVector:
     amplitudes: np.ndarray  # shape (2**num_qubits,), complex128
 
 
-def _check_qubit(state: StateVector, qubit: int) -> None:
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(
-            f"qubit index {qubit} out of range for {state.num_qubits}-qubit state"
-        )
+def rotate_rows(amps: np.ndarray, qubit: int, gate: np.ndarray) -> np.ndarray:
+    """Apply a 2x2 per row, ``gate[out, in, rows]``, to one qubit of ``amps``.
+
+    The state meets the gate as a [2**(n-1-q), 1, 2 (in), 2**q, rows] view;
+    one broadcast multiply and a two-term sum over ``in`` give the new state.
+    """
+    rows = amps.shape[-1]
+    pairs = amps.reshape(-1, 1, 2, 1 << qubit, rows)
+    return np.add.reduce(gate[:, :, None] * pairs, axis=2).reshape(-1, rows)
+
+
+def cnot_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
+    """CNOT as a basis gather: ``new = amps[perm]``."""
+    idx = np.arange(2**num_qubits)
+    return idx ^ (((idx >> control) & 1) << target)
+
+
+def cz_signs(num_qubits: int, a: int, b: int) -> np.ndarray:
+    """CZ as a +-1 vector over basis states: ``new = amps * signs[:, None]``."""
+    idx = np.arange(2**num_qubits)
+    return 1.0 - 2.0 * ((idx >> a) & (idx >> b) & 1)
+
+
+@lru_cache(maxsize=None)
+def z_signs(num_qubits: int) -> np.ndarray:
+    """[2**n, n] matrix of Z eigenvalues: +1 where the qubit's bit is 0, else -1."""
+    idx = np.arange(2**num_qubits)[:, None]
+    signs = 1.0 - 2.0 * ((idx >> np.arange(num_qubits)) & 1)
+    signs.setflags(write=False)  # one cached array serves every caller
+    return signs
+
+
+def z_readout(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """Per-qubit <Z> of every row, [rows, n]: sum_i |amp_i|^2 * z_i.
+
+    einsum without ``optimize`` runs numpy's own loop, not BLAS, so the sum
+    over basis states has one order for every row and batch size.
+    """
+    probs = amps.real**2 + amps.imag**2
+    return np.einsum("ri,iq->rq", probs.T, z_signs(num_qubits))
+
+
+def _check_qubits(state: StateVector, *qubits: int) -> None:
+    for qubit in qubits:
+        if not 0 <= qubit < state.num_qubits:
+            raise ValueError(f"qubit index {qubit} out of range for {state.num_qubits}-qubit state")
 
 
 def zero_state(num_qubits: int) -> StateVector:
@@ -47,71 +98,43 @@ def zero_state(num_qubits: int) -> StateVector:
     return StateVector(num_qubits, amps)
 
 
-def _apply_one_qubit(state: StateVector, qubit: int, matrix: np.ndarray) -> StateVector:
-    # Reshape to one axis per qubit; axis k holds qubit n-1-k (little-endian).
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    axis = n - 1 - qubit
-    psi = np.moveaxis(psi, axis, -1)
-    psi = psi @ matrix.T
-    psi = np.moveaxis(psi, -1, axis)
-    return StateVector(n, np.ascontiguousarray(psi).reshape(-1))
+def _rotate(state: StateVector, qubit: int, matrix: list) -> StateVector:
+    gate = np.array(matrix, dtype=np.complex128)[:, :, None]
+    return StateVector(state.num_qubits, rotate_rows(state.amplitudes[:, None], qubit, gate)[:, 0])
 
 
 def apply_ry(state: StateVector, qubit: int, theta: float) -> StateVector:
     """Rotate one qubit about Y by angle theta."""
-    _check_qubit(state, qubit)
+    _check_qubits(state, qubit)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-    matrix = np.array([[c, -s], [s, c]], dtype=np.complex128)
-    return _apply_one_qubit(state, qubit, matrix)
+    return _rotate(state, qubit, [[c, -s], [s, c]])
 
 
 def apply_rz(state: StateVector, qubit: int, theta: float) -> StateVector:
     """Rotate one qubit about Z by angle theta."""
-    _check_qubit(state, qubit)
+    _check_qubits(state, qubit)
     phase = np.exp(-0.5j * theta)
-    matrix = np.array([[phase, 0.0], [0.0, np.conj(phase)]], dtype=np.complex128)
-    return _apply_one_qubit(state, qubit, matrix)
-
-
-def _two_qubit_slices(n: int, a: int, b: int, va: int, vb: int) -> tuple:
-    idx: list = [slice(None)] * n
-    idx[n - 1 - a] = va
-    idx[n - 1 - b] = vb
-    return tuple(idx)
+    return _rotate(state, qubit, [[phase, 0.0], [0.0, np.conj(phase)]])
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     """Flip the target bit on basis states where the control bit is 1."""
-    _check_qubit(state, control)
-    _check_qubit(state, target)
+    _check_qubits(state, control, target)
     if control == target:
         raise ValueError("control and target must be distinct qubits")
-    n = state.num_qubits
-    psi = state.amplitudes.reshape([2] * n)
-    out = psi.copy()
-    lo = _two_qubit_slices(n, control, target, 1, 0)
-    hi = _two_qubit_slices(n, control, target, 1, 1)
-    out[lo] = psi[hi]
-    out[hi] = psi[lo]
-    return StateVector(n, out.reshape(-1))
+    perm = cnot_permutation(state.num_qubits, control, target)
+    return StateVector(state.num_qubits, state.amplitudes[perm])
 
 
 def apply_cz(state: StateVector, a: int, b: int) -> StateVector:
     """Negate the amplitude of basis states where both bits are 1 (symmetric in a, b)."""
-    _check_qubit(state, a)
-    _check_qubit(state, b)
+    _check_qubits(state, a, b)
     if a == b:
         raise ValueError("CZ requires two distinct qubits")
-    n = state.num_qubits
-    out = state.amplitudes.reshape([2] * n).copy()
-    out[_two_qubit_slices(n, a, b, 1, 1)] *= -1.0
-    return StateVector(n, out.reshape(-1))
+    return StateVector(state.num_qubits, state.amplitudes * cz_signs(state.num_qubits, a, b))
 
 
 def expectation_z(state: StateVector, qubit: int) -> float:
     """<Z> on one qubit: sum of |amplitude|^2 signed by that qubit's bit value."""
-    _check_qubit(state, qubit)
-    probs = np.abs(state.amplitudes) ** 2
-    bits = (np.arange(probs.size) >> qubit) & 1
-    return float(np.sum(probs * (1.0 - 2.0 * bits)))
+    _check_qubits(state, qubit)
+    return float(z_readout(state.amplitudes[:, None], state.num_qubits)[0, qubit])

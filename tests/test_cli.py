@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import qffn.cli as cli
 from qffn.cli import cmd_ablate, cmd_probe, cmd_sweep, cmd_train, main
 from qffn.training import TrainingDiverged
@@ -103,6 +105,25 @@ class TestTrainCommand:
         assert cmd_train(config) == 1
         assert not (tmp_path / "out").exists()
         assert "task.train_path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("model", "hidden", "abc"),
+            ("model", "hidden", True),
+            ("model", "dropout", "x"),
+            ("model", "num_heads", 0),
+            ("model", "pqc_layers", 2.5),
+            ("train", "shuffle_seed", "abc"),
+        ],
+    )
+    def test_mistyped_value_named_in_error(self, tmp_path, capsys, section, field, value):
+        doc = {"model": {"ffn_kind": "qffn", "pqc_layers": 1, **TINY_MODEL}, "train": dict(TINY_TRAIN)}
+        doc[section][field] = value
+        config, _ = write_config(tmp_path, **doc)
+        assert main(["train", "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert f"config error at {section}.{field}" in capsys.readouterr().err
 
     def test_unknown_field_named_in_error(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, typo_field=1)

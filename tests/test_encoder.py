@@ -42,10 +42,15 @@ def spread_model(config, seed):
     return model
 
 
+FD_RTOL, FD_ATOL = 1e-4, 1e-7
+
+
 def assert_matches_finite_differences(model, ids, mask, labels, names):
     _, grads = model_backward(model, ids, mask, labels)
     named = dict(model.named_parameters())
     for name in names:
+        # a gradient inside atol passes whatever the analytic value is
+        assert np.max(np.abs(grads[name])) >= 10 * FD_ATOL, f"{name} gradient too small to check"
         param = named[name]
 
         def loss_at(values, param=param):
@@ -56,7 +61,7 @@ def assert_matches_finite_differences(model, ids, mask, labels, names):
             return loss
 
         fd = finite_diff(loss_at, param)
-        np.testing.assert_allclose(grads[name], fd, rtol=1e-4, atol=1e-7, err_msg=name)
+        np.testing.assert_allclose(grads[name], fd, rtol=FD_RTOL, atol=FD_ATOL, err_msg=name)
 
 
 def micro_batch(seed=0, batch=2, seq=6):
@@ -119,7 +124,7 @@ class TestForward:
 class TestBackward:
     @pytest.mark.parametrize("kind", list(FfnKind))
     def test_gradients_match_finite_differences_on_sample_tensors(self, kind):
-        model = EncoderModel(micro_config(kind), seed=11)
+        model = spread_model(micro_config(kind), seed=11)
         ids, mask, labels = micro_batch(seed=12)
 
         ffn_tensor = "layers.0.ffn.w1" if kind is FfnKind.CLASSICAL else "layers.0.ffn.theta"
@@ -328,6 +333,34 @@ class TestArchiveValidation:
         manifest["config"]["hiden"] = 16
         self.rewrite(directory, manifest)
         with pytest.raises(ValueError, match="hiden"):
+            load_model(directory)
+
+    @pytest.mark.parametrize("field", ["config", "tensors"])
+    def test_missing_manifest_field(self, saved, field):
+        directory, manifest = saved
+        del manifest[field]
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=f"manifest {field}"):
+            load_model(directory)
+
+    def test_tensor_entry_without_offset(self, saved):
+        directory, manifest = saved
+        del manifest["tensors"][3]["offset"]
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=re.escape("tensors[3].offset")):
+            load_model(directory)
+
+    def test_manifest_is_not_an_object(self, saved):
+        directory, manifest = saved
+        self.rewrite(directory, [manifest])
+        with pytest.raises(ValueError, match="weights.json must hold a JSON object"):
+            load_model(directory)
+
+    def test_config_value_of_wrong_type(self, saved):
+        directory, manifest = saved
+        manifest["config"]["hidden"] = "128"
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match="hidden must be int, got str"):
             load_model(directory)
 
     def test_size_disagrees_with_shape(self, saved):
