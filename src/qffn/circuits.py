@@ -38,6 +38,18 @@ amplitude axis it uses only elementwise arithmetic, gathers and fixed-order
 sums, never BLAS or a matmul whose summation order may depend on the batch
 shape. So a row's result is bit-identical whether it is simulated alone or
 inside a batch of any size.
+
+The optimized ansatz's table of fused per-layer rotations depends on the theta
+rows alone, and training runs every sample of a batch through one block with
+one theta, so the kernel keeps the last table it built: one entry holding the
+config, the bytes of the theta matrix and the read-only table. The next call
+with an equal config and a byte-identical theta matrix (bytes, not floats, so
+-0.0 differs from 0.0, and an in-place update always misses) gets that table
+back; it is exactly the array a cold call builds, so results do not depend on
+call history. One entry, because the probe draws a fresh theta on every call
+and never hits: it bounds the memory at one table (about 280 KB at depth 8).
+Vanilla tables fold the input re-encoding into the trainable RY, so they
+depend on x and are never cached.
 """
 from __future__ import annotations
 
@@ -124,27 +136,39 @@ def _compiled_entangler(num_qubits: int, layer_index: int):
     )
 
 
+# The last optimized gate table built: (config, the bytes of its thetas, table),
+# replaced whole so a concurrent reader always sees one consistent entry.
+_last_rotations: tuple[PqcConfig, bytes, np.ndarray] | None = None
+
+
 def _layer_rotations(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
     """Per layer and qubit, the 2x2 rotation of every row that follows the entangler.
 
-    Optimized layers apply RZ then RY, fused into RY @ RZ. In the vanilla
+    Optimized layers apply RZ then RY, fused into RY @ RZ; that table depends
+    on the theta rows alone, so the last one built is returned, read-only,
+    while the next call's theta matrix is byte-identical. In the vanilla
     ansatz the trainable RY of layer k is followed by the re-encoding RY of
     layer k + 1 with nothing in between, so the two merge into one RY of the
     summed angle. Returns [2 (out), 2 (in), L, nq, C].
     """
+    global _last_rotations
     rows, layers, nq = thetas.shape[0], config.num_layers, config.num_qubits
-    if config.variant is Ansatz.OPTIMIZED:
-        angles = thetas.T.reshape(layers, 2, nq, rows)
-        phase = np.exp(-0.5j * angles[:, 0])
-        cos, sin = np.cos(0.5 * angles[:, 1]), np.sin(0.5 * angles[:, 1])
-        conj = phase.conj()
-        gates = (cos * phase, -sin * conj, sin * phase, cos * conj)
-    else:
+    if config.variant is Ansatz.VANILLA:
         angles = thetas.T.reshape(layers, nq, rows).copy()
         angles[:-1] += encodings[:, 1:].transpose(1, 2, 0)
         cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
-        gates = (cos, -sin, sin, cos)
-    return np.array(gates).reshape(2, 2, layers, nq, rows)
+        return np.array((cos, -sin, sin, cos)).reshape(2, 2, layers, nq, rows)
+    key, last = thetas.tobytes(), _last_rotations
+    if last is not None and last[1] == key and last[0] == config:
+        return last[2]
+    angles = thetas.T.reshape(layers, 2, nq, rows)
+    phase = np.exp(-0.5j * angles[:, 0])
+    cos, sin = np.cos(0.5 * angles[:, 1]), np.sin(0.5 * angles[:, 1])
+    conj = phase.conj()
+    table = np.array((cos * phase, -sin * conj, sin * phase, cos * conj)).reshape(2, 2, layers, nq, rows)
+    table.setflags(write=False)
+    _last_rotations = (config, key, table)
+    return table
 
 
 def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:

@@ -75,7 +75,8 @@ class ModelConfigError(ValueError):
 
 # Lower bounds of the integer fields; vocab_size must cover the special tokens.
 _MODEL_MINIMUMS = {
-    "vocab_size": 4, "num_classes": 2, "hidden": 1, "num_heads": 1, "max_seq_len": 2, "pqc_layers": 1,
+    "vocab_size": 4, "num_classes": 2, "hidden": 1, "num_layers": 1, "num_heads": 1,
+    "intermediate": 1, "max_seq_len": 2, "pqc_layers": 1,
 }
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # ModelConfig annotations
 
@@ -95,7 +96,12 @@ class ModelConfig:
     layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
-        self.ffn_kind = FfnKind(self.ffn_kind)
+        try:
+            self.ffn_kind = FfnKind(self.ffn_kind)
+        except ValueError:
+            raise ModelConfigError(
+                "ffn_kind", f"must be one of {[k.value for k in FfnKind]}, got {self.ffn_kind!r}"
+            ) from None
 
     def validate(self, strict_depths: bool = False) -> None:
         for f in fields(self):
@@ -264,17 +270,23 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
 
 
+def _project(x, w):
+    """``x[B, S, in] @ w[in, out]`` as one 2-D GEMM on the [B*S, in] reshape,
+    not numpy's per-sample loop of stacked matmuls."""
+    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
+
+
 def _attention_forward(attn: AttentionWeights, h, mask, num_heads, rows):
     """Self-attention for the first ``rows`` query rows over all key/value rows."""
-    q = _split_heads(h[:, :rows] @ attn.wq.T + attn.bq, num_heads)
-    k = _split_heads(h @ attn.wk.T + attn.bk, num_heads)
-    v = _split_heads(h @ attn.wv.T + attn.bv, num_heads)
+    q = _split_heads(_project(h[:, :rows], attn.wq.T) + attn.bq, num_heads)
+    k = _split_heads(_project(h, attn.wk.T) + attn.bk, num_heads)
+    v = _split_heads(_project(h, attn.wv.T) + attn.bv, num_heads)
     scale = 1.0 / np.sqrt(q.shape[-1])
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     scores = scores + (1.0 - mask)[:, None, None, :] * MASK_BIAS
     probs = softmax(scores, axis=-1)
     ctx = _merge_heads(probs @ v)
-    out = ctx @ attn.wo.T + attn.bo
+    out = _project(ctx, attn.wo.T) + attn.bo
     return out, (h, q, k, v, probs, ctx)
 
 
@@ -286,7 +298,7 @@ def _attention_backward(attn: AttentionWeights, d_out, cache, num_heads):
         "wo": d_out.reshape(-1, d_out.shape[-1]).T @ ctx.reshape(-1, ctx.shape[-1]),
         "bo": d_out.sum(axis=(0, 1)),
     }
-    d_ctx = _split_heads(d_out @ attn.wo, num_heads)
+    d_ctx = _split_heads(_project(d_out, attn.wo), num_heads)
     d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
     d_v = probs.transpose(0, 1, 3, 2) @ d_ctx
     d_scores = probs * (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True))
@@ -303,7 +315,7 @@ def _attention_backward(attn: AttentionWeights, d_out, cache, num_heads):
         flat_d = merged.reshape(-1, merged.shape[-1])
         grads[w_name] = flat_d.T @ x.reshape(-1, x.shape[-1])
         grads[b_name] = merged.sum(axis=(0, 1))
-        d_x += merged @ w
+        d_x += _project(merged, w)
     return grads, d_h
 
 

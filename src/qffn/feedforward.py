@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .circuits import Ansatz, PqcConfig, init_pqc_params, pqc_forward, pqc_param_count, pqc_value_and_gradients
 
@@ -42,6 +41,8 @@ class ClassicalFeedForward:
     def forward(self, hidden: np.ndarray):
         """Output and the cache ``(pre, cdf, act)``: GELU(x) = x * Phi(x) with
         ``cdf`` = Phi(pre), so backward needs no second ``erf``."""
+        from scipy.special import erf  # here, so importing qffn does not load scipy
+
         pre = hidden @ self.w1.T + self.b1
         cdf = 0.5 * (1.0 + erf(pre * _INV_SQRT2))
         act = pre * cdf

@@ -110,10 +110,10 @@ class RunConfig:
         return cfg
 
     def model_config(self, vocab_size: int, num_classes: int, **overrides) -> ModelConfig:
-        cfg = ModelConfig(
-            vocab_size=vocab_size, num_classes=num_classes, **{**self.model, **overrides}
-        )
         try:
+            cfg = ModelConfig(
+                vocab_size=vocab_size, num_classes=num_classes, **{**self.model, **overrides}
+            )
             cfg.validate(strict_depths=self.strict_depths)
         except ModelConfigError as exc:
             raise ConfigError(f"model.{exc.field}", str(exc)) from exc

@@ -125,6 +125,13 @@ class TestTrainCommand:
         assert not (tmp_path / "out").exists()
         assert f"config error at {section}.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["num_layers", "intermediate"])
+    def test_zero_layers_or_width_named_in_error(self, tmp_path, capsys, field):
+        config, _ = write_config(tmp_path, model={"ffn_kind": "classical", **TINY_MODEL, field: 0})
+        assert main(["train", "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert f"config error at model.{field}" in capsys.readouterr().err
+
     def test_unknown_field_named_in_error(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, typo_field=1)
         assert cmd_train(config) == 1
@@ -256,6 +263,15 @@ class TestProbeCommand:
 
 
 class TestMain:
+    def test_import_does_not_load_scipy_special(self):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys, qffn.cli; assert 'scipy.special' not in sys.modules"],
+            capture_output=True, text=True, env=env,
+        )
+        assert run.returncode == 0, run.stderr
+
     def test_dispatch_and_exit_codes(self, tmp_path):
         config, _ = write_config(tmp_path)
         assert main(["train", "--config", str(config)]) == 0

@@ -10,6 +10,7 @@ from qffn.encoder import (
     EncoderModel,
     FfnKind,
     ModelConfig,
+    ModelConfigError,
     _forward,
     _layer_norm,
     cross_entropy,
@@ -382,6 +383,13 @@ class TestArchiveValidation:
         with pytest.raises(ValueError, match="weights.bin has 4 trailing bytes"):
             load_model(directory)
 
+    def test_unknown_ffn_kind(self, saved):
+        directory, manifest = saved
+        manifest["config"]["ffn_kind"] = "quantum"
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match="ffn_kind must be one of .*, got 'quantum'"):
+            load_model(directory)
+
     def test_non_finite_weight(self, saved):
         directory, manifest = saved
         tensor = next(t for t in manifest["tensors"] if t["name"] == "layers.1.ln1_g")
@@ -408,3 +416,15 @@ class TestConfigValidation:
 
     def test_strict_depths_ignores_classical(self):
         ModelConfig(vocab_size=10, num_classes=2, pqc_layers=3).validate(strict_depths=True)
+
+    @pytest.mark.parametrize("field", ["num_layers", "intermediate"])
+    def test_zero_layers_and_zero_width_rejected(self, field):
+        config = ModelConfig(vocab_size=10, num_classes=2, **{field: 0})
+        with pytest.raises(ModelConfigError, match=f"{field} must be >= 1, got 0") as info:
+            config.validate()
+        assert info.value.field == field
+
+    def test_unknown_ffn_kind_names_the_field(self):
+        with pytest.raises(ModelConfigError) as info:
+            ModelConfig(vocab_size=10, num_classes=2, ffn_kind="quantum")
+        assert info.value.field == "ffn_kind"

@@ -1,4 +1,7 @@
 """Ansatz circuit structure, forward values, and parameter-shift gradients."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -228,3 +231,82 @@ class TestBatchKernel:
         compiled = np.zeros((16, 16), dtype=np.complex128)
         compiled[np.arange(16), np.arange(16) if perm is None else perm] = 1.0 if sign is None else sign
         np.testing.assert_array_equal(compiled, expected)
+
+
+def result_bytes(result):
+    """Every array of a circuit call's result, as one byte string."""
+    parts = result if isinstance(result, tuple) else (result,)
+    return b"".join(part.tobytes() for part in parts)
+
+
+OPTIMIZED_CONFIGS = [c for c in ALL_CONFIGS if c.variant is Ansatz.OPTIMIZED]
+CIRCUIT_CALLS = [pqc_forward, pqc_value_and_gradients]
+
+
+class TestGateTableCache:
+    """The optimized kernel keeps the last theta-only gate table it built."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(circuits, "_last_rotations", None)
+
+    @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
+    @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
+    def test_warm_results_equal_cold_bitwise(self, config, call):
+        rng = np.random.default_rng(601 + config.num_layers)
+        theta, x = random_angles(config, rng)
+        cold = result_bytes(call(config, theta, x))
+        call(config, init_pqc_params(config, rng), x)  # another theta in between
+        call(config, theta, rng.uniform(-np.pi, np.pi, 4))  # rebuilds theta's table
+        table = circuits._last_rotations[2]
+        warm = result_bytes(call(config, theta.copy(), x))
+        assert circuits._last_rotations[2] is table  # served from the cache
+        assert warm == cold
+
+    @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
+    @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
+    def test_in_place_update_gives_fresh_result(self, config, call):
+        rng = np.random.default_rng(611 + config.num_layers)
+        theta, x = random_angles(config, rng)
+        before = result_bytes(call(config, theta, x))
+        theta -= 1e-3 * rng.standard_normal(theta.size)  # like the Adam step
+        after = result_bytes(call(config, theta, x))
+        circuits._last_rotations = None
+        assert after == result_bytes(call(config, theta.copy(), x))
+        assert after != before
+
+    @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
+    def test_signed_zero_is_a_different_key(self, config):
+        theta, x = np.zeros(pqc_param_count(config)), np.full(4, 0.3)
+        pqc_forward(config, theta, x)
+        table = circuits._last_rotations[2]
+        theta[0] = -0.0  # equal as floats, not as bytes
+        pqc_forward(config, theta, x)
+        assert circuits._last_rotations[2] is not table
+
+    @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
+    def test_cached_table_is_read_only(self, config):
+        theta, x = random_angles(config, np.random.default_rng(621))
+        pqc_value_and_gradients(config, theta, x)
+        table = circuits._last_rotations[2]
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[...] = 0.0
+
+    @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
+    def test_fresh_thetas_leave_one_table(self, config):
+        rng = np.random.default_rng(631 + config.num_layers)
+        tables = []
+        for i in range(6):
+            theta, x = random_angles(config, rng)
+            CIRCUIT_CALLS[i % 2](config, theta, x)
+            tables.append(weakref.ref(circuits._last_rotations[2]))
+        gc.collect()
+        assert [ref() is not None for ref in tables] == [False] * 5 + [True]
+
+    @pytest.mark.parametrize("config", [c for c in ALL_CONFIGS if c.variant is Ansatz.VANILLA], ids=str)
+    def test_vanilla_tables_are_not_cached(self, config):
+        theta, x = random_angles(config, np.random.default_rng(641))
+        pqc_value_and_gradients(config, theta, x)
+        pqc_forward(config, theta, x)
+        assert circuits._last_rotations is None
