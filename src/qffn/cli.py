@@ -10,11 +10,12 @@ Subcommands:
 
 Every artifact is written to a uniquely named temporary file and atomically
 renamed (``encoder.atomic_write``), so output files are either complete or
-absent, and a rejected config produces no output at all. The source config
-file is copied verbatim into the output directory for provenance; resolved
-settings are echoed inside metrics.json. Measured wall-clock time is printed
-on stdout but stored as null in metrics.json so that identical configs produce
-byte-identical files.
+absent. Every setting a command uses, each sweep cell's included, is validated
+before it trains or writes anything (floats must be finite), so a rejected
+config produces no output at all. The source config file is copied verbatim
+into the output directory for provenance; resolved settings are echoed inside
+metrics.json. Measured wall-clock time is printed on stdout but stored as null
+in metrics.json so that identical configs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import grad_variance_probe, probe_csv
-from .encoder import PAPER_DEPTHS, FfnKind, atomic_write, save_model
+from .encoder import FfnKind, atomic_write, save_model
 from .runconfig import ConfigError, RunConfig, build_task_data, load_run_config
 from .training import MetricsReport, TrainingDiverged, train
 
@@ -91,18 +92,12 @@ def cmd_train(config_path, out=None, seed=None, strict_depths=None) -> int:
     out_dir = rc.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     _copy_config_verbatim(rc, out_dir)
-    echo = rc.echo(resolved_model=_model_echo(model_cfg), train_fraction=train_cfg.fraction)
+    echo = rc.echo(resolved_model=vars(model_cfg), train_fraction=train_cfg.fraction)
     atomic_write(out_dir / "metrics.json", _metrics_json(report, echo))
     atomic_write(out_dir / "epochs.csv", _epochs_csv(report))
     save_model(model, out_dir)
     print(report.summary_line())
     return 0
-
-
-def _model_echo(model_cfg) -> dict:
-    echo = dict(model_cfg.__dict__)
-    echo["ffn_kind"] = model_cfg.ffn_kind.value
-    return echo
 
 
 def _sweep_kind(rc: RunConfig, forced_kind: FfnKind | None) -> FfnKind:
@@ -122,23 +117,16 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
         if rc.sweep is None:
             raise ConfigError("sweep", "required field is missing")
         kind = _sweep_kind(rc, forced_kind)
-        depths = rc.sweep["depths"]
-        fractions = rc.sweep["fractions"]
-        if rc.strict_depths:
-            for d in depths:
-                if d not in PAPER_DEPTHS:
-                    raise ConfigError("sweep.depths", f"depth {d} not in the benchmark grid {PAPER_DEPTHS}")
         train_set, val_set, vocab = build_task_data(rc)
+        grid = [(None, {"ffn_kind": FfnKind.CLASSICAL})] if rc.sweep.get("include_classical", True) else []
+        grid += [(depth, {"ffn_kind": kind, "pqc_layers": depth}) for depth in rc.sweep["depths"]]
+        cells = [  # every cell's settings are checked here, before anything is written
+            (depth, rc.model_config(len(vocab), train_set.num_classes, **model), rc.train_config(fraction=f))
+            for depth, model in grid
+            for f in rc.sweep["fractions"]
+        ]
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(exc)
-
-    cells = []
-    if rc.sweep.get("include_classical", True):
-        for fraction in fractions:
-            cells.append((FfnKind.CLASSICAL, None, fraction))
-    for depth in depths:
-        for fraction in fractions:
-            cells.append((kind, depth, fraction))
 
     out_dir = rc.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -146,26 +134,22 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
 
     rows = []
     failures = []
-    for cell_kind, depth, fraction in cells:
+    for depth, model_cfg, train_cfg in cells:
+        fraction, cell_kind = train_cfg.fraction, model_cfg.ffn_kind
         name = (
             f"classical_frac{fraction:g}"
             if depth is None
             else f"{cell_kind.value}_L{depth}_frac{fraction:g}"
         )
         try:
-            overrides = {"ffn_kind": cell_kind}
-            if depth is not None:
-                overrides["pqc_layers"] = depth
-            model_cfg = rc.model_config(len(vocab), train_set.num_classes, **overrides)
-            train_cfg = rc.train_config(fraction)
             _, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
-        except (ConfigError, TrainingDiverged, ValueError) as exc:
+        except (TrainingDiverged, ValueError) as exc:
             failures.append((name, str(exc)))
             print(f"{name}: failed: {exc}", file=sys.stderr)
             continue
         cell_dir = out_dir / "cells" / name
         cell_dir.mkdir(parents=True, exist_ok=True)
-        echo = rc.echo(resolved_model=_model_echo(model_cfg), train_fraction=fraction)
+        echo = rc.echo(resolved_model=vars(model_cfg), train_fraction=fraction)
         atomic_write(cell_dir / "metrics.json", _metrics_json(report, echo))
         atomic_write(cell_dir / "epochs.csv", _epochs_csv(report))
         rows.append(

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 import numbers
 import os
+import sys
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -78,7 +79,24 @@ _MODEL_MINIMUMS = {
     "vocab_size": 4, "num_classes": 2, "hidden": 1, "num_layers": 1, "num_heads": 1,
     "intermediate": 1, "max_seq_len": 2, "pqc_layers": 1,
 }
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # ModelConfig annotations
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # config dataclass annotations
+
+
+def check_fields(config, minimums: dict) -> None:
+    """Raise ``ModelConfigError`` naming the first number field of the dataclass
+    ``config`` that is a bool, not of its annotated type (``| None`` allows
+    None), a non-finite float, or below its entry in ``minimums``."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        kind = _FIELD_TYPES.get(f.type.removesuffix(" | None"))
+        if kind is None or (value is None and f.type.endswith(" | None")):
+            continue
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ModelConfigError(f.name, f"must be {f.type}, got {type(value).__name__}")
+        if kind is numbers.Real and not abs(value) <= sys.float_info.max:
+            raise ModelConfigError(f.name, f"must be finite, got {value}")
+        if f.name in minimums and value < minimums[f.name]:
+            raise ModelConfigError(f.name, f"must be >= {minimums[f.name]}, got {value}")
 
 
 @dataclass
@@ -104,13 +122,7 @@ class ModelConfig:
             ) from None
 
     def validate(self, strict_depths: bool = False) -> None:
-        for f in fields(self):
-            kind, value = _FIELD_TYPES.get(f.type), getattr(self, f.name)
-            if kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
-                raise ModelConfigError(f.name, f"must be {f.type}, got {type(value).__name__}")
-        for name, low in _MODEL_MINIMUMS.items():
-            if getattr(self, name) < low:
-                raise ModelConfigError(name, f"must be >= {low}, got {getattr(self, name)}")
+        check_fields(self, _MODEL_MINIMUMS)
         if self.hidden % self.num_heads != 0:
             raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -526,12 +538,10 @@ def save_model(model: EncoderModel, directory) -> None:
         )
         chunks.append(data)
         offset += len(data)
-    cfg = dict(model.config.__dict__)
-    cfg["ffn_kind"] = model.config.ffn_kind.value
     manifest = {
         "dtype": "float32",
         "byte_order": "little",
-        "config": cfg,
+        "config": vars(model.config),
         "tensors": tensors,
     }
     atomic_write(directory / WEIGHTS_BIN, b"".join(chunks))

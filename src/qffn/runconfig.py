@@ -31,13 +31,18 @@ Schema (defaults in parentheses):
     }
 
 Validation is strict: unknown fields and per-section seeds are rejected so a
-config file cannot silently drift from what actually ran. The resolved vocab
-size is always derived from the vocabulary, never written in the config.
+config file cannot silently drift from what actually ran. The model and train
+fields are checked by ``ModelConfig.validate`` and ``TrainConfig.validate``:
+each number has its annotated type and is never a bool, floats must be finite
+(JSON's NaN and Infinity are rejected), and errors name ``<section>.<field>``.
+The train section is checked on load, the model section as soon as the data
+fix the vocab size, and both before any output. The resolved vocab size is
+always derived from the vocabulary, never written in the config.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .circuits import Ansatz
@@ -55,11 +60,9 @@ class ConfigError(ValueError):
         super().__init__(f"config error at {field_path}: {message}")
 
 
-_MODEL_KEYS = {
-    "hidden", "num_layers", "num_heads", "intermediate",
-    "max_seq_len", "ffn_kind", "pqc_layers", "dropout",
-}
-_TRAIN_KEYS = {"learning_rate", "batch_size", "max_epochs", "fraction", "shuffle_seed"}
+# Not section keys: vocab_size/num_classes (from the data), seed (top level), layer_norm_eps.
+_MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"vocab_size", "num_classes", "layer_norm_eps"}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
 _SWEEP_KEYS = {"depths", "fractions", "include_classical"}
 _PROBE_KEYS = {"variants", "depths", "num_samples"}
 _TASK_SYNTH_KEYS = {"kind", "num_train", "num_val", "num_classes"}
@@ -80,8 +83,6 @@ def _expect(section: dict, key: str, kind, path: str, default=None, required=Fal
             raise ConfigError(where, "required field is missing")
         return default
     value = section[key]
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
     if isinstance(value, bool) and kind is not bool:
         raise ConfigError(where, f"expected {kind.__name__}, got a boolean")
     if not isinstance(value, kind):
@@ -100,13 +101,13 @@ class RunConfig:
     sweep: dict | None
     probe: dict | None
     source_path: Path
-    raw: dict = field(repr=False, default_factory=dict)
 
-    def train_config(self, fraction: float | None = None) -> TrainConfig:
-        cfg = TrainConfig(seed=self.seed, **self.train)
-        if fraction is not None:
-            cfg.fraction = fraction
-        cfg.validate()
+    def train_config(self, **overrides) -> TrainConfig:
+        try:
+            cfg = TrainConfig(seed=self.seed, **{**self.train, **overrides})
+            cfg.validate()
+        except ModelConfigError as exc:
+            raise ConfigError("seed" if exc.field == "seed" else f"train.{exc.field}", str(exc)) from exc
         return cfg
 
     def model_config(self, vocab_size: int, num_classes: int, **overrides) -> ModelConfig:
@@ -154,6 +155,14 @@ def _validate_task(task: dict) -> dict:
     return task
 
 
+def _check_depths(depths, where: str) -> list:
+    if not isinstance(depths, list) or not depths or not all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in depths
+    ):
+        raise ConfigError(where, "must be a non-empty list of positive integers")
+    return depths
+
+
 def load_run_config(
     path,
     out_override=None,
@@ -186,28 +195,16 @@ def load_run_config(
     task = _validate_task(_section("task")) if "task" in raw else None
     model = _section("model")
     _reject_unknown(model, _MODEL_KEYS, "model")
-    if "ffn_kind" in model:
-        try:
-            FfnKind(model["ffn_kind"])
-        except ValueError:
-            raise ConfigError(
-                "model.ffn_kind", f"must be one of {[k.value for k in FfnKind]}"
-            ) from None
+    if model.get("ffn_kind", FfnKind.QFFN) not in list(FfnKind):
+        raise ConfigError("model.ffn_kind", f"must be one of {[k.value for k in FfnKind]}")
     train = _section("train")
     _reject_unknown(train, _TRAIN_KEYS, "train")
-    _expect(train, "learning_rate", float, "train")
-    _expect(train, "batch_size", int, "train")
-    _expect(train, "max_epochs", int, "train")
-    _expect(train, "fraction", float, "train")
-    _expect(train, "shuffle_seed", int, "train")
 
     sweep = _section("sweep") if raw.get("sweep") is not None else None
     if sweep is not None:
         _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
-        depths = _expect(sweep, "depths", list, "sweep", required=True)
+        _check_depths(_expect(sweep, "depths", list, "sweep", required=True), "sweep.depths")
         fractions = _expect(sweep, "fractions", list, "sweep", required=True)
-        if not depths or not all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in depths):
-            raise ConfigError("sweep.depths", "must be a non-empty list of positive integers")
         if not fractions or not all(
             isinstance(f, (int, float)) and not isinstance(f, bool) and 0 < f <= 1 for f in fractions
         ):
@@ -227,11 +224,7 @@ def load_run_config(
                 raise ConfigError(
                     "probe.variants", f"must contain only {[a.value for a in Ansatz]}"
                 ) from None
-        depths = probe.get("depths", list(PAPER_DEPTHS))
-        if not isinstance(depths, list) or not depths or not all(
-            isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in depths
-        ):
-            raise ConfigError("probe.depths", "must be a non-empty list of positive integers")
+        depths = _check_depths(probe.get("depths", list(PAPER_DEPTHS)), "probe.depths")
         num_samples = _expect(probe, "num_samples", int, "probe", default=100)
         if num_samples < MIN_PROBE_SAMPLES:
             raise ConfigError("probe.num_samples", f"must be >= {MIN_PROBE_SAMPLES}")
@@ -249,7 +242,12 @@ def load_run_config(
         else _expect(raw, "strict_depths", bool, "", default=False)
     )
 
-    return RunConfig(
+    if strict and sweep is not None:
+        for d in sweep["depths"]:
+            if d not in PAPER_DEPTHS:
+                raise ConfigError("sweep.depths", f"depth {d} not in the benchmark grid {PAPER_DEPTHS}")
+
+    config = RunConfig(
         out_dir=Path(out_dir),
         seed=seed,
         strict_depths=strict,
@@ -259,8 +257,9 @@ def load_run_config(
         sweep=sweep,
         probe=probe,
         source_path=path,
-        raw=raw,
     )
+    config.train_config()  # rejects a bad train section or seed before any command starts
+    return config
 
 
 def build_task_data(config: RunConfig) -> tuple[Dataset, Dataset, Vocab]:

@@ -15,11 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset, Vocab, build_vocab, encode_dataset, subsample
-from .encoder import EncoderModel, ModelConfig, log_softmax, model_backward, model_forward
+from .encoder import (
+    EncoderModel, ModelConfig, ModelConfigError, check_fields, log_softmax, model_backward, model_forward,
+)
 
 
 class TrainingDiverged(RuntimeError):
     pass
+
+
+_TRAIN_MINIMUMS = {"learning_rate": 0, "batch_size": 1, "max_epochs": 1, "seed": 0, "shuffle_seed": 0}
 
 
 @dataclass
@@ -32,14 +37,9 @@ class TrainConfig:
     shuffle_seed: int | None = None  # defaults to a stream derived from seed
 
     def validate(self) -> None:
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        check_fields(self, _TRAIN_MINIMUMS)
         if not 0.0 < self.fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+            raise ModelConfigError("fraction", f"must be in (0, 1], got {self.fraction}")
 
 
 @dataclass
@@ -186,6 +186,11 @@ def train(
         epochs.append(
             EpochStats(epoch, float(np.mean(batch_losses)), val_loss, train_acc, val_acc)
         )
+
+    with np.errstate(over="ignore"):  # the overflowing cast is what this looks for
+        for name, param in model.named_parameters():
+            if not np.isfinite(param.astype(np.float32)).all():
+                raise TrainingDiverged(f"tensor {name} is not finite as float32 after training")
 
     final = epochs[-1]
     param_total = model.param_count()

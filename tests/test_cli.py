@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qffn.cli as cli
@@ -260,6 +261,75 @@ class TestProbeCommand:
         config, _ = write_config(tmp_path)
         assert cmd_probe(config) == 1
         assert "probe" in capsys.readouterr().err
+
+
+class TestRejectedBeforeAnyOutput:
+    """Every setting is checked before a command trains or writes anything."""
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("train", "learning_rate", float("nan")),
+            ("train", "learning_rate", float("inf")),
+            ("train", "learning_rate", float("-inf")),
+            pytest.param("train", "learning_rate", 10**400, id="train-learning_rate-int-beyond-every-float"),
+            ("train", "batch_size", 0),
+            ("train", "max_epochs", 0),
+            ("model", "dropout", float("inf")),
+        ],
+    )
+    def test_train_command(self, tmp_path, capsys, section, field, value):
+        doc = {"model": {"ffn_kind": "qffn", "pqc_layers": 1, **TINY_MODEL}, "train": dict(TINY_TRAIN)}
+        doc[section][field] = value
+        config, _ = write_config(tmp_path, **doc)
+        assert main(["train", "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert f"config error at {section}.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("train", "batch_size", 0),
+            ("train", "learning_rate", float("nan")),
+            ("model", "num_heads", 3),  # does not divide hidden 16
+        ],
+    )
+    def test_sweep_commands(self, tmp_path, capsys, monkeypatch, command, section, field, value):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        doc = {"model": {"ffn_kind": "qffn", **TINY_MODEL}, "train": dict(TINY_TRAIN)}
+        doc[section][field] = value
+        config, _ = write_config(tmp_path, sweep={"depths": [1, 2], "fractions": [1.0, 0.5]}, **doc)
+        assert main([command, "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert f"config error at {section}.{field}" in capsys.readouterr().err
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path, probe={"depths": [1], "num_samples": 30})
+        assert main(["probe", "--config", str(config), "--seed", "-1"]) == 1
+        assert not (tmp_path / "out").exists()
+        assert "config error at seed:" in capsys.readouterr().err
+
+    def test_overflowing_weights_fail_training_not_config(self, tmp_path, capsys):
+        # one batch of 24, one step at lr 1e200: the weights overflow float32
+        config, _ = write_config(tmp_path, train={"learning_rate": 1e200, "max_epochs": 1, "batch_size": 32})
+        with np.errstate(all="ignore"):
+            assert main(["train", "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert "tensor tok_emb is not finite as float32" in err and "config error" not in err
+
+    def test_overflowing_weights_are_sweep_cell_failures(self, tmp_path):
+        config, _ = write_config(
+            tmp_path,
+            train={"learning_rate": 1e200, "max_epochs": 1, "batch_size": 32},
+            sweep={"depths": [1], "fractions": [1.0], "include_classical": False},
+        )
+        with np.errstate(all="ignore"):
+            assert main(["sweep", "--config", str(config)]) == 1
+        failures = (tmp_path / "out" / "failures.csv").read_text()
+        assert "qffn_L1_frac1" in failures and "not finite as float32" in failures
+        assert (tmp_path / "out" / "table.csv").read_text().count("\n") == 1  # header only
 
 
 class TestMain:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qffn.data import build_vocab, synth_generate
-from qffn.encoder import EncoderModel, FfnKind, ModelConfig
+from qffn.encoder import EncoderModel, FfnKind, ModelConfig, ModelConfigError
 from qffn.training import (
     AdamOptimizer,
     TrainConfig,
@@ -98,6 +98,35 @@ class TestReport:
         ):
             with pytest.raises(ValueError):
                 bad.validate()
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", float("inf")),
+            pytest.param("learning_rate", 10**400, id="learning_rate-int-beyond-every-float"),
+            ("fraction", float("nan")),
+            ("batch_size", 2.0),
+            ("max_epochs", True),
+            ("shuffle_seed", 1.5),
+            ("shuffle_seed", -1),
+            ("seed", -1),
+        ],
+    )
+    def test_bad_field_named(self, field, value):
+        with pytest.raises(ModelConfigError) as info:
+            TrainConfig(**{field: value}).validate()
+        assert info.value.field == field
+
+    def test_annotated_types_accepted(self):
+        TrainConfig(learning_rate=1, fraction=1, shuffle_seed=None).validate()
+        TrainConfig(shuffle_seed=0).validate()
+
+    def test_weights_overflowing_float32_raise_naming_the_tensor(self):
+        # one batch, one step: the loss stays finite, the weights reach ~1e200
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged, match="tensor tok_emb"):
+                tiny_train(TrainConfig(max_epochs=1, batch_size=64, learning_rate=1e200))
 
 
 class TestEvaluate:
