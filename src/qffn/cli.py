@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .diagnostics import grad_variance_probe, probe_csv
 from .encoder import FfnKind, atomic_write, save_model
-from .runconfig import ConfigError, RunConfig, build_task_data, load_run_config
+from .runconfig import ConfigError, RunConfig, build_task_data, fraction_tag, load_run_config
 from .training import MetricsReport, TrainingDiverged, train
 
 CONFIG_COPY = "config.json"
@@ -118,12 +118,12 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
             raise ConfigError("sweep", "required field is missing")
         kind = _sweep_kind(rc, forced_kind)
         train_set, val_set, vocab = build_task_data(rc)
-        grid = [(None, {"ffn_kind": FfnKind.CLASSICAL})] if rc.sweep.get("include_classical", True) else []
-        grid += [(depth, {"ffn_kind": kind, "pqc_layers": depth}) for depth in rc.sweep["depths"]]
+        grid = [(None, {"ffn_kind": FfnKind.CLASSICAL})] if rc.sweep.include_classical else []
+        grid += [(depth, {"ffn_kind": kind, "pqc_layers": depth}) for depth in rc.sweep.depths]
         cells = [  # every cell's settings are checked here, before anything is written
             (depth, rc.model_config(len(vocab), train_set.num_classes, **model), rc.train_config(fraction=f))
             for depth, model in grid
-            for f in rc.sweep["fractions"]
+            for f in rc.sweep.fractions
         ]
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(exc)
@@ -136,11 +136,8 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
     failures = []
     for depth, model_cfg, train_cfg in cells:
         fraction, cell_kind = train_cfg.fraction, model_cfg.ffn_kind
-        name = (
-            f"classical_frac{fraction:g}"
-            if depth is None
-            else f"{cell_kind.value}_L{depth}_frac{fraction:g}"
-        )
+        tag = f"frac{fraction_tag(fraction)}"
+        name = f"classical_{tag}" if depth is None else f"{cell_kind.value}_L{depth}_{tag}"
         try:
             _, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
         except (TrainingDiverged, ValueError) as exc:
@@ -185,8 +182,8 @@ def cmd_probe(config_path, out=None, seed=None) -> int:
         if rc.probe is None:
             raise ConfigError("probe", "required field is missing")
         results = [
-            grad_variance_probe(variant, rc.probe["depths"], rc.probe["num_samples"], rc.seed)
-            for variant in rc.probe["variants"]
+            grad_variance_probe(variant, rc.probe.depths, rc.probe.num_samples, rc.seed)
+            for variant in rc.probe.variants
         ]
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(exc)

@@ -79,24 +79,40 @@ _MODEL_MINIMUMS = {
     "vocab_size": 4, "num_classes": 2, "hidden": 1, "num_layers": 1, "num_heads": 1,
     "intermediate": 1, "max_seq_len": 2, "pqc_layers": 1,
 }
-_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real}  # config dataclass annotations
+# The annotations check_fields enforces; a class checks fields of other types itself.
+_FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool, "dict": dict}
+
+
+def _check_value(name: str, annotation: str, value, minimum, subject: str = "") -> None:
+    kind = _FIELD_TYPES.get(annotation.removesuffix(" | None"))
+    if kind is None:
+        return
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kind):
+        raise ModelConfigError(name, f"{subject}must be {annotation}, got {type(value).__name__}")
+    if kind is numbers.Real and not abs(value) <= sys.float_info.max:
+        raise ModelConfigError(name, f"{subject}must be finite, got {value}")
+    if minimum is not None and value < minimum:
+        raise ModelConfigError(name, f"{subject}must be >= {minimum}, got {value}")
 
 
 def check_fields(config, minimums: dict) -> None:
-    """Raise ``ModelConfigError`` naming the first number field of the dataclass
-    ``config`` that is a bool, not of its annotated type (``| None`` allows
-    None), a non-finite float, or below its entry in ``minimums``."""
+    """Raise ``ModelConfigError`` naming the first field of the dataclass ``config``
+    that breaks its annotation: ``int``/``float`` (never a bool, floats finite, at
+    least its entry in ``minimums``), ``str``, ``bool``, ``dict``, or a non-empty
+    ``list[T]`` of distinct such items; ``| None`` allows None."""
     for f in fields(config):
         value = getattr(config, f.name)
-        kind = _FIELD_TYPES.get(f.type.removesuffix(" | None"))
-        if kind is None or (value is None and f.type.endswith(" | None")):
+        if value is None and f.type.endswith(" | None"):
             continue
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ModelConfigError(f.name, f"must be {f.type}, got {type(value).__name__}")
-        if kind is numbers.Real and not abs(value) <= sys.float_info.max:
-            raise ModelConfigError(f.name, f"must be finite, got {value}")
-        if f.name in minimums and value < minimums[f.name]:
-            raise ModelConfigError(f.name, f"must be >= {minimums[f.name]}, got {value}")
+        if not f.type.startswith("list["):
+            _check_value(f.name, f.type, value, minimums.get(f.name))
+            continue
+        if not isinstance(value, list) or not value:
+            raise ModelConfigError(f.name, f"must be a non-empty {f.type}, got {value!r}")
+        for item in value:
+            _check_value(f.name, f.type[5:-1], item, minimums.get(f.name), "items ")
+        if len(set(value)) < len(value):
+            raise ModelConfigError(f.name, f"must hold distinct values, got {value}")
 
 
 @dataclass

@@ -30,25 +30,27 @@ Schema (defaults in parentheses):
       }
     }
 
-Validation is strict: unknown fields and per-section seeds are rejected so a
-config file cannot silently drift from what actually ran. The model and train
-fields are checked by ``ModelConfig.validate`` and ``TrainConfig.validate``:
-each number has its annotated type and is never a bool, floats must be finite
-(JSON's NaN and Infinity are rejected), and errors name ``<section>.<field>``.
-The train section is checked on load, the model section as soon as the data
-fix the vocab size, and both before any output. The resolved vocab size is
-always derived from the vocabulary, never written in the config.
+Validation is strict, so a config file cannot silently drift from what
+actually ran. The top level and every section are dataclasses whose field
+defaults are the config's defaults (the task is a ``SynthTask`` or ``TsvTask``
+by ``kind``), all checked by ``encoder.check_fields``: numbers are never bools,
+floats are finite (JSON's NaN and Infinity are rejected), and lists are
+non-empty with distinct items. Unknown fields, per-section seeds and sweep
+fractions that name one cell twice are rejected, null counts as unset, and
+errors name ``<section>.<field>``. The model section is checked once the data
+fix the vocab size, which is never written in the config; everything else on
+load, and all of it before any output.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .circuits import Ansatz
 from .data import MAX_SYNTH_CLASSES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
 from .diagnostics import MIN_PROBE_SAMPLES
-from .encoder import FfnKind, ModelConfig, ModelConfigError, PAPER_DEPTHS
+from .encoder import ModelConfig, ModelConfigError, PAPER_DEPTHS, check_fields
 from .training import TrainConfig
 
 
@@ -60,34 +62,114 @@ class ConfigError(ValueError):
         super().__init__(f"config error at {field_path}: {message}")
 
 
-# Not section keys: vocab_size/num_classes (from the data), seed (top level), layer_norm_eps.
-_MODEL_KEYS = {f.name for f in fields(ModelConfig)} - {"vocab_size", "num_classes", "layer_norm_eps"}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)} - {"seed"}
-_SWEEP_KEYS = {"depths", "fractions", "include_classical"}
-_PROBE_KEYS = {"variants", "depths", "num_samples"}
-_TASK_SYNTH_KEYS = {"kind", "num_train", "num_val", "num_classes"}
-_TASK_TSV_KEYS = {"kind", "train_path", "val_path", "num_classes", "vocab_path"}
-_TOP_KEYS = {"out_dir", "seed", "strict_depths", "task", "model", "train", "sweep", "probe"}
+@dataclass
+class _Document:  # the top level of a config file
+    out_dir: str | None = None
+    seed: int = 42
+    strict_depths: bool = False
+    task: dict | None = None
+    model: dict | None = None
+    train: dict | None = None
+    sweep: dict | None = None
+    probe: dict | None = None
+
+    def validate(self) -> None:
+        check_fields(self, {})
 
 
-def _reject_unknown(section: dict, allowed: set, path: str) -> None:
-    for key in sorted(section):
-        if key not in allowed:
-            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+@dataclass
+class SynthTask:
+    kind: str
+    num_train: int
+    num_val: int
+    num_classes: int = 2
+
+    def validate(self) -> None:
+        check_fields(self, {"num_train": 1, "num_val": 1, "num_classes": 2})
+        if self.num_classes > MAX_SYNTH_CLASSES:
+            raise ModelConfigError("num_classes", f"must be <= {MAX_SYNTH_CLASSES}, got {self.num_classes}")
 
 
-def _expect(section: dict, key: str, kind, path: str, default=None, required=False):
-    where = f"{path}.{key}" if path else key
-    if section.get(key) is None:  # absent and explicit null are both "unset"
-        if required:
-            raise ConfigError(where, "required field is missing")
-        return default
-    value = section[key]
-    if isinstance(value, bool) and kind is not bool:
-        raise ConfigError(where, f"expected {kind.__name__}, got a boolean")
-    if not isinstance(value, kind):
-        raise ConfigError(where, f"expected {kind.__name__}, got {type(value).__name__}")
-    return value
+@dataclass
+class TsvTask:
+    kind: str
+    train_path: str
+    val_path: str
+    num_classes: int | None = None  # None: one more than the largest training label, at least 2
+    vocab_path: str | None = None  # None: built from the training split
+
+    def validate(self) -> None:
+        check_fields(self, {"num_classes": 2})
+
+
+_TASK_KINDS = {"synth": SynthTask, "tsv": TsvTask}
+
+
+def fraction_tag(fraction: float) -> str:
+    """A data fraction as it appears in a sweep cell's name, e.g. ``qffn_L1_frac0.5``."""
+    return f"{fraction:g}"
+
+
+@dataclass
+class SweepConfig:
+    depths: list[int]
+    fractions: list[float]
+    include_classical: bool = True
+
+    def validate(self, strict_depths: bool = False) -> None:
+        check_fields(self, {"depths": 1})
+        if not all(0 < f <= 1 for f in self.fractions):
+            raise ModelConfigError("fractions", f"items must be in (0, 1], got {self.fractions}")
+        tags = [fraction_tag(f) for f in self.fractions]
+        if len(set(tags)) < len(tags):
+            raise ModelConfigError("fractions", f"must name distinct cells, got {self.fractions} as {tags}")
+        if strict_depths and not set(self.depths) <= set(PAPER_DEPTHS):
+            raise ModelConfigError("depths", f"must be in {PAPER_DEPTHS} when strict, got {self.depths}")
+
+
+@dataclass
+class ProbeConfig:
+    variants: list[str] = field(default_factory=lambda: [a.value for a in Ansatz])
+    depths: list[int] = field(default_factory=lambda: list(PAPER_DEPTHS))
+    num_samples: int = 100
+
+    def validate(self) -> None:
+        check_fields(self, {"depths": 1, "num_samples": MIN_PROBE_SAMPLES})
+        if not set(self.variants) <= {a.value for a in Ansatz}:
+            raise ModelConfigError(
+                "variants", f"must contain only {[a.value for a in Ansatz]}, got {self.variants}"
+            )
+
+
+def _without_nulls(section: dict | None) -> dict | None:
+    return None if section is None else {k: v for k, v in section.items() if v is not None}
+
+
+_FIXED = {"layer_norm_eps"}  # a ModelConfig field that no config file sets
+
+
+def _build(section: str, cls, values: dict, derived: dict | None = None, validate=True, **validate_args):
+    """``cls`` built from one config section, in which null counts as unset, and
+    the fields the run derives, then validated. Errors name ``<section>.<field>``,
+    or the bare field for a derived one or a top-level one (``section`` "")."""
+    derived = derived or {}
+    prefix = f"{section}." if section else ""
+    values = _without_nulls(values)
+    settable = [f for f in fields(cls) if f.name not in derived and f.name not in _FIXED]
+    unknown = sorted(set(values) - {f.name for f in settable})
+    if unknown:
+        reason = "all randomness flows from the top-level seed" if unknown[0] == "seed" else "unknown field"
+        raise ConfigError(prefix + unknown[0], reason)
+    for f in settable:
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(prefix + f.name, "required field is missing")
+    try:
+        config = cls(**values, **derived)
+        if validate:
+            config.validate(**validate_args)
+    except ModelConfigError as exc:
+        raise ConfigError(exc.field if exc.field in derived else prefix + exc.field, str(exc)) from exc
+    return config
 
 
 @dataclass
@@ -95,72 +177,42 @@ class RunConfig:
     out_dir: Path
     seed: int
     strict_depths: bool
-    task: dict
+    task: dict | None  # task, model and train: the sections as written, nulls dropped
     model: dict
     train: dict
-    sweep: dict | None
-    probe: dict | None
+    task_config: SynthTask | TsvTask | None
+    sweep: SweepConfig | None
+    probe: ProbeConfig | None
     source_path: Path
 
     def train_config(self, **overrides) -> TrainConfig:
-        try:
-            cfg = TrainConfig(seed=self.seed, **{**self.train, **overrides})
-            cfg.validate()
-        except ModelConfigError as exc:
-            raise ConfigError("seed" if exc.field == "seed" else f"train.{exc.field}", str(exc)) from exc
-        return cfg
+        return _build("train", TrainConfig, {**self.train, **overrides}, {"seed": self.seed})
 
     def model_config(self, vocab_size: int, num_classes: int, **overrides) -> ModelConfig:
-        try:
-            cfg = ModelConfig(
-                vocab_size=vocab_size, num_classes=num_classes, **{**self.model, **overrides}
-            )
-            cfg.validate(strict_depths=self.strict_depths)
-        except ModelConfigError as exc:
-            raise ConfigError(f"model.{exc.field}", str(exc)) from exc
-        return cfg
+        return _build(
+            "model", ModelConfig, {**self.model, **overrides},
+            {"vocab_size": vocab_size, "num_classes": num_classes}, strict_depths=self.strict_depths,
+        )
 
     def echo(self, **resolved) -> dict:
-        doc = {
+        return {
             "out_dir": str(self.out_dir),
             "seed": self.seed,
             "strict_depths": self.strict_depths,
             "task": self.task,
             "model": self.model,
             "train": self.train,
+            **resolved,
         }
-        doc.update(resolved)
-        return doc
 
 
-def _validate_task(task: dict) -> dict:
-    kind = _expect(task, "kind", str, "task", required=True)
-    if kind == "synth":
-        _reject_unknown(task, _TASK_SYNTH_KEYS, "task")
-        num_train = _expect(task, "num_train", int, "task", required=True)
-        num_val = _expect(task, "num_val", int, "task", required=True)
-        num_classes = _expect(task, "num_classes", int, "task", default=2)
-        if num_train < 1 or num_val < 1:
-            raise ConfigError("task.num_train", "split sizes must be >= 1")
-        if not 2 <= num_classes <= MAX_SYNTH_CLASSES:
-            raise ConfigError("task.num_classes", f"must be in 2..{MAX_SYNTH_CLASSES}")
-    elif kind == "tsv":
-        _reject_unknown(task, _TASK_TSV_KEYS, "task")
-        _expect(task, "train_path", str, "task", required=True)
-        _expect(task, "val_path", str, "task", required=True)
-        _expect(task, "num_classes", int, "task")
-        _expect(task, "vocab_path", str, "task")
-    else:
-        raise ConfigError("task.kind", f"must be 'synth' or 'tsv', got {kind!r}")
-    return task
-
-
-def _check_depths(depths, where: str) -> list:
-    if not isinstance(depths, list) or not depths or not all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in depths
-    ):
-        raise ConfigError(where, "must be a non-empty list of positive integers")
-    return depths
+def _task_config(task: dict) -> SynthTask | TsvTask:
+    kind = task.get("kind")
+    if kind is None:
+        raise ConfigError("task.kind", "required field is missing")
+    if kind not in list(_TASK_KINDS):  # a list, since kind may be any JSON value, [] included
+        raise ConfigError("task.kind", f"must be one of {list(_TASK_KINDS)}, got {kind!r}")
+    return _build("task", _TASK_KINDS[kind], task)
 
 
 def load_run_config(
@@ -178,119 +230,51 @@ def load_run_config(
         raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "")
-
-    for section_name in ("task", "model", "train", "sweep", "probe"):
-        section = raw.get(section_name)
-        if section is not None and not isinstance(section, dict):
-            raise ConfigError(section_name, "must be a JSON object")
-    if "seed" in raw.get("train", {}):
-        raise ConfigError("train.seed", "all randomness flows from the top-level seed")
-    if "seed" in raw.get("probe", {}):
-        raise ConfigError("probe.seed", "all randomness flows from the top-level seed")
-
-    def _section(name):  # explicit nulls count as unset
-        return {k: v for k, v in (raw.get(name) or {}).items() if v is not None}
-
-    task = _validate_task(_section("task")) if "task" in raw else None
-    model = _section("model")
-    _reject_unknown(model, _MODEL_KEYS, "model")
-    if model.get("ffn_kind", FfnKind.QFFN) not in list(FfnKind):
-        raise ConfigError("model.ffn_kind", f"must be one of {[k.value for k in FfnKind]}")
-    train = _section("train")
-    _reject_unknown(train, _TRAIN_KEYS, "train")
-
-    sweep = _section("sweep") if raw.get("sweep") is not None else None
-    if sweep is not None:
-        _reject_unknown(sweep, _SWEEP_KEYS, "sweep")
-        _check_depths(_expect(sweep, "depths", list, "sweep", required=True), "sweep.depths")
-        fractions = _expect(sweep, "fractions", list, "sweep", required=True)
-        if not fractions or not all(
-            isinstance(f, (int, float)) and not isinstance(f, bool) and 0 < f <= 1 for f in fractions
-        ):
-            raise ConfigError("sweep.fractions", "must be a non-empty list of fractions in (0, 1]")
-        _expect(sweep, "include_classical", bool, "sweep", default=True)
-
-    probe = _section("probe") if raw.get("probe") is not None else None
-    if probe is not None:
-        _reject_unknown(probe, _PROBE_KEYS, "probe")
-        variants = probe.get("variants", [v.value for v in Ansatz])
-        if not isinstance(variants, list) or not variants:
-            raise ConfigError("probe.variants", "must be a non-empty list")
-        for v in variants:
-            try:
-                Ansatz(v)
-            except ValueError:
-                raise ConfigError(
-                    "probe.variants", f"must contain only {[a.value for a in Ansatz]}"
-                ) from None
-        depths = _check_depths(probe.get("depths", list(PAPER_DEPTHS)), "probe.depths")
-        num_samples = _expect(probe, "num_samples", int, "probe", default=100)
-        if num_samples < MIN_PROBE_SAMPLES:
-            raise ConfigError("probe.num_samples", f"must be >= {MIN_PROBE_SAMPLES}")
-        probe["variants"] = variants
-        probe["depths"] = depths
-        probe["num_samples"] = num_samples
-
-    out_dir = out_override if out_override is not None else raw.get("out_dir")
-    if out_dir is None:
+    out_dir = None if out_override is None else str(out_override)
+    overrides = {"out_dir": out_dir, "seed": seed_override, "strict_depths": strict_override}
+    doc = _build("", _Document, {**raw, **{k: v for k, v in overrides.items() if v is not None}})
+    if doc.out_dir is None:
         raise ConfigError("out_dir", "required (set in the config or pass --out)")
-    seed = seed_override if seed_override is not None else _expect(raw, "seed", int, "", default=42)
-    strict = (
-        strict_override
-        if strict_override is not None
-        else _expect(raw, "strict_depths", bool, "", default=False)
-    )
-
-    if strict and sweep is not None:
-        for d in sweep["depths"]:
-            if d not in PAPER_DEPTHS:
-                raise ConfigError("sweep.depths", f"depth {d} not in the benchmark grid {PAPER_DEPTHS}")
-
+    task = _without_nulls(doc.task)
+    model = _without_nulls(doc.model) or {}
+    # model_config validates the model once the data fix the vocab size; keys and kind are checked now.
+    _build("model", ModelConfig, model, {"vocab_size": None, "num_classes": None}, validate=False)
     config = RunConfig(
-        out_dir=Path(out_dir),
-        seed=seed,
-        strict_depths=strict,
+        out_dir=Path(doc.out_dir),
+        seed=doc.seed,
+        strict_depths=doc.strict_depths,
         task=task,
         model=model,
-        train=train,
-        sweep=sweep,
-        probe=probe,
+        train=_without_nulls(doc.train) or {},
+        task_config=None if task is None else _task_config(task),
+        sweep=None if doc.sweep is None else _build(
+            "sweep", SweepConfig, doc.sweep, strict_depths=doc.strict_depths
+        ),
+        probe=None if doc.probe is None else _build("probe", ProbeConfig, doc.probe),
         source_path=path,
     )
     config.train_config()  # rejects a bad train section or seed before any command starts
     return config
 
 
+def _read(field_path: str, load, *args, **kwargs):
+    try:
+        return load(*args, **kwargs)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(field_path, str(exc)) from exc
+
+
 def build_task_data(config: RunConfig) -> tuple[Dataset, Dataset, Vocab]:
     """Materialize the train/val splits and the vocabulary for a run."""
-    task = config.task
+    task = config.task_config
     if task is None:
         raise ConfigError("task", "required field is missing")
-    if task["kind"] == "synth":
-        train_set = synth_generate(
-            task["num_train"], task.get("num_classes", 2), seed=config.seed, split="train"
-        )
-        val_set = synth_generate(
-            task["num_val"], task.get("num_classes", 2), seed=config.seed + 1, split="val"
-        )
-        vocab = build_vocab(train_set)
-        return train_set, val_set, vocab
-    try:
-        train_set = load_tsv(task["train_path"], task.get("num_classes"), split="train")
-    except (OSError, ValueError) as exc:
-        raise ConfigError("task.train_path", str(exc)) from exc
-    try:
-        val_set = load_tsv(task["val_path"], task.get("num_classes", train_set.num_classes), split="val")
-    except (OSError, ValueError) as exc:
-        raise ConfigError("task.val_path", str(exc)) from exc
-    if val_set.num_classes < train_set.num_classes:
-        val_set.num_classes = train_set.num_classes
-    if task.get("vocab_path"):
-        try:
-            vocab = Vocab.from_file(task["vocab_path"])
-        except (OSError, ValueError) as exc:
-            raise ConfigError("task.vocab_path", str(exc)) from exc
-    else:
-        vocab = build_vocab(train_set)
-    return train_set, val_set, vocab
+    if isinstance(task, SynthTask):
+        train_set = synth_generate(task.num_train, task.num_classes, seed=config.seed, split="train")
+        val_set = synth_generate(task.num_val, task.num_classes, seed=config.seed + 1, split="val")
+        return train_set, val_set, build_vocab(train_set)
+    train_set = _read("task.train_path", load_tsv, task.train_path, task.num_classes, split="train")
+    val_set = _read("task.val_path", load_tsv, task.val_path, train_set.num_classes, split="val")
+    if task.vocab_path:
+        return train_set, val_set, _read("task.vocab_path", Vocab.from_file, task.vocab_path)
+    return train_set, val_set, build_vocab(train_set)

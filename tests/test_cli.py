@@ -304,6 +304,43 @@ class TestRejectedBeforeAnyOutput:
         assert not (tmp_path / "out").exists()
         assert f"config error at {section}.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command,overrides,field",
+        [
+            pytest.param("sweep", {"sweep": {"depths": [1], "fractions": [1.0, 1]}}, "sweep.fractions",
+                         id="equal-fractions"),
+            pytest.param("sweep", {"sweep": {"depths": [1], "fractions": [0.5, 0.5000001]}}, "sweep.fractions",
+                         id="fractions-that-name-one-cell"),
+            pytest.param("ablate", {"sweep": {"depths": [1, 1], "fractions": [1.0]}}, "sweep.depths",
+                         id="repeated-depth"),
+            pytest.param("probe", {"probe": {"variants": ["vanilla", "vanilla"], "num_samples": 30}},
+                         "probe.variants", id="repeated-variant"),
+            pytest.param("train", {"task": {"kind": "synth", "num_train": 24, "num_val": 0}}, "task.num_val",
+                         id="empty-val-split"),
+            pytest.param("train", {"train": None, "task": None}, "task", id="null-train-and-task"),
+            pytest.param("sweep", {"train": None, "sweep": None}, "sweep", id="null-train-and-sweep"),
+            pytest.param("probe", {"train": None, "probe": None}, "probe", id="null-train-and-probe"),
+            pytest.param("train", {"out_dir": 5}, "out_dir", id="non-string-out-dir"),
+        ],
+    )
+    def test_load_errors(self, tmp_path, capsys, monkeypatch, command, overrides, field):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        monkeypatch.setattr(cli, "grad_variance_probe", lambda *args, **kwargs: pytest.fail("probed"))
+        monkeypatch.chdir(tmp_path)  # a relative output directory would appear here
+        config, _ = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(config)]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [config.name]
+        assert f"config error at {field}:" in capsys.readouterr().err
+
+    def test_tsv_num_classes_below_two(self, tmp_path, capsys):
+        data = tmp_path / "data.tsv"
+        data.write_text("good fine\t1\nbad poor\t0\n")
+        task = {"kind": "tsv", "train_path": str(data), "val_path": str(data), "num_classes": 1}
+        config, _ = write_config(tmp_path, task=task)
+        assert main(["train", "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert "config error at task.num_classes:" in capsys.readouterr().err
+
     def test_negative_seed_override(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, probe={"depths": [1], "num_samples": 30})
         assert main(["probe", "--config", str(config), "--seed", "-1"]) == 1

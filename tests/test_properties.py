@@ -1,9 +1,13 @@
-"""Property-based checks of the gate primitives and the ansatz circuits.
+"""Property-based checks of the gate primitives, the ansatz circuits and the
+run-config loader.
 
 Derandomized and without an example database, so every run draws the same
 examples and leaves no files behind.
 """
+import copy
+import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from qffn.circuits import Ansatz, PqcConfig, pqc_forward, pqc_param_count
+from qffn.runconfig import ConfigError, RunConfig, load_run_config
 from qffn.statevector import cnot_permutation, cz_signs, rotate_rows
 
 # Hypothesis also caches the constants it finds in local source under its
@@ -96,3 +101,55 @@ def test_forward_is_two_pi_periodic_in_every_angle(point):
             shifted = pqc_forward(config, theta, x)
             vector[i] = saved
             np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12, err_msg=f"index {i}")
+
+
+SYNTH_DOC = {
+    "out_dir": "out", "seed": 42, "strict_depths": False,
+    "task": {"kind": "synth", "num_train": 24, "num_val": 12, "num_classes": 2},
+    "model": {"ffn_kind": "qffn", "pqc_layers": 1, "hidden": 16, "num_layers": 1, "num_heads": 1,
+              "intermediate": 32, "max_seq_len": 16, "dropout": 0.0},
+    "train": {"learning_rate": 5e-4, "batch_size": 8, "max_epochs": 1, "fraction": 1.0, "shuffle_seed": 3},
+    "sweep": {"depths": [1, 2], "fractions": [1.0, 0.5], "include_classical": True},
+    "probe": {"variants": ["optimized", "vanilla"], "depths": [1, 2], "num_samples": 30},
+}
+TSV_DOC = {
+    **SYNTH_DOC,
+    "task": {"kind": "tsv", "train_path": "train.tsv", "val_path": "val.tsv", "num_classes": 2,
+             "vocab_path": "vocab.txt"},
+}
+SHORT_STRINGS = st.sampled_from(["", "x", "seed", "synth", "tsv", "qffn", "vanilla"])
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2), SHORT_STRINGS,
+    st.sampled_from([10**400, float("nan"), float("inf"), float("-inf")]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SHORT_STRINGS, inner, max_size=3),
+    max_leaves=6,
+)
+_CONFIG_DIR = tempfile.TemporaryDirectory(prefix="qffn-config-fuzz-")
+
+
+@st.composite
+def config_documents(draw):
+    """A valid document with random JSON at one to three of its sections or keys."""
+    doc = copy.deepcopy(draw(st.sampled_from([SYNTH_DOC, TSV_DOC])))
+    paths = [(key,) for key in doc] + [
+        (section, key) for section, body in doc.items() if isinstance(body, dict) for key in body
+    ]
+    for path in draw(st.lists(st.sampled_from(paths), min_size=1, max_size=3)):
+        parent = doc[path[0]] if len(path) == 2 else doc
+        if isinstance(parent, dict):  # an earlier edit may have replaced the section
+            parent[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(PROPERTY, max_examples=150)
+@given(config_documents())
+def test_config_loader_raises_only_config_errors(doc):
+    path = Path(_CONFIG_DIR.name) / "run.json"
+    path.write_text(json.dumps(doc))
+    try:
+        assert isinstance(load_run_config(path), RunConfig)
+    except ConfigError:
+        pass
