@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import grad_variance_probe, probe_csv
-from .encoder import FfnKind, atomic_write, save_model
+from .encoder import FfnKind, ModelConfig, atomic_write, save_model
 from .runconfig import ConfigError, RunConfig, build_task_data, fraction_tag, load_run_config
 from .training import MetricsReport, TrainingDiverged, train
 
@@ -103,7 +103,7 @@ def cmd_train(config_path, out=None, seed=None, strict_depths=None) -> int:
 def _sweep_kind(rc: RunConfig, forced_kind: FfnKind | None) -> FfnKind:
     if forced_kind is not None:
         return forced_kind
-    kind = FfnKind(rc.model.get("ffn_kind", FfnKind.QFFN))
+    kind = FfnKind(rc.model.get("ffn_kind", ModelConfig.ffn_kind))
     if kind not in QUANTUM_KINDS:
         raise ConfigError(
             "model.ffn_kind", "depth sweeps need a quantum feedforward kind"

@@ -13,15 +13,32 @@ Each sublayer sits inside the standard post-norm residual,
 ``h <- LayerNorm(h + sublayer(h))``; the quantum block's internal residual
 exists in addition to that outer one.
 
-Only row 0 of the last layer reaches the classifier, so that layer computes
-queries for row 0 alone: keys and values still cover all S rows, the scores
-are [B, heads, 1, S], and both layer norms and the feedforward sublayer run
-on [B, 1, H]; ``cache["final"]`` is [B, 1, H]. Backward is the exact adjoint:
-the query gradient exists for row 0 only, key and value gradients cover every
-row, and the post-norm residual's gradient lands on row 0 of the layer
-input. Earlier layers compute every row. Dropout masks are drawn at the full
-[B, S, H] shape and sliced, so the rng stream does not depend on the rows a
-layer computes.
+Rows are selected once per batch, as a ``RowSet``. The embedding gathers the
+unmasked tokens into an [N, H] matrix, and every layer reads that matrix: its
+keys and values cover those N rows. Every layer but the last computes its
+queries for the same rows, so its output is the next layer's [N, H] input.
+The last layer computes row 0 alone, the only row that reaches the
+classifier, and its [B, H] output is ``cache["final"]`` as [B, 1, H]. The Q
+and output projections, both residual adds, both layer norms, dropout and
+the feedforward sublayer run on a layer's query rows only. For the score
+matmuls, rows are scattered into zero [B, heads, W, H / heads] grids, where W
+is one past the last position of the row set, so the scores are
+[B, heads, W_query, W_key]. A grid cell that is no row holds a zero query,
+key and value: its probability row is still a distribution that nothing
+reads, and a zero key carries the padding bias like any masked key.
+
+Skipping masked rows cannot change the logits: a masked key's score carries
+the -1e9 bias, so its weight is exp(-1e9) = 0.0 exactly, and a masked row
+reaches later layers only as such a key. Its key and value are never read,
+so any finite value (zero here) gives bitwise the same logits. This needs an
+``attention_mask`` of 0s and 1s with a 1 at position 0, the classification
+token: a sample whose keys were all masked would spread its weight over the
+padding. ``_check_inputs`` rejects any other mask. Backward is the exact
+adjoint: query and residual gradients exist for the query rows only, key and
+value gradients for the unmasked rows, and every gradient into a masked row
+is exactly zero. Dropout masks are drawn at the full [B, S, H] shape and
+then indexed, so the rng stream does not depend on the rows a layer
+computes.
 
 All forward and backward arithmetic is explicit numpy; gradients for the
 circuit angles arrive through the parameter-shift rule inside the quantum
@@ -42,6 +59,7 @@ import sys
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +93,7 @@ class ModelConfigError(ValueError):
 
 
 # Lower bounds of the integer fields; vocab_size must cover the special tokens.
-_MODEL_MINIMUMS = {
+MODEL_MINIMUMS = {
     "vocab_size": 4, "num_classes": 2, "hidden": 1, "num_layers": 1, "num_heads": 1,
     "intermediate": 1, "max_seq_len": 2, "pqc_layers": 1,
 }
@@ -138,7 +156,7 @@ class ModelConfig:
             ) from None
 
     def validate(self, strict_depths: bool = False) -> None:
-        check_fields(self, _MODEL_MINIMUMS)
+        check_fields(self, MODEL_MINIMUMS)
         if self.hidden % self.num_heads != 0:
             raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
@@ -252,9 +270,11 @@ def model_param_count(config: ModelConfig) -> int:
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=axis, keepdims=True)
+    """Softmax along ``axis`` into one new array; ``x`` is left unchanged."""
+    out = np.subtract(x, np.max(x, axis=axis, keepdims=True))
+    np.exp(out, out=out)
+    out /= np.sum(out, axis=axis, keepdims=True)
+    return out
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -269,92 +289,127 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _layer_norm(x, g, b, eps):
+    """Normalize over the last axis; returns ``(out, (xhat, inv_std))``. The
+    temporaries live in the two result arrays, so ``x`` is left unchanged and
+    nothing else of its size is allocated."""
     mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    return xhat * g + b, (xhat, inv_std)
+    xhat = np.subtract(x, mu)
+    out = np.multiply(xhat, xhat)
+    inv_std = out.mean(axis=-1, keepdims=True)  # the variance, until inverted below
+    inv_std += eps
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, g, out=out)
+    out += b
+    return out, (xhat, inv_std)
 
 
 def _layer_norm_backward(d_out, cache, g):
     xhat, inv_std = cache
-    d_xhat = d_out * g
-    d_g = np.sum(d_out * xhat, axis=tuple(range(d_out.ndim - 1)))
-    d_b = np.sum(d_out, axis=tuple(range(d_out.ndim - 1)))
-    mean_d = d_xhat.mean(axis=-1, keepdims=True)
-    mean_dx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
-    d_x = inv_std * (d_xhat - mean_d - xhat * mean_dx)
+    outer = tuple(range(d_out.ndim - 1))
+    d_x = np.multiply(d_out, g)  # the gradient of xhat, until it becomes d_x below
+    scratch = np.multiply(d_out, xhat)
+    d_g = np.sum(scratch, axis=outer)
+    d_b = np.sum(d_out, axis=outer)
+    mean_d = d_x.mean(axis=-1, keepdims=True)
+    np.multiply(d_x, xhat, out=scratch)
+    mean_dx = scratch.mean(axis=-1, keepdims=True)
+    np.multiply(xhat, mean_dx, out=scratch)
+    d_x -= mean_d
+    d_x -= scratch
+    d_x *= inv_std
     return d_x, d_g, d_b
 
 
-def _split_heads(x, num_heads):
-    b, s, h = x.shape
-    return x.reshape(b, s, num_heads, h // num_heads).transpose(0, 2, 1, 3)
+class RowSet(NamedTuple):
+    """Rows of a [B, S] batch, sample-major: row n of an [N, H] matrix over the
+    set is position ``position[n]`` of sample ``sample[n]``. Every sample has
+    its row 0 in the set."""
+
+    sample: np.ndarray
+    position: np.ndarray
+
+    @property
+    def width(self) -> int:
+        """Positions per sample in the set's grid: one past the last position in it."""
+        return int(self.position.max()) + 1
+
+    @property
+    def cls(self) -> np.ndarray:
+        """Where each sample's row 0 sits among the N rows."""
+        return np.flatnonzero(self.position == 0)
+
+    def grid(self, rows: np.ndarray, batch: int, num_heads: int) -> np.ndarray:
+        """``rows`` [N, H] scattered into a zero [B, heads, width, H / heads] grid."""
+        out = np.zeros((batch, self.width, num_heads, rows.shape[1] // num_heads))
+        out[self.sample, self.position] = rows.reshape(len(rows), num_heads, -1)
+        return out.transpose(0, 2, 1, 3)
+
+    def gather(self, grid: np.ndarray) -> np.ndarray:
+        """The set's rows [N, H] of a [B, heads, width, H / heads] grid."""
+        rows = grid.transpose(0, 2, 1, 3)[self.sample, self.position]
+        return rows.reshape(len(rows), -1)
 
 
-def _merge_heads(x):
-    b, nh, s, hd = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, nh * hd)
+def _attention_forward(attn: AttentionWeights, h, keys: RowSet, x, queries: RowSet, key_bias, num_heads):
+    """Self-attention of the query rows ``x`` [Nq, H] over the key rows ``h`` [Nk, H].
 
-
-def _project(x, w):
-    """``x[B, S, in] @ w[in, out]`` as one 2-D GEMM on the [B*S, in] reshape,
-    not numpy's per-sample loop of stacked matmuls."""
-    return (x.reshape(-1, x.shape[-1]) @ w).reshape(*x.shape[:-1], w.shape[-1])
-
-
-def _attention_forward(attn: AttentionWeights, h, mask, num_heads, rows):
-    """Self-attention for the first ``rows`` query rows over all key/value rows."""
-    q = _split_heads(_project(h[:, :rows], attn.wq.T) + attn.bq, num_heads)
-    k = _split_heads(_project(h, attn.wk.T) + attn.bk, num_heads)
-    v = _split_heads(_project(h, attn.wv.T) + attn.bv, num_heads)
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
-    scores = scores + (1.0 - mask)[:, None, None, :] * MASK_BIAS
+    ``key_bias`` [B, 1, 1, keys.width] is the additive padding mask. Grid cells
+    that are not rows hold zero queries, keys and values."""
+    batch = key_bias.shape[0]
+    q = x @ attn.wq.T
+    q += attn.bq
+    q = queries.grid(q, batch, num_heads)
+    k = h @ attn.wk.T
+    k += attn.bk
+    k = keys.grid(k, batch, num_heads)
+    v = h @ attn.wv.T
+    v += attn.bv
+    v = keys.grid(v, batch, num_heads)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    scores += key_bias
     probs = softmax(scores, axis=-1)
-    ctx = _merge_heads(probs @ v)
-    out = _project(ctx, attn.wo.T) + attn.bo
-    return out, (h, q, k, v, probs, ctx)
+    ctx = queries.gather(probs @ v)
+    out = ctx @ attn.wo.T
+    out += attn.bo
+    return out, (h, q, k, v, probs, ctx, x)
 
 
-def _attention_backward(attn: AttentionWeights, d_out, cache, num_heads):
-    """Adjoint of ``_attention_forward``; ``d_h`` covers every input row."""
-    h, q, k, v, probs, ctx = cache
-    rows = q.shape[2]
-    grads = {
-        "wo": d_out.reshape(-1, d_out.shape[-1]).T @ ctx.reshape(-1, ctx.shape[-1]),
-        "bo": d_out.sum(axis=(0, 1)),
-    }
-    d_ctx = _split_heads(_project(d_out, attn.wo), num_heads)
-    d_probs = d_ctx @ v.transpose(0, 1, 3, 2)
-    d_v = probs.transpose(0, 1, 3, 2) @ d_ctx
-    d_scores = probs * (d_probs - np.sum(d_probs * probs, axis=-1, keepdims=True))
+def _attention_backward(attn: AttentionWeights, d_out, cache, keys: RowSet, queries: RowSet, select, num_heads):
+    """Adjoint of ``_attention_forward`` for ``x`` = ``h[select]``: parameter
+    gradients and ``d_h`` [Nk, H], through the keys, queries and values."""
+    h, q, k, v, probs, ctx, x = cache
+    grads = {"wo": d_out.T @ ctx, "bo": d_out.sum(axis=0)}
+    d_ctx = queries.grid(d_out @ attn.wo, probs.shape[0], num_heads)
+    d_v = keys.gather(probs.transpose(0, 1, 3, 2) @ d_ctx)
+    d_scores = d_ctx @ v.transpose(0, 1, 3, 2)  # d_probs, until turned into d_scores below
+    weighted = d_scores * probs
+    d_scores -= np.sum(weighted, axis=-1, keepdims=True)
+    d_scores *= probs
     scale = 1.0 / np.sqrt(q.shape[-1])
-    d_q = (d_scores @ k) * scale
-    d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
-    d_h = np.zeros_like(h)
-    for d_proj, w_name, b_name, w, x, d_x in (
-        (d_q, "wq", "bq", attn.wq, h[:, :rows], d_h[:, :rows]),
-        (d_k, "wk", "bk", attn.wk, h, d_h),
-        (d_v, "wv", "bv", attn.wv, h, d_h),
-    ):
-        merged = _merge_heads(d_proj)
-        flat_d = merged.reshape(-1, merged.shape[-1])
-        grads[w_name] = flat_d.T @ x.reshape(-1, x.shape[-1])
-        grads[b_name] = merged.sum(axis=(0, 1))
-        d_x += _project(merged, w)
+    d_q = queries.gather(d_scores @ k)
+    d_q *= scale
+    d_k = keys.gather(d_scores.transpose(0, 1, 3, 2) @ q)
+    d_k *= scale
+    for d_proj, name, inputs in ((d_q, "q", x), (d_k, "k", h), (d_v, "v", h)):
+        grads["w" + name] = d_proj.T @ inputs
+        grads["b" + name] = d_proj.sum(axis=0)
+    d_h = d_k @ attn.wk
+    d_h[select] += d_q @ attn.wq
+    d_h += d_v @ attn.wv
     return grads, d_h
 
 
-def _dropout_mask(shape, rows, p, rng):
-    """Mask for the first ``rows`` rows, drawn at the full [B, S, H] ``shape``
-    so the rng stream does not depend on how many rows a layer computes."""
+def _dropout_mask(shape, rows: RowSet, p, rng):
+    """Mask for ``rows``, drawn at the full [B, S, H] ``shape`` so the rng
+    stream does not depend on which rows a layer computes."""
     if p <= 0.0:
         return None
     if rng is None:
         raise ValueError("dropout > 0 requires an rng for the training pass")
-    return ((rng.random(shape) >= p) / (1.0 - p))[:, :rows]
+    return (rng.random(shape) >= p)[rows.sample, rows.position] / (1.0 - p)
 
 
 def _check_inputs(model: EncoderModel, token_ids, attention_mask):
@@ -372,46 +427,58 @@ def _check_inputs(model: EncoderModel, token_ids, attention_mask):
     attention_mask = np.asarray(attention_mask, dtype=np.float64)
     if attention_mask.shape != token_ids.shape:
         raise ValueError("attention_mask shape must match token_ids")
+    if not np.all((attention_mask == 0.0) | (attention_mask == 1.0)):
+        raise ValueError("attention_mask entries must be 0 or 1")
+    if not np.all(attention_mask[:, 0] == 1.0):
+        raise ValueError("attention_mask must be 1 at position 0, the classification token")
     return token_ids, attention_mask
 
 
 def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=None):
     token_ids, mask = _check_inputs(model, token_ids, attention_mask)
     cfg = model.config
-    seq = token_ids.shape[1]
-    h = model.tok_emb[token_ids] + model.pos_emb[:seq]
+    batch, seq = token_ids.shape
+    tokens = RowSet(*np.nonzero(mask))
+    h = model.tok_emb[token_ids[tokens.sample, tokens.position]] + model.pos_emb[tokens.position]
+    key_bias = ((1.0 - mask[:, : tokens.width]) * MASK_BIAS)[:, None, None, :]
     p = cfg.dropout if train else 0.0
+    full_shape = (batch, seq, cfg.hidden)
     caches = []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        # Only row 0 of the last layer reaches the classifier.
-        rows = 1 if i == last else seq
-        attn_out, attn_cache = _attention_forward(layer.attn, h, mask, cfg.num_heads, rows)
-        attn_drop = _dropout_mask(h.shape, rows, p, rng)
-        if attn_drop is not None:
-            attn_out = attn_out * attn_drop
-        mid, ln1_cache = _layer_norm(
-            h[:, :rows] + attn_out, layer.ln1_g, layer.ln1_b, cfg.layer_norm_eps
+        # Every layer reads the unmasked rows; the last one computes row 0
+        # alone, the only row that reaches the classifier.
+        if i == last:
+            rows, select = RowSet(np.arange(batch), np.zeros(batch, dtype=np.intp)), tokens.cls
+        else:
+            rows, select = tokens, slice(None)
+        x = h[select]
+        attn_out, attn_cache = _attention_forward(
+            layer.attn, h, tokens, x, rows, key_bias, cfg.num_heads
         )
+        attn_drop = _dropout_mask(full_shape, rows, p, rng)
+        if attn_drop is not None:
+            attn_out *= attn_drop
+        attn_out += x
+        mid, ln1_cache = _layer_norm(attn_out, layer.ln1_g, layer.ln1_b, cfg.layer_norm_eps)
 
         if isinstance(layer.ffn, QffnBlock):
-            ffn_out = np.empty_like(mid)
-            for b in range(mid.shape[0]):
-                ffn_out[b] = qffn_forward(layer.ffn, mid[b], 0)
+            ffn_out = mid.copy()
+            for n in rows.cls:
+                ffn_out[n] = qffn_forward(layer.ffn, mid[n : n + 1], 0)[0]
             ffn_cache = None
         else:
-            out_flat, ffn_cache = layer.ffn.forward(mid.reshape(-1, cfg.hidden))
-            ffn_out = out_flat.reshape(mid.shape)
+            ffn_out, ffn_cache = layer.ffn.forward(mid)
 
-        ffn_drop = _dropout_mask(h.shape, rows, p, rng)
+        ffn_drop = _dropout_mask(full_shape, rows, p, rng)
         if ffn_drop is not None:
-            ffn_out = ffn_out * ffn_drop
-        h_new, ln2_cache = _layer_norm(
-            mid + ffn_out, layer.ln2_g, layer.ln2_b, cfg.layer_norm_eps
-        )
+            ffn_out *= ffn_drop
+        ffn_out += mid
+        h, ln2_cache = _layer_norm(ffn_out, layer.ln2_g, layer.ln2_b, cfg.layer_norm_eps)
         caches.append(
             {
-                "h_in": h,
+                "rows": rows,
+                "select": select,
                 "attn": attn_cache,
                 "attn_drop": attn_drop,
                 "ln1": ln1_cache,
@@ -421,9 +488,8 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
                 "ln2": ln2_cache,
             }
         )
-        h = h_new
-    logits = h[:, 0] @ model.cls_w.T + model.cls_b
-    cache = {"token_ids": token_ids, "mask": mask, "final": h, "layers": caches}
+    logits = h @ model.cls_w.T + model.cls_b
+    cache = {"token_ids": token_ids, "tokens": tokens, "final": h[:, None], "layers": caches}
     return logits, cache
 
 
@@ -435,39 +501,39 @@ def model_forward(model: EncoderModel, token_ids, attention_mask=None) -> np.nda
 
 def _backward(model: EncoderModel, cache, d_logits):
     cfg = model.config
+    tokens = cache["tokens"]
     grads = {
         "cls_w": d_logits.T @ cache["final"][:, 0],
         "cls_b": d_logits.sum(axis=0),
     }
-    d_h = np.zeros_like(cache["final"])
-    d_h[:, 0] = d_logits @ model.cls_w
+    d_h = d_logits @ model.cls_w  # gradient of the last layer's output rows
 
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         lc = cache["layers"][i]
+        rows = lc["rows"]
         prefix = f"layers.{i}."
 
         d_sum2, d_g2, d_b2 = _layer_norm_backward(d_h, lc["ln2"], layer.ln2_g)
         grads[prefix + "ln2_g"] = d_g2
         grads[prefix + "ln2_b"] = d_b2
-        d_mid = d_sum2.copy()
         d_ffn_out = d_sum2 if lc["ffn_drop"] is None else d_sum2 * lc["ffn_drop"]
 
+        mid = lc["mid"]
         if isinstance(layer.ffn, QffnBlock):
+            d_mid = d_sum2 + d_ffn_out  # every row but row 0 passes through the block
             ffn_grads = None
-            for b in range(d_ffn_out.shape[0]):
-                sample_grads, d_in = qffn_backward(layer.ffn, lc["mid"][b], 0, d_ffn_out[b])
-                d_mid[b] += d_in
+            for n in rows.cls:
+                sample_grads, d_in = qffn_backward(layer.ffn, mid[n : n + 1], 0, d_ffn_out[n : n + 1])
+                d_mid[n] = d_sum2[n] + d_in[0]
                 if ffn_grads is None:
                     ffn_grads = sample_grads
                 else:
                     for name in ffn_grads:
                         ffn_grads[name] += sample_grads[name]
         else:
-            flat_up = d_ffn_out.reshape(-1, cfg.hidden)
-            flat_mid = lc["mid"].reshape(-1, cfg.hidden)
-            ffn_grads, d_flat = layer.ffn.backward(flat_mid, lc["ffn"], flat_up)
-            d_mid += d_flat.reshape(d_mid.shape)
+            ffn_grads, d_mid = layer.ffn.backward(mid, lc["ffn"], d_ffn_out)
+            d_mid += d_sum2
         for name, g in ffn_grads.items():
             grads[prefix + "ffn." + name] = g
 
@@ -475,18 +541,20 @@ def _backward(model: EncoderModel, cache, d_logits):
         grads[prefix + "ln1_g"] = d_g1
         grads[prefix + "ln1_b"] = d_b1
         d_attn_out = d_sum1 if lc["attn_drop"] is None else d_sum1 * lc["attn_drop"]
-        attn_grads, d_h = _attention_backward(layer.attn, d_attn_out, lc["attn"], cfg.num_heads)
+        attn_grads, d_h = _attention_backward(
+            layer.attn, d_attn_out, lc["attn"], tokens, rows, lc["select"], cfg.num_heads
+        )
         for name, g in attn_grads.items():
             grads[prefix + "attn." + name] = g
         # The post-norm residual feeds the query rows of the layer input.
-        d_h[:, : d_sum1.shape[1]] += d_sum1
+        d_h[lc["select"]] += d_sum1
 
     token_ids = cache["token_ids"]
     d_tok = np.zeros_like(model.tok_emb)
-    np.add.at(d_tok, token_ids.reshape(-1), d_h.reshape(-1, cfg.hidden))
+    np.add.at(d_tok, token_ids[tokens.sample, tokens.position], d_h)
     grads["tok_emb"] = d_tok
     d_pos = np.zeros_like(model.pos_emb)
-    d_pos[: token_ids.shape[1]] = d_h.sum(axis=0)
+    np.add.at(d_pos, tokens.position, d_h)
     grads["pos_emb"] = d_pos
     return grads
 

@@ -40,19 +40,32 @@ class ClassicalFeedForward:
 
     def forward(self, hidden: np.ndarray):
         """Output and the cache ``(pre, cdf, act)``: GELU(x) = x * Phi(x) with
-        ``cdf`` = Phi(pre), so backward needs no second ``erf``."""
+        ``cdf`` = Phi(pre), so backward needs no second ``erf``. Each
+        temporary is computed in the array it ends up in."""
         from scipy.special import erf  # here, so importing qffn does not load scipy
 
-        pre = hidden @ self.w1.T + self.b1
-        cdf = 0.5 * (1.0 + erf(pre * _INV_SQRT2))
-        act = pre * cdf
-        out = act @ self.w2.T + self.b2
+        pre = hidden @ self.w1.T
+        pre += self.b1
+        cdf = np.multiply(pre, _INV_SQRT2)
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
+        act = np.multiply(pre, cdf)
+        out = act @ self.w2.T
+        out += self.b2
         return out, (pre, cdf, act)
 
     def backward(self, hidden: np.ndarray, cache, upstream: np.ndarray):
         pre, cdf, act = cache
-        d_act = upstream @ self.w2
-        d_pre = d_act * (cdf + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI)
+        # d_pre = d_act * (cdf + pre * exp(-pre^2 / 2) / sqrt(2 pi)), in two arrays
+        slope = np.multiply(pre, -0.5)
+        slope *= pre
+        np.exp(slope, out=slope)
+        slope *= pre
+        slope *= _INV_SQRT_2PI
+        slope += cdf
+        d_pre = upstream @ self.w2
+        d_pre *= slope
         grads = {
             "w1": d_pre.T @ hidden,
             "b1": d_pre.sum(axis=0),

@@ -12,7 +12,9 @@ Schema (defaults in parentheses):
         # "train_path": ..., "val_path": ...,                     # tsv
         # "num_classes": ..., "vocab_path": ...                   # tsv, optional
       },
-      "model": {                       # all optional, see ModelConfig defaults
+      "model": {                       # all optional, see ModelConfig defaults;
+                                       # ffn_kind defaults to "classical", so sweep
+                                       # configs must name a quantum kind
         "ffn_kind": "qffn", "pqc_layers": 1, "hidden": 128, "num_layers": 2,
         "num_heads": 2, "intermediate": 512, "max_seq_len": 128, "dropout": 0.0
       },
@@ -37,9 +39,10 @@ by ``kind``), all checked by ``encoder.check_fields``: numbers are never bools,
 floats are finite (JSON's NaN and Infinity are rejected), and lists are
 non-empty with distinct items. Unknown fields, per-section seeds and sweep
 fractions that name one cell twice are rejected, null counts as unset, and
-errors name ``<section>.<field>``. The model section is checked once the data
-fix the vocab size, which is never written in the config; everything else on
-load, and all of it before any output.
+errors name ``<section>.<field>``. Everything is checked on load, before any
+output: the model section with stand-ins for the two fields the data fix
+(``vocab_size`` and ``num_classes``, never written in the config), and again,
+with the real values and the strict-depth rule, once the data are read.
 """
 from __future__ import annotations
 
@@ -50,7 +53,7 @@ from pathlib import Path
 from .circuits import Ansatz
 from .data import MAX_SYNTH_CLASSES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
 from .diagnostics import MIN_PROBE_SAMPLES
-from .encoder import ModelConfig, ModelConfigError, PAPER_DEPTHS, check_fields
+from .encoder import MODEL_MINIMUMS, ModelConfig, ModelConfigError, PAPER_DEPTHS, check_fields
 from .training import TrainConfig
 
 
@@ -146,9 +149,11 @@ def _without_nulls(section: dict | None) -> dict | None:
 
 
 _FIXED = {"layer_norm_eps"}  # a ModelConfig field that no config file sets
+# The ModelConfig fields the data fix, at their minimums: load checks every other model value with them.
+_DATA_STAND_INS = {name: MODEL_MINIMUMS[name] for name in ("vocab_size", "num_classes")}
 
 
-def _build(section: str, cls, values: dict, derived: dict | None = None, validate=True, **validate_args):
+def _build(section: str, cls, values: dict, derived: dict | None = None, **validate_args):
     """``cls`` built from one config section, in which null counts as unset, and
     the fields the run derives, then validated. Errors name ``<section>.<field>``,
     or the bare field for a derived one or a top-level one (``section`` "")."""
@@ -165,8 +170,7 @@ def _build(section: str, cls, values: dict, derived: dict | None = None, validat
             raise ConfigError(prefix + f.name, "required field is missing")
     try:
         config = cls(**values, **derived)
-        if validate:
-            config.validate(**validate_args)
+        config.validate(**validate_args)
     except ModelConfigError as exc:
         raise ConfigError(exc.field if exc.field in derived else prefix + exc.field, str(exc)) from exc
     return config
@@ -237,8 +241,7 @@ def load_run_config(
         raise ConfigError("out_dir", "required (set in the config or pass --out)")
     task = _without_nulls(doc.task)
     model = _without_nulls(doc.model) or {}
-    # model_config validates the model once the data fix the vocab size; keys and kind are checked now.
-    _build("model", ModelConfig, model, {"vocab_size": None, "num_classes": None}, validate=False)
+    _build("model", ModelConfig, model, _DATA_STAND_INS)
     config = RunConfig(
         out_dir=Path(doc.out_dir),
         seed=doc.seed,

@@ -70,7 +70,11 @@ class MetricsReport:
 
 
 class AdamOptimizer:
-    """Canonical Adam; updates parameter arrays in place."""
+    """Canonical Adam; updates parameter arrays in place.
+
+    Every temporary of a step lives in two scratch arrays sized to the largest
+    parameter and allocated once, so a step allocates nothing of a parameter's
+    size."""
 
     def __init__(self, named_params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(named_params)
@@ -79,6 +83,7 @@ class AdamOptimizer:
         self.m = {name: np.zeros_like(p) for name, p in self.params}
         self.v = {name: np.zeros_like(p) for name, p in self.params}
         self.t = 0
+        self._scratch = np.empty((2, max((p.size for _, p in self.params), default=0)))
 
     def step(self, grads) -> None:
         self.t += 1
@@ -87,11 +92,22 @@ class AdamOptimizer:
         for name, p in self.params:
             g = grads[name]
             m, v = self.m[name], self.v[name]
+            update, denom = (s[: p.size].reshape(p.shape) for s in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=update)
+            m += update
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            np.multiply(g, g, out=update)
+            update *= 1.0 - self.beta2
+            v += update
+            # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            np.divide(m, bias1, out=update)
+            update *= self.lr
+            np.divide(v, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update /= denom
+            p -= update
 
 
 def _trim_padding(ids, mask):

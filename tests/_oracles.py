@@ -176,3 +176,43 @@ def full_row_logits(model, token_ids, mask):
                 out[b, 0] = row + branch if ffn.residual else branch
         h = layer_norm(mid + out, layer.ln2_g, layer.ln2_b)
     return h[:, 0] @ model.cls_w.T + model.cls_b
+
+
+def layer_norm_reference(x, g, b, eps):
+    """Layer norm as plain expressions, one new array per operation; returns
+    ``(out, xhat, inv_std)`` in the package's order of operations."""
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv_std
+    return xhat * g + b, xhat, inv_std
+
+
+def layer_norm_backward_reference(d_out, xhat, inv_std, g):
+    """``(d_x, d_g, d_b)`` of ``layer_norm_reference`` as plain expressions."""
+    outer = tuple(range(d_out.ndim - 1))
+    d_xhat = d_out * g
+    d_g = np.sum(d_out * xhat, axis=outer)
+    d_b = np.sum(d_out, axis=outer)
+    mean_d = d_xhat.mean(axis=-1, keepdims=True)
+    mean_dx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    return inv_std * (d_xhat - mean_d - xhat * mean_dx), d_g, d_b
+
+
+def softmax_reference(x, axis=-1):
+    shifted = x - np.max(x, axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=axis, keepdims=True)
+
+
+def adam_reference_steps(param, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """``param`` after one canonical Adam step per gradient in ``grads``."""
+    p = param.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads, start=1):
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * (g * g)
+        p = p - lr * (m / (1.0 - beta1**t)) / (np.sqrt(v / (1.0 - beta2**t)) + eps)
+    return p

@@ -369,6 +369,48 @@ class TestRejectedBeforeAnyOutput:
         assert (tmp_path / "out" / "table.csv").read_text().count("\n") == 1  # header only
 
 
+class TestModelSectionCheckedOnLoad:
+    """Every model value is checked on load, also by commands that build no
+    model from it; only the data-derived vocab size and class count wait."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        monkeypatch.setattr(cli, "grad_variance_probe", lambda *args, **kwargs: pytest.fail("probed"))
+        monkeypatch.chdir(tmp_path)
+
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, config, command, message):
+        assert main([command, "--config", str(config)]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [config.name]
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("hidden", 0), ("dropout", 5.0), ("num_heads", 3)])
+    def test_probe_rejects_a_bad_model_value(self, tmp_path, capsys, field, value):
+        config, _ = write_config(
+            tmp_path, model={field: value}, probe={"depths": [1], "num_samples": 30}
+        )
+        self.assert_rejected(tmp_path, capsys, config, "probe", f"config error at model.{field}")
+
+    def test_sweep_checks_the_depth_every_cell_overrides(self, tmp_path, capsys):
+        config, _ = write_config(
+            tmp_path,
+            model={"ffn_kind": "qffn", "pqc_layers": "x", **TINY_MODEL},
+            sweep={"depths": [1], "fractions": [1.0], "include_classical": False},
+        )
+        self.assert_rejected(tmp_path, capsys, config, "sweep", "config error at model.pqc_layers")
+
+    def test_sweep_without_ffn_kind_takes_the_model_default(self, tmp_path, capsys):
+        # ModelConfig's default kind is classical, which a depth sweep cannot use.
+        config, _ = write_config(
+            tmp_path, model=dict(TINY_MODEL), sweep={"depths": [1], "fractions": [1.0]}
+        )
+        self.assert_rejected(
+            tmp_path, capsys, config, "sweep",
+            "config error at model.ffn_kind: depth sweeps need a quantum feedforward kind",
+        )
+
+
 class TestMain:
     def test_import_does_not_load_scipy_special(self):
         src = os.path.dirname(os.path.dirname(cli.__file__))

@@ -5,14 +5,23 @@ import re
 import numpy as np
 import pytest
 
-from _oracles import full_row_logits, gelu, gelu_grad
+from _oracles import (
+    full_row_logits,
+    gelu,
+    gelu_grad,
+    layer_norm_backward_reference,
+    layer_norm_reference,
+    softmax_reference,
+)
 from qffn.encoder import (
+    MASK_BIAS,
     EncoderModel,
     FfnKind,
     ModelConfig,
     ModelConfigError,
     _forward,
     _layer_norm,
+    _layer_norm_backward,
     cross_entropy,
     load_model,
     model_backward,
@@ -226,6 +235,113 @@ class TestLastLayerRows:
         want = full_row_logits(model, ids, mask)
         assert np.max(np.abs(want)) > 0.1
         np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
+
+
+def padded_batch(seed, batch=4, seq=6):
+    """About half of the positions masked, and one sample of the classification
+    token alone."""
+    ids, mask, labels = micro_batch(seed=seed, batch=batch, seq=seq)
+    mask[0, 4:] = 0
+    mask[1, 1:] = 0
+    mask[2, 2:] = 0
+    mask[3, 3:] = 0
+    return ids, mask, labels
+
+
+class TestRowSkip:
+    """Every layer computes only the unmasked rows, the last one row 0 alone."""
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(FfnKind))
+    def test_logits_match_full_row_oracle(self, kind, num_layers):
+        model = spread_model(micro_config(kind, pqc_layers=2, num_layers=num_layers), seed=41)
+        ids, mask, _ = padded_batch(seed=42)
+        assert 0.4 <= 1.0 - mask.mean() <= 0.6
+        want = full_row_logits(model, ids, mask)
+        assert np.max(np.abs(want)) > 0.1
+        np.testing.assert_allclose(model_forward(model, ids, mask), want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", list(FfnKind))
+    def test_masked_rows_are_inert(self, kind):
+        model = spread_model(micro_config(kind, num_layers=3), seed=43)
+        ids, mask, labels = padded_batch(seed=44)
+        other = ids.copy()
+        other[mask == 0] = (ids[mask == 0] + 7) % model.config.vocab_size
+        assert np.all(other[mask == 0] != ids[mask == 0])
+        np.testing.assert_array_equal(model_forward(model, ids, mask), model_forward(model, other, mask))
+        loss, grads = model_backward(model, ids, mask, labels)
+        other_loss, other_grads = model_backward(model, other, mask, labels)
+        assert loss == other_loss
+        for name in grads:
+            np.testing.assert_array_equal(grads[name], other_grads[name], err_msg=name)
+
+    @pytest.mark.parametrize("kind", list(FfnKind))
+    def test_three_layer_gradients_match_finite_differences(self, kind):
+        # The middle layer reads the skipped rows of the first and skips them
+        # in turn for the last.
+        model = spread_model(micro_config(kind, pqc_layers=2, num_layers=3), seed=45)
+        ids, mask, labels = padded_batch(seed=46)
+        ffn = ["ffn.w1", "ffn.b1"] if kind is FfnKind.CLASSICAL else ["ffn.w_in", "ffn.theta"]
+        check = ["tok_emb", "pos_emb"] + [
+            "layers.1." + n for n in ["attn.wq", "attn.wk", "attn.wv", "attn.bo", "ln1_b", "ln2_g", *ffn]
+        ]
+        assert_matches_finite_differences(model, ids, mask, labels, check)
+
+    def test_gradients_into_masked_rows_are_zero(self):
+        model = spread_model(micro_config(num_layers=3), seed=47)
+        ids, mask, labels = padded_batch(seed=48)
+        ids[mask == 0] = 0  # the only uses of token 0 are masked rows
+        ids[mask == 1] = np.maximum(ids[mask == 1], 1)
+        _, grads = model_backward(model, ids, mask, labels)
+        assert np.all(grads["tok_emb"][0] == 0.0)
+        assert np.all(grads["pos_emb"][4:] == 0.0)  # positions 4 and 5 are masked in every sample
+
+    @pytest.mark.parametrize("command", ["forward", "backward"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param({(0, 2): 0.5}, id="fractional-entry"),
+            pytest.param({(1, 3): 2}, id="entry-above-one"),
+            pytest.param({(1, 0): 0}, id="masked-classification-token"),
+        ],
+    )
+    def test_masks_the_skip_cannot_honour_are_rejected(self, command, bad):
+        model = EncoderModel(micro_config(), seed=49)
+        ids, mask, labels = micro_batch(seed=50)
+        mask = mask.astype(np.float64)
+        for index, value in bad.items():
+            mask[index] = value
+        with pytest.raises(ValueError, match="attention_mask"):
+            if command == "forward":
+                model_forward(model, ids, mask)
+            else:
+                model_backward(model, ids, mask, labels)
+
+
+class TestInPlacePrimitives:
+    """The in-place kernels are bitwise equal to the plain formulas."""
+
+    def test_layer_norm_and_its_backward(self):
+        rng = np.random.default_rng(51)
+        x = rng.normal(1.0, 3.0, (5, 7, 64))
+        g, b, d_out = rng.normal(size=64), rng.normal(size=64), rng.normal(size=x.shape)
+        saved = x.copy()
+        out, (xhat, inv_std) = _layer_norm(x, g, b, 1e-12)
+        want, want_xhat, want_inv_std = layer_norm_reference(x, g, b, 1e-12)
+        np.testing.assert_array_equal(x, saved)
+        for got, ref in ((out, want), (xhat, want_xhat), (inv_std, want_inv_std)):
+            np.testing.assert_array_equal(got, ref)
+        got = _layer_norm_backward(d_out, (xhat, inv_std), g)
+        for got_part, ref in zip(got, layer_norm_backward_reference(d_out, want_xhat, want_inv_std, g)):
+            np.testing.assert_array_equal(got_part, ref)
+
+    def test_softmax_leaves_its_argument_unchanged(self):
+        x = np.random.default_rng(52).normal(0.0, 5.0, (3, 2, 6, 6))
+        x[..., -2:] += MASK_BIAS
+        saved = x.copy()
+        for axis in (-1, 1):
+            np.testing.assert_array_equal(softmax(x, axis=axis), softmax_reference(x, axis=axis))
+        np.testing.assert_array_equal(x, saved)
 
 
 class TestClassicalFeedForward:

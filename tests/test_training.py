@@ -4,6 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from _oracles import adam_reference_steps
 from qffn.data import build_vocab, synth_generate
 from qffn.encoder import EncoderModel, FfnKind, ModelConfig, ModelConfigError
 from qffn.training import (
@@ -172,3 +173,15 @@ class TestAdam:
         opt = AdamOptimizer([("p", p)], learning_rate=0.5)
         opt.step({"p": np.ones(2)})
         assert alias is p and np.all(alias < 1.0)
+
+    def test_three_steps_match_the_formula_bitwise(self):
+        # Parameters of different sizes share the optimizer's scratch arrays.
+        rng = np.random.default_rng(1)
+        params = [("w", rng.normal(size=(5, 3))), ("b", rng.normal(size=4)), ("s", rng.normal(size=()))]
+        steps = [{name: rng.normal(size=p.shape) for name, p in params} for _ in range(3)]
+        want = {name: adam_reference_steps(p, [g[name] for g in steps], lr=0.01) for name, p in params}
+        opt = AdamOptimizer(params, learning_rate=0.01)
+        for grads in steps:
+            opt.step(grads)
+        for name, p in params:
+            np.testing.assert_array_equal(p, want[name], err_msg=name)
