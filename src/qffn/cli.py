@@ -12,10 +12,12 @@ Every artifact is written to a uniquely named temporary file and atomically
 renamed (``encoder.atomic_write``), so output files are either complete or
 absent. Every setting a command uses, each sweep cell's included, is validated
 before it trains or writes anything (floats must be finite), so a rejected
-config produces no output at all. The source config file is copied verbatim
-into the output directory for provenance; resolved settings are echoed inside
-metrics.json. Measured wall-clock time is printed on stdout but stored as null
-in metrics.json so that identical configs produce byte-identical files.
+config produces no output at all; an operating-system error while creating
+the output directory or writing an artifact exits 1 with an ``error:`` line.
+The source config file is copied verbatim into the output directory for
+provenance; resolved settings are echoed inside metrics.json. Measured
+wall-clock time is printed on stdout but stored as null in metrics.json so
+that identical configs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -23,54 +25,35 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .diagnostics import grad_variance_probe, probe_csv
-from .encoder import FfnKind, ModelConfig, atomic_write, save_model
-from .runconfig import ConfigError, RunConfig, build_task_data, fraction_tag, load_run_config
-from .training import MetricsReport, TrainingDiverged, train
+from .encoder import ModelConfig, atomic_write, save_model
+from .feedforward import QUANTUM_BLOCKS, FfnKind
+from .runconfig import ConfigError, RunConfig, build_task_data, check_fraction, fraction_tag, load_run_config
+from .training import EpochStats, MetricsReport, TrainingDiverged, train
 
 CONFIG_COPY = "config.json"
-QUANTUM_KINDS = (FfnKind.QFFN, FfnKind.VANILLA_QFFN)
 
 
-def _copy_config_verbatim(config: RunConfig, out_dir: Path) -> None:
-    target = out_dir / CONFIG_COPY
-    if target.exists() and os.path.samefile(config.source_path, target):
-        return
-    atomic_write(target, config.source_path.read_text(encoding="utf-8"))
+def _create_out_dir(config: RunConfig) -> Path:
+    """The output directory, created, with the source config copied in verbatim."""
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    target = config.out_dir / CONFIG_COPY
+    if not (target.exists() and os.path.samefile(config.source_path, target)):
+        atomic_write(target, config.source_path.read_text(encoding="utf-8"))
+    return config.out_dir
 
 
-def _metrics_json(report: MetricsReport, echo: dict) -> str:
-    doc = {
-        "validation_accuracy": report.validation_accuracy,
-        "training_accuracy": report.training_accuracy,
-        "gap": report.gap,
-        "accuracy_per_param": report.accuracy_per_param,
-        "param_total": report.param_total,
-        "epochs": [
-            {
-                "epoch": e.epoch,
-                "train_loss": e.train_loss,
-                "val_loss": e.val_loss,
-                "train_acc": e.train_acc,
-                "val_acc": e.val_acc,
-            }
-            for e in report.epochs
-        ],
-        "wall_clock_s": None,  # measured time goes to stdout; files stay reproducible
-        "config_echo": echo,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _epochs_csv(report: MetricsReport) -> str:
-    lines = ["epoch,train_loss,val_loss,train_acc,val_acc"]
-    for e in report.epochs:
-        lines.append(
-            f"{e.epoch},{e.train_loss!r},{e.val_loss!r},{e.train_acc!r},{e.val_acc!r}"
-        )
-    return "\n".join(lines) + "\n"
+def _write_report(directory: Path, report: MetricsReport, echo: dict) -> None:
+    """``metrics.json`` and ``epochs.csv``, each written from the report's fields."""
+    # measured time goes to stdout; files stay reproducible
+    doc = {**asdict(report), "wall_clock_s": None, "config_echo": echo}
+    atomic_write(directory / "metrics.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    names = [f.name for f in fields(EpochStats)]
+    lines = [",".join(names)] + [",".join(repr(getattr(e, n)) for n in names) for e in report.epochs]
+    atomic_write(directory / "epochs.csv", "\n".join(lines) + "\n")
 
 
 def _fail(exc: Exception) -> int:
@@ -85,17 +68,13 @@ def cmd_train(config_path, out=None, seed=None, strict_depths=None) -> int:
         train_set, val_set, vocab = build_task_data(rc)
         model_cfg = rc.model_config(len(vocab), train_set.num_classes)
         train_cfg = rc.train_config()
+        check_fraction("train.fraction", train_cfg.fraction, train_set)
         model, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
+        out_dir = _create_out_dir(rc)
+        _write_report(out_dir, report, rc.echo(resolved_model=vars(model_cfg), train_fraction=train_cfg.fraction))
+        save_model(model, out_dir)
     except (ConfigError, TrainingDiverged, ValueError, OSError) as exc:
         return _fail(exc)
-
-    out_dir = rc.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _copy_config_verbatim(rc, out_dir)
-    echo = rc.echo(resolved_model=vars(model_cfg), train_fraction=train_cfg.fraction)
-    atomic_write(out_dir / "metrics.json", _metrics_json(report, echo))
-    atomic_write(out_dir / "epochs.csv", _epochs_csv(report))
-    save_model(model, out_dir)
     print(report.summary_line())
     return 0
 
@@ -104,7 +83,7 @@ def _sweep_kind(rc: RunConfig, forced_kind: FfnKind | None) -> FfnKind:
     if forced_kind is not None:
         return forced_kind
     kind = FfnKind(rc.model.get("ffn_kind", ModelConfig.ffn_kind))
-    if kind not in QUANTUM_KINDS:
+    if kind not in QUANTUM_BLOCKS:
         raise ConfigError(
             "model.ffn_kind", "depth sweeps need a quantum feedforward kind"
         )
@@ -118,6 +97,8 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
             raise ConfigError("sweep", "required field is missing")
         kind = _sweep_kind(rc, forced_kind)
         train_set, val_set, vocab = build_task_data(rc)
+        for fraction in rc.sweep.fractions:
+            check_fraction("sweep.fractions", fraction, train_set)
         grid = [(None, {"ffn_kind": FfnKind.CLASSICAL})] if rc.sweep.include_classical else []
         grid += [(depth, {"ffn_kind": kind, "pqc_layers": depth}) for depth in rc.sweep.depths]
         cells = [  # every cell's settings are checked here, before anything is written
@@ -125,13 +106,15 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
             for depth, model in grid
             for f in rc.sweep.fractions
         ]
+        return _train_cells(rc, cells, train_set, val_set, vocab)
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(exc)
 
-    out_dir = rc.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _copy_config_verbatim(rc, out_dir)
 
+def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
+    """Train every cell, write its report, then ``table.csv`` and any
+    ``failures.csv``; a cell that fails to train is recorded, not raised."""
+    out_dir = _create_out_dir(rc)
     rows = []
     failures = []
     for depth, model_cfg, train_cfg in cells:
@@ -146,9 +129,7 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
             continue
         cell_dir = out_dir / "cells" / name
         cell_dir.mkdir(parents=True, exist_ok=True)
-        echo = rc.echo(resolved_model=vars(model_cfg), train_fraction=fraction)
-        atomic_write(cell_dir / "metrics.json", _metrics_json(report, echo))
-        atomic_write(cell_dir / "epochs.csv", _epochs_csv(report))
+        _write_report(cell_dir, report, rc.echo(resolved_model=vars(model_cfg), train_fraction=fraction))
         rows.append(
             f"{cell_kind.value},{'-' if depth is None else depth},{fraction!r},"
             f"{report.validation_accuracy!r},{report.training_accuracy!r},"
@@ -185,12 +166,9 @@ def cmd_probe(config_path, out=None, seed=None) -> int:
             grad_variance_probe(variant, rc.probe.depths, rc.probe.num_samples, rc.seed)
             for variant in rc.probe.variants
         ]
+        atomic_write(_create_out_dir(rc) / "probe.csv", probe_csv(*results))
     except (ConfigError, ValueError, OSError) as exc:
         return _fail(exc)
-    out_dir = rc.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _copy_config_verbatim(rc, out_dir)
-    atomic_write(out_dir / "probe.csv", probe_csv(*results))
     for result in results:
         for entry in result.entries:
             print(

@@ -3,11 +3,11 @@
 Two post-norm transformer layers over token + learned position embeddings,
 multi-head self-attention, and a linear classifier reading the first sequence
 position (the classification token). The feedforward sublayer of every layer
-is one of:
-
-  - "classical":     position-wise GELU MLP (the reference configuration)
-  - "qffn":          quantum block, optimized ansatz, internal residual
-  - "vanilla_qffn":  quantum block, vanilla ansatz, no internal residual
+is the one its ``FfnKind`` names: the position-wise GELU MLP ("classical",
+the reference configuration), or a quantum block ("qffn", "vanilla_qffn")
+with the ansatz and internal residual that ``feedforward.QUANTUM_BLOCKS``
+maps the kind to. The quantum block maps each sample's classification row;
+every other row passes through it unchanged.
 
 Each sublayer sits inside the standard post-norm residual,
 ``h <- LayerNorm(h + sublayer(h))``; the quantum block's internal residual
@@ -57,16 +57,17 @@ import numbers
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
-from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import Ansatz, PqcConfig, pqc_param_count
+from .circuits import PqcConfig, pqc_param_count
 from .feedforward import (
     INIT_STD,
+    QUANTUM_BLOCKS,
     ClassicalFeedForward,
+    FfnKind,
     QffnBlock,
     classical_ffn_param_count,
     make_ffn_block,
@@ -76,12 +77,6 @@ from .feedforward import (
 
 MASK_BIAS = -1e9
 PAPER_DEPTHS = (1, 2, 4, 8)
-
-
-class FfnKind(str, Enum):
-    CLASSICAL = "classical"
-    QFFN = "qffn"
-    VANILLA_QFFN = "vanilla_qffn"
 
 
 class ModelConfigError(ValueError):
@@ -161,7 +156,7 @@ class ModelConfig:
             raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelConfigError("dropout", f"must be in [0, 1), got {self.dropout}")
-        if strict_depths and self.ffn_kind is not FfnKind.CLASSICAL and self.pqc_layers not in PAPER_DEPTHS:
+        if strict_depths and self.ffn_kind in QUANTUM_BLOCKS and self.pqc_layers not in PAPER_DEPTHS:
             raise ModelConfigError(
                 "pqc_layers", f"must be one of {PAPER_DEPTHS} in strict-depth mode, got {self.pqc_layers}"
             )
@@ -229,9 +224,7 @@ class EncoderModel:
                     attn=AttentionWeights.create(h, rng),
                     ln1_g=np.ones(h),
                     ln1_b=np.zeros(h),
-                    ffn=make_ffn_block(
-                        config.ffn_kind.value, h, config.intermediate, config.pqc_layers, rng
-                    ),
+                    ffn=make_ffn_block(config.ffn_kind, h, config.intermediate, config.pqc_layers, rng),
                     ln2_g=np.ones(h),
                     ln2_b=np.zeros(h),
                 )
@@ -260,8 +253,7 @@ def model_param_count(config: ModelConfig) -> int:
     if config.ffn_kind is FfnKind.CLASSICAL:
         ffn = classical_ffn_param_count(h, config.intermediate)
     else:
-        variant = Ansatz.OPTIMIZED if config.ffn_kind is FfnKind.QFFN else Ansatz.VANILLA
-        pqc = PqcConfig(variant, config.pqc_layers)
+        pqc = PqcConfig(QUANTUM_BLOCKS[config.ffn_kind][0], config.pqc_layers)
         nq = pqc.num_qubits
         ffn = (nq * h + nq) + (h * nq + h) + pqc_param_count(pqc)
     total += config.num_layers * (attn + norms + ffn)
@@ -463,9 +455,9 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
         mid, ln1_cache = _layer_norm(attn_out, layer.ln1_g, layer.ln1_b, cfg.layer_norm_eps)
 
         if isinstance(layer.ffn, QffnBlock):
-            ffn_out = mid.copy()
+            ffn_out = mid.copy()  # every row but row 0 passes through the block
             for n in rows.cls:
-                ffn_out[n] = qffn_forward(layer.ffn, mid[n : n + 1], 0)[0]
+                ffn_out[n] = qffn_forward(layer.ffn, mid[n])
             ffn_cache = None
         else:
             ffn_out, ffn_cache = layer.ffn.forward(mid)
@@ -524,8 +516,8 @@ def _backward(model: EncoderModel, cache, d_logits):
             d_mid = d_sum2 + d_ffn_out  # every row but row 0 passes through the block
             ffn_grads = None
             for n in rows.cls:
-                sample_grads, d_in = qffn_backward(layer.ffn, mid[n : n + 1], 0, d_ffn_out[n : n + 1])
-                d_mid[n] = d_sum2[n] + d_in[0]
+                sample_grads, d_in = qffn_backward(layer.ffn, mid[n], d_ffn_out[n])
+                d_mid[n] = d_sum2[n] + d_in
                 if ffn_grads is None:
                     ffn_grads = sample_grads
                 else:

@@ -1,15 +1,16 @@
 """Feedforward sublayers: the classical MLP and its quantum replacement.
 
-The quantum block projects the hidden vector at one designated row (the
-classification token) down to 4 encoding angles, runs the ansatz circuit,
-projects the 4 Z-expectations back up to the hidden width, and adds the
-result to the original row. Every other row passes through untouched. With
-``residual=False`` (the ablation configuration) the projection output
-replaces the row instead of being added to it.
+The quantum block maps one row, the classification token's: it projects the
+row down to 4 encoding angles, runs the ansatz circuit, projects the 4
+Z-expectations back up to the hidden width, and adds the result to the row.
+With ``residual=False`` (the ablation configuration) the projection output
+replaces the row instead. The encoder hands the block that row and passes
+every other row through unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -18,6 +19,19 @@ from .circuits import Ansatz, PqcConfig, init_pqc_params, pqc_forward, pqc_param
 INIT_STD = 0.02
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+class FfnKind(str, Enum):
+    CLASSICAL = "classical"
+    QFFN = "qffn"
+    VANILLA_QFFN = "vanilla_qffn"
+
+
+# Each quantum kind's ansatz and whether its block adds the row back (internal residual).
+QUANTUM_BLOCKS = {
+    FfnKind.QFFN: (Ansatz.OPTIMIZED, True),
+    FfnKind.VANILLA_QFFN: (Ansatz.VANILLA, False),
+}
 
 
 @dataclass
@@ -123,57 +137,46 @@ class QffnBlock:
         ]
 
 
-def _check_block_input(block: QffnBlock, hidden: np.ndarray, cls_index: int) -> None:
-    if hidden.ndim != 2 or hidden.shape[1] != block.hidden_dim:
-        raise ValueError(
-            f"hidden must be [seq, {block.hidden_dim}], got {hidden.shape}"
-        )
-    if not 0 <= cls_index < hidden.shape[0]:
-        raise ValueError(f"cls_index {cls_index} out of range for seq {hidden.shape[0]}")
+def _check_row(block: QffnBlock, row: np.ndarray) -> None:
+    if row.shape != (block.hidden_dim,):
+        raise ValueError(f"row must be [{block.hidden_dim}], got shape {row.shape}")
 
 
-def qffn_forward(block: QffnBlock, hidden: np.ndarray, cls_index: int) -> np.ndarray:
-    """Transform the cls row through the quantum branch; other rows pass through."""
-    _check_block_input(block, hidden, cls_index)
-    row = hidden[cls_index]
+def qffn_forward(block: QffnBlock, row: np.ndarray) -> np.ndarray:
+    """The block's output for one hidden row: the quantum branch, plus the row
+    itself when ``block.residual``."""
+    _check_row(block, row)
     encoded = block.w_in @ row + block.b_in
     z = pqc_forward(block.pqc_config, block.theta, encoded)
     branch = block.w_out @ z + block.b_out
-    out = hidden.copy()
-    out[cls_index] = row + branch if block.residual else branch
-    return out
+    return row + branch if block.residual else branch
 
 
-def qffn_backward(
-    block: QffnBlock, hidden: np.ndarray, cls_index: int, upstream: np.ndarray
-):
-    """Gradients of all block parameters and of the block input.
+def qffn_backward(block: QffnBlock, row: np.ndarray, upstream: np.ndarray):
+    """Gradients of all block parameters and of the row, given the gradient
+    ``upstream`` of the block's output.
 
-    Returns ``(param_grads, input_grad)`` where ``param_grads`` keys match
+    Returns ``(param_grads, row_grad)`` where ``param_grads`` keys match
     ``named_parameters``. The circuit Jacobians come from the parameter-shift
     rule, so the only approximation anywhere is float rounding.
     """
-    _check_block_input(block, hidden, cls_index)
-    if upstream.shape != hidden.shape:
-        raise ValueError(f"upstream shape {upstream.shape} != hidden shape {hidden.shape}")
-    row = hidden[cls_index]
+    _check_row(block, row)
+    if upstream.shape != row.shape:
+        raise ValueError(f"upstream shape {upstream.shape} != row shape {row.shape}")
     encoded = block.w_in @ row + block.b_in
     z, jac_theta, jac_x = pqc_value_and_gradients(block.pqc_config, block.theta, encoded)
 
-    g_cls = upstream[cls_index]
-    d_z = block.w_out.T @ g_cls
+    d_z = block.w_out.T @ upstream
     d_encoded = jac_x.T @ d_z
     grads = {
         "w_in": np.outer(d_encoded, row),
         "b_in": d_encoded,
-        "w_out": np.outer(g_cls, z),
-        "b_out": g_cls.copy(),
+        "w_out": np.outer(upstream, z),
+        "b_out": upstream.copy(),
         "theta": jac_theta.T @ d_z,
     }
-    input_grad = upstream.copy()
     branch_grad = block.w_in.T @ d_encoded
-    input_grad[cls_index] = g_cls + branch_grad if block.residual else branch_grad
-    return grads, input_grad
+    return grads, upstream + branch_grad if block.residual else branch_grad
 
 
 def qffn_param_count(block: QffnBlock) -> int:
@@ -189,21 +192,17 @@ def classical_ffn_param_count(hidden: int, intermediate: int) -> int:
 
 
 def make_ffn_block(
-    kind: str,
+    kind: FfnKind | str,
     hidden: int,
     intermediate: int,
     pqc_layers: int,
     rng: np.random.Generator,
 ):
-    """Build the feedforward sublayer for one encoder layer.
-
-    ``kind`` is "classical", "qffn" (optimized ansatz, internal residual), or
-    "vanilla_qffn" (vanilla ansatz, no internal residual).
-    """
-    if kind == "classical":
+    """Build the feedforward sublayer of one encoder layer: the classical MLP,
+    or the quantum block with the ansatz and residual ``QUANTUM_BLOCKS`` maps
+    ``kind`` to. Raises ``ValueError`` for an unknown kind."""
+    kind = FfnKind(kind)
+    if kind is FfnKind.CLASSICAL:
         return ClassicalFeedForward.create(hidden, intermediate, rng)
-    if kind == "qffn":
-        return QffnBlock.create(hidden, PqcConfig(Ansatz.OPTIMIZED, pqc_layers), rng, residual=True)
-    if kind == "vanilla_qffn":
-        return QffnBlock.create(hidden, PqcConfig(Ansatz.VANILLA, pqc_layers), rng, residual=False)
-    raise ValueError(f"unknown feedforward kind: {kind!r}")
+    ansatz, residual = QUANTUM_BLOCKS[kind]
+    return QffnBlock.create(hidden, PqcConfig(ansatz, pqc_layers), rng, residual=residual)

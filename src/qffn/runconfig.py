@@ -42,11 +42,15 @@ fractions that name one cell twice are rejected, null counts as unset, and
 errors name ``<section>.<field>``. Everything is checked on load, before any
 output: the model section with stand-ins for the two fields the data fix
 (``vocab_size`` and ``num_classes``, never written in the config), and again,
-with the real values and the strict-depth rule, once the data are read.
+with the real values and the strict-depth rule, once the data are read. An
+``out_dir`` that is an existing file, or lies under one, is rejected on load;
+once the data are read, ``check_fraction`` rejects a ``train.fraction`` or
+``sweep.fractions`` entry that would select no training example.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -239,11 +243,15 @@ def load_run_config(
     doc = _build("", _Document, {**raw, **{k: v for k, v in overrides.items() if v is not None}})
     if doc.out_dir is None:
         raise ConfigError("out_dir", "required (set in the config or pass --out)")
+    out_dir = Path(doc.out_dir)
+    existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ConfigError("out_dir", f"{existing} exists and is not a directory")
     task = _without_nulls(doc.task)
     model = _without_nulls(doc.model) or {}
     _build("model", ModelConfig, model, _DATA_STAND_INS)
     config = RunConfig(
-        out_dir=Path(doc.out_dir),
+        out_dir=out_dir,
         seed=doc.seed,
         strict_depths=doc.strict_depths,
         task=task,
@@ -281,3 +289,12 @@ def build_task_data(config: RunConfig) -> tuple[Dataset, Dataset, Vocab]:
     if task.vocab_path:
         return train_set, val_set, _read("task.vocab_path", Vocab.from_file, task.vocab_path)
     return train_set, val_set, build_vocab(train_set)
+
+
+def check_fraction(field_path: str, fraction: float, train_set: Dataset) -> None:
+    """Reject a data fraction whose subsample of ``train_set``, floor(fraction * N)
+    examples (``data.subsample``), would be empty."""
+    if math.floor(fraction * len(train_set)) == 0:
+        raise ConfigError(
+            field_path, f"{fraction} of {len(train_set)} training examples selects none"
+        )

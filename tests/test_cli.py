@@ -440,3 +440,71 @@ class TestMain:
         assert main(["probe", "--config", str(config), "--out", str(other), "--seed", "3"]) == 0
         text = (other / "probe.csv").read_text()
         assert text.strip().split("\n")[1].endswith(",30,3")
+
+
+class TestOutputDirectoryErrors:
+    """An unusable output directory fails with a message, never a traceback."""
+
+    COMMANDS = {
+        "train": {},
+        "sweep": {"sweep": {"depths": [1], "fractions": [1.0], "include_classical": False}},
+        "probe": {"probe": {"depths": [1], "variants": ["optimized"], "num_samples": 30}},
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+    def test_file_in_the_way_rejected_on_load(self, tmp_path, capsys, monkeypatch, command, below):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        monkeypatch.setattr(cli, "grad_variance_probe", lambda *args, **kwargs: pytest.fail("probed"))
+        blocker = tmp_path / "out"
+        blocker.write_text("not a directory\n")
+        config, _ = write_config(tmp_path, out_dir=str(blocker / below), **self.COMMANDS[command])
+        assert main([command, "--config", str(config)]) == 1
+        assert "config error at out_dir:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([config.name, "out"])
+        assert blocker.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize(
+        "command,in_the_way",
+        [("train", "metrics.json"), ("sweep", "cells"), ("probe", "probe.csv")],
+    )
+    def test_write_failure_is_an_error_line(self, tmp_path, capsys, command, in_the_way):
+        # a directory where the command writes a file, or a file where it makes a directory
+        out = tmp_path / "out"
+        out.mkdir()
+        if command == "sweep":
+            (out / in_the_way).write_text("")
+        else:
+            (out / in_the_way).mkdir()
+        config, _ = write_config(tmp_path, **self.COMMANDS[command])
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not list(out.rglob("*.tmp"))
+
+
+class TestFractionSelectingNoExample:
+    """A data fraction whose subsample would be empty is a config error, found
+    before any training."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
+        monkeypatch.chdir(tmp_path)
+
+    TASK = {"kind": "synth", "num_train": 8, "num_val": 4, "num_classes": 2}
+
+    def test_train_fraction(self, tmp_path, capsys):
+        config, _ = write_config(tmp_path, task=self.TASK, train={**TINY_TRAIN, "fraction": 0.1})
+        assert main(["train", "--config", str(config)]) == 1
+        assert "config error at train.fraction:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [config.name]
+
+    @pytest.mark.parametrize("command", ["sweep", "ablate"])
+    def test_sweep_fractions(self, tmp_path, capsys, command):
+        config, _ = write_config(
+            tmp_path, task=self.TASK, sweep={"depths": [1], "fractions": [1.0, 0.1]}
+        )
+        assert main([command, "--config", str(config)]) == 1
+        assert "config error at sweep.fractions:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == [config.name]

@@ -5,6 +5,7 @@ import pytest
 from qffn.circuits import Ansatz, PqcConfig, pqc_forward
 from qffn.diagnostics import finite_diff
 from qffn.feedforward import (
+    FfnKind,
     QffnBlock,
     classical_ffn_param_count,
     make_ffn_block,
@@ -30,55 +31,35 @@ class TestForward:
         block = make_block()
         block.w_out[:] = 0.0
         block.b_out[:] = 0.0
-        hidden = random_hidden(5)
-        out = qffn_forward(block, hidden, 0)
+        hidden = random_hidden(5)[0]
+        out = qffn_forward(block, hidden)
         np.testing.assert_array_equal(out, hidden)
-
-    def test_only_cls_row_changes(self):
-        block = make_block(layers=2)
-        hidden = random_hidden(3)
-        out = qffn_forward(block, hidden, 0)
-        np.testing.assert_array_equal(out[1], hidden[1])
-        np.testing.assert_array_equal(out[2], hidden[2])
-        assert np.max(np.abs(out[0] - hidden[0])) > 0.0
 
     def test_matches_stagewise_reference(self):
         block = make_block(layers=4, seed=9)
         hidden = random_hidden(4, seed=10)
         cls = 2
-        out = qffn_forward(block, hidden, cls)
+        out = qffn_forward(block, hidden[cls])
         # straight-line composition of the three stages plus residual
         encoded = block.w_in @ hidden[cls] + block.b_in
         z = pqc_forward(block.pqc_config, block.theta, encoded)
         expected = hidden[cls] + (block.w_out @ z + block.b_out)
-        assert np.max(np.abs(out[cls] - expected)) <= 1e-12
+        assert np.max(np.abs(out - expected)) <= 1e-12
 
     def test_residual_disabled_replaces_row(self):
         block = make_block(residual=False, variant=Ansatz.VANILLA)
         hidden = random_hidden(2, seed=3)
-        out = qffn_forward(block, hidden, 0)
+        out = qffn_forward(block, hidden[0])
         encoded = block.w_in @ hidden[0] + block.b_in
         z = pqc_forward(block.pqc_config, block.theta, encoded)
-        np.testing.assert_allclose(out[0], block.w_out @ z + block.b_out, atol=1e-12)
-
-    def test_perturbing_non_cls_row_is_local(self):
-        block = make_block()
-        hidden = random_hidden(4, seed=5)
-        bumped = hidden.copy()
-        bumped[2] += 0.5
-        out_a = qffn_forward(block, hidden, 0)
-        out_b = qffn_forward(block, bumped, 0)
-        np.testing.assert_array_equal(out_a[0], out_b[0])
-        np.testing.assert_array_equal(out_a[1], out_b[1])
-        np.testing.assert_array_equal(out_a[3], out_b[3])
-        assert np.max(np.abs(out_b[2] - out_a[2])) > 0.0
+        np.testing.assert_allclose(out, block.w_out @ z + block.b_out, atol=1e-12)
 
     def test_bad_shapes_rejected(self):
         block = make_block()
-        with pytest.raises(ValueError):
-            qffn_forward(block, random_hidden(3, hidden=64), 0)
-        with pytest.raises(ValueError):
-            qffn_forward(block, random_hidden(3), 3)
+        with pytest.raises(ValueError, match="^row must"):
+            qffn_forward(block, random_hidden(3, hidden=64)[0])
+        with pytest.raises(ValueError, match="^row must"):
+            qffn_forward(block, random_hidden(1))
 
 
 class TestBackward:
@@ -86,9 +67,9 @@ class TestBackward:
         block = make_block()
         block.w_out[:] = 0.0
         block.b_out[:] = 0.0
-        hidden = random_hidden(3, seed=2)
+        hidden = random_hidden(3, seed=2)[0]
         upstream = np.ones_like(hidden)
-        grads, input_grad = qffn_backward(block, hidden, 0, upstream)
+        grads, input_grad = qffn_backward(block, hidden, upstream)
         np.testing.assert_array_equal(input_grad, upstream)
         # branch output is constant zero, so only its own weights see gradient
         assert np.max(np.abs(grads["w_in"])) == 0.0
@@ -99,16 +80,16 @@ class TestBackward:
     def test_full_finite_difference_check(self, residual):
         variant = Ansatz.OPTIMIZED if residual else Ansatz.VANILLA
         block = make_block(layers=2, hidden=16, residual=residual, variant=variant, seed=11)
-        hidden = random_hidden(3, hidden=16, seed=12)
         cls = 1
-        upstream = np.random.default_rng(13).normal(size=hidden.shape)
+        hidden = random_hidden(3, hidden=16, seed=12)[cls]
+        upstream = np.random.default_rng(13).normal(size=(3, 16))[cls]
 
-        grads, input_grad = qffn_backward(block, hidden, cls, upstream)
+        grads, input_grad = qffn_backward(block, hidden, upstream)
 
         def loss_with(name, value):
             saved = getattr(block, name).copy()
             getattr(block, name)[...] = value
-            out = qffn_forward(block, hidden, cls)
+            out = qffn_forward(block, hidden)
             getattr(block, name)[...] = saved
             return float(np.sum(out * upstream))
 
@@ -117,21 +98,19 @@ class TestBackward:
             np.testing.assert_allclose(grads[name], fd, rtol=1e-5, atol=1e-7)
 
         fd_input = finite_diff(
-            lambda v: float(np.sum(qffn_forward(block, v, cls) * upstream)), hidden
+            lambda v: float(np.sum(qffn_forward(block, v) * upstream)), hidden
         )
         np.testing.assert_allclose(input_grad, fd_input, rtol=1e-5, atol=1e-7)
 
     def test_cls_jacobian_is_identity_plus_branch(self):
         # d(out_cls)/d(in_cls) minus the identity equals the pure branch jacobian
         block = make_block(hidden=16, seed=21)
-        hidden = random_hidden(2, hidden=16, seed=22)
+        hidden = random_hidden(2, hidden=16, seed=22)[0]
         eye = np.eye(16)
         jac = np.empty((16, 16))
         for i in range(16):
-            upstream = np.zeros_like(hidden)
-            upstream[0] = eye[i]
-            _, input_grad = qffn_backward(block, hidden, 0, upstream)
-            jac[i] = input_grad[0]
+            _, input_grad = qffn_backward(block, hidden, eye[i])
+            jac[i] = input_grad
         branch = jac - eye
 
         no_res = QffnBlock(
@@ -140,19 +119,27 @@ class TestBackward:
         )
         fd_branch = np.empty((16, 16))
         for i in range(16):
-            probe = np.zeros_like(hidden)
-            probe[0] = eye[i]
             fd_branch[i] = finite_diff(
-                lambda v: float(np.sum(qffn_forward(no_res, v, 0) * probe)), hidden
-            )[0]
+                lambda v: float(np.sum(qffn_forward(no_res, v) * eye[i])), hidden
+            )
         np.testing.assert_allclose(branch, fd_branch, rtol=1e-5, atol=1e-7)
 
     def test_theta_gradient_length(self):
         for layers in (1, 2, 4, 8):
             block = make_block(layers=layers, hidden=16)
-            hidden = random_hidden(2, hidden=16)
-            grads, _ = qffn_backward(block, hidden, 0, np.ones_like(hidden))
+            hidden = random_hidden(2, hidden=16)[0]
+            grads, _ = qffn_backward(block, hidden, np.ones_like(hidden))
             assert grads["theta"].shape == (8 * layers,)
+
+    def test_bad_shapes_rejected(self):
+        block = make_block()
+        row = random_hidden(1)[0]
+        with pytest.raises(ValueError, match="^row must"):
+            qffn_backward(block, random_hidden(1), random_hidden(1))
+        with pytest.raises(ValueError, match="^row must"):
+            qffn_backward(block, row[:64], row[:64])
+        with pytest.raises(ValueError, match="^upstream shape"):
+            qffn_backward(block, row, random_hidden(1))
 
 
 class TestParamCount:
@@ -186,3 +173,10 @@ class TestFactory:
         assert vanilla.theta.shape == (8,)
         with pytest.raises(ValueError):
             make_ffn_block("nope", 128, 512, 1, rng)
+
+    @pytest.mark.parametrize("kind", [FfnKind.QFFN, FfnKind.VANILLA_QFFN])
+    def test_kind_member_and_value_build_the_same_block(self, kind):
+        by_member = make_ffn_block(kind, 16, 32, 2, np.random.default_rng(0))
+        by_value = make_ffn_block(kind.value, 16, 32, 2, np.random.default_rng(0))
+        assert by_member.pqc_config == by_value.pqc_config
+        assert by_member.residual == by_value.residual
