@@ -156,10 +156,10 @@ def cmd_ablate(config_path, out=None, seed=None, strict_depths=None) -> int:
     return _run_sweep(config_path, out, seed, strict_depths, forced_kind=FfnKind.VANILLA_QFFN)
 
 
-def cmd_probe(config_path, out=None, seed=None) -> int:
+def cmd_probe(config_path, out=None, seed=None, strict_depths=None) -> int:
     """Gradient-variance probe over depths and variants; writes probe.csv."""
     try:
-        rc = load_run_config(config_path, out, seed)
+        rc = load_run_config(config_path, out, seed, strict_depths)
         if rc.probe is None:
             raise ConfigError("probe", "required field is missing")
         results = [
@@ -184,32 +184,26 @@ def main(argv=None) -> int:
         description="Experiments on a compact text encoder with quantum feedforward blocks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "train": "run one training job",
-        "sweep": "run a depth x fraction grid with classical baselines",
-        "ablate": "run the sweep with the vanilla quantum block",
-        "probe": "measure gradient variance across circuit depths",
+    commands = {
+        "train": (cmd_train, "run one training job"),
+        "sweep": (cmd_sweep, "run a depth x fraction grid with classical baselines"),
+        "ablate": (cmd_ablate, "run the sweep with the vanilla quantum block"),
+        "probe": (cmd_probe, "measure gradient variance across circuit depths"),
     }
-    for name, help_text in specs.items():
+    for name, (_, help_text) in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (overrides the config)")
         p.add_argument("--seed", type=int, default=None, help="seed override")
-        if name != "probe":
-            p.add_argument(
-                "--strict-depths",
-                action="store_true",
-                default=None,
-                help="reject circuit depths outside the benchmark grid {1,2,4,8}",
-            )
+        p.add_argument(
+            "--strict-depths",
+            action="store_true",
+            default=None,
+            help="reject circuit depths outside the benchmark grid {1,2,4,8}",
+        )
     args = parser.parse_args(argv)
-    if args.command == "train":
-        return cmd_train(args.config, args.out, args.seed, args.strict_depths)
-    if args.command == "sweep":
-        return cmd_sweep(args.config, args.out, args.seed, args.strict_depths)
-    if args.command == "ablate":
-        return cmd_ablate(args.config, args.out, args.seed, args.strict_depths)
-    return cmd_probe(args.config, args.out, args.seed)
+    command, _ = commands[args.command]
+    return command(args.config, args.out, args.seed, args.strict_depths)
 
 
 if __name__ == "__main__":

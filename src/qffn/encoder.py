@@ -40,6 +40,11 @@ is exactly zero. Dropout masks are drawn at the full [B, S, H] shape and
 then indexed, so the rng stream does not depend on the rows a layer
 computes.
 
+Inputs: ``token_ids`` is a non-empty [batch, seq] array of an integer dtype
+(bool is not one) with ids in [0, vocab_size) and seq <= max_seq_len;
+``labels`` is a [batch] array of an integer dtype with values in
+[0, num_classes). Anything else raises ``ValueError`` naming the argument.
+
 All forward and backward arithmetic is explicit numpy; gradients for the
 circuit angles arrive through the parameter-shift rule inside the quantum
 block. Weights are float64 in memory and serialize to a little-endian
@@ -53,6 +58,7 @@ are exactly reproducible.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import sys
@@ -68,6 +74,7 @@ from .feedforward import (
     QUANTUM_BLOCKS,
     ClassicalFeedForward,
     FfnKind,
+    Module,
     QffnBlock,
     classical_ffn_param_count,
     make_ffn_block,
@@ -128,6 +135,14 @@ def check_fields(config, minimums: dict) -> None:
             raise ModelConfigError(f.name, f"must hold distinct values, got {value}")
 
 
+def check_strict_depths(name: str, depths: list[int]) -> None:
+    """The strict-depth rule: raise ``ModelConfigError`` naming ``name`` unless
+    every circuit depth in ``depths`` is one of ``PAPER_DEPTHS``."""
+    off_grid = [d for d in depths if d not in PAPER_DEPTHS]
+    if off_grid:
+        raise ModelConfigError(name, f"must be in {PAPER_DEPTHS} in strict-depth mode, got {off_grid[0]}")
+
+
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -156,14 +171,12 @@ class ModelConfig:
             raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelConfigError("dropout", f"must be in [0, 1), got {self.dropout}")
-        if strict_depths and self.ffn_kind in QUANTUM_BLOCKS and self.pqc_layers not in PAPER_DEPTHS:
-            raise ModelConfigError(
-                "pqc_layers", f"must be one of {PAPER_DEPTHS} in strict-depth mode, got {self.pqc_layers}"
-            )
+        if strict_depths and self.ffn_kind in QUANTUM_BLOCKS:
+            check_strict_depths("pqc_layers", [self.pqc_layers])
 
 
 @dataclass
-class AttentionWeights:
+class AttentionWeights(Module):
     wq: np.ndarray
     bq: np.ndarray
     wk: np.ndarray
@@ -183,17 +196,9 @@ class AttentionWeights:
 
         return cls(w(), b(), w(), b(), w(), b(), w(), b())
 
-    def named_parameters(self):
-        return [
-            ("wq", self.wq), ("bq", self.bq),
-            ("wk", self.wk), ("bk", self.bk),
-            ("wv", self.wv), ("bv", self.bv),
-            ("wo", self.wo), ("bo", self.bo),
-        ]
-
 
 @dataclass
-class EncoderLayer:
+class EncoderLayer(Module):
     attn: AttentionWeights
     ln1_g: np.ndarray
     ln1_b: np.ndarray
@@ -201,15 +206,8 @@ class EncoderLayer:
     ln2_g: np.ndarray
     ln2_b: np.ndarray
 
-    def named_parameters(self):
-        params = [(f"attn.{n}", p) for n, p in self.attn.named_parameters()]
-        params += [("ln1_g", self.ln1_g), ("ln1_b", self.ln1_b)]
-        params += [(f"ffn.{n}", p) for n, p in self.ffn.named_parameters()]
-        params += [("ln2_g", self.ln2_g), ("ln2_b", self.ln2_b)]
-        return params
 
-
-class EncoderModel:
+class EncoderModel(Module):
     def __init__(self, config: ModelConfig, seed: int | np.random.Generator = 0):
         config.validate()
         self.config = config
@@ -231,14 +229,6 @@ class EncoderModel:
             )
         self.cls_w = rng.normal(0.0, INIT_STD, (config.num_classes, h))
         self.cls_b = np.zeros(config.num_classes)
-
-    def named_parameters(self):
-        """All trainable tensors in a fixed, documented order."""
-        params = [("tok_emb", self.tok_emb), ("pos_emb", self.pos_emb)]
-        for i, layer in enumerate(self.layers):
-            params += [(f"layers.{i}.{n}", p) for n, p in layer.named_parameters()]
-        params += [("cls_w", self.cls_w), ("cls_b", self.cls_b)]
-        return params
 
     def param_count(self) -> int:
         return sum(p.size for _, p in self.named_parameters())
@@ -406,8 +396,10 @@ def _dropout_mask(shape, rows: RowSet, p, rng):
 
 def _check_inputs(model: EncoderModel, token_ids, attention_mask):
     token_ids = np.asarray(token_ids)
-    if token_ids.ndim != 2:
-        raise ValueError(f"token_ids must be [batch, seq], got shape {token_ids.shape}")
+    if token_ids.ndim != 2 or token_ids.size == 0:
+        raise ValueError(f"token_ids must be a non-empty [batch, seq] array, got shape {token_ids.shape}")
+    if not np.issubdtype(token_ids.dtype, np.integer):
+        raise ValueError(f"token_ids must have an integer dtype, got {token_ids.dtype}")
     if token_ids.shape[1] > model.config.max_seq_len:
         raise ValueError(
             f"sequence length {token_ids.shape[1]} exceeds max_seq_len {model.config.max_seq_len}"
@@ -514,15 +506,12 @@ def _backward(model: EncoderModel, cache, d_logits):
         mid = lc["mid"]
         if isinstance(layer.ffn, QffnBlock):
             d_mid = d_sum2 + d_ffn_out  # every row but row 0 passes through the block
-            ffn_grads = None
+            ffn_grads = {name: np.zeros_like(p) for name, p in layer.ffn.named_parameters()}
             for n in rows.cls:
                 sample_grads, d_in = qffn_backward(layer.ffn, mid[n], d_ffn_out[n])
                 d_mid[n] = d_sum2[n] + d_in
-                if ffn_grads is None:
-                    ffn_grads = sample_grads
-                else:
-                    for name in ffn_grads:
-                        ffn_grads[name] += sample_grads[name]
+                for name, g in sample_grads.items():
+                    ffn_grads[name] += g
         else:
             ffn_grads, d_mid = layer.ffn.backward(mid, lc["ffn"], d_ffn_out)
             d_mid += d_sum2
@@ -557,13 +546,15 @@ def model_backward(model: EncoderModel, token_ids, attention_mask, labels, rng=N
     Returns ``(loss, grads)`` with ``grads`` keyed exactly like
     ``model.named_parameters()``.
     """
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= model.config.num_classes:
-        raise ValueError("label out of range")
     logits, cache = _forward(
         model, token_ids, attention_mask, train=model.config.dropout > 0.0, rng=rng
     )
     batch = logits.shape[0]
+    labels = np.asarray(labels)
+    if labels.shape != (batch,) or not np.issubdtype(labels.dtype, np.integer):
+        raise ValueError(f"labels must be [{batch}] with an integer dtype, got {labels.dtype} of shape {labels.shape}")
+    if labels.min() < 0 or labels.max() >= model.config.num_classes:
+        raise ValueError(f"labels must be in [0, {model.config.num_classes}), got {labels.min()}..{labels.max()}")
     probs = softmax(logits, axis=-1)
     loss = cross_entropy(logits, labels)
     d_logits = probs.copy()
@@ -641,38 +632,46 @@ def load_model(directory) -> EncoderModel:
     for field, kind in (("config", dict), ("tensors", list)):
         if not isinstance(manifest.get(field), kind):
             raise ValueError(f"manifest {field} must be {kind.__name__}, got {type(manifest.get(field)).__name__}")
+    end = 0
     for i, t in enumerate(manifest["tensors"]):
         for field, kind in (("name", str), ("shape", list), ("offset", int), ("size", int)):
             value = t.get(field) if isinstance(t, dict) else None
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"manifest tensors[{i}].{field} must be {kind.__name__}, got {value!r}")
+        name, shape, offset, size = t["name"], t["shape"], t["offset"], t["size"]
+        if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
+            raise ValueError(f"tensor {name} shape must list non-negative ints, got {shape}")
+        if size != 4 * math.prod(shape):
+            raise ValueError(f"tensor {name} has size {size}, expected {4 * math.prod(shape)} bytes")
+        if offset < 0 or offset + size > len(blob):
+            raise ValueError(
+                f"tensor {name} spans bytes [{offset}, {offset + size}) of a {len(blob)}-byte blob"
+            )
+        end = max(end, offset + size)
     config_doc = manifest["config"]
     known = {f.name for f in fields(ModelConfig)}
     required = {f.name for f in fields(ModelConfig) if f.default is MISSING}
     unknown, missing = sorted(set(config_doc) - known), sorted(required - set(config_doc))
     if unknown or missing:
         raise ValueError(f"manifest config has unknown keys {unknown}, missing keys {missing}")
-    model = EncoderModel(ModelConfig(**config_doc), seed=0)
+    config = ModelConfig(**config_doc)
+    config.validate()
+    # Only a config whose tensors the blob holds is built, so its size is bounded by the file's.
+    expected, stored_bytes = 4 * model_param_count(config), sum(t["size"] for t in manifest["tensors"])
+    if expected != stored_bytes:
+        raise ValueError(f"manifest config describes {expected} tensor bytes, its tensors hold {stored_bytes}")
+    model = EncoderModel(config, seed=0)
     stored = {t["name"]: t for t in manifest["tensors"]}
-    end = 0
     for name, param in model.named_parameters():
         t = stored.pop(name, None)
         if t is None:
             raise ValueError(f"archive is missing tensor {name}")
         if tuple(t["shape"]) != param.shape:
             raise ValueError(f"shape mismatch for tensor {name}")
-        offset, size = t["offset"], t["size"]
-        if size != 4 * param.size:
-            raise ValueError(f"tensor {name} has size {size}, expected {4 * param.size} bytes")
-        if offset < 0 or offset + size > len(blob):
-            raise ValueError(
-                f"tensor {name} spans bytes [{offset}, {offset + size}) of a {len(blob)}-byte blob"
-            )
-        raw = np.frombuffer(blob, dtype="<f4", count=param.size, offset=offset)
+        raw = np.frombuffer(blob, dtype="<f4", count=param.size, offset=t["offset"])
         if not np.isfinite(raw).all():
             raise ValueError(f"tensor {name} holds non-finite values")
         param[...] = raw.reshape(param.shape).astype(np.float64)
-        end = max(end, offset + size)
     if stored:
         raise ValueError(f"archive holds unknown tensors: {sorted(stored)}")
     if len(blob) != end:

@@ -34,8 +34,28 @@ QUANTUM_BLOCKS = {
 }
 
 
+class Module:
+    """A model part whose tensors are its ndarray attributes, each declared once."""
+
+    def named_parameters(self, prefix: str = ""):
+        """``(name, array)`` for every trainable tensor, in declaration order: an
+        ndarray attribute is named by itself, and a part or a list of parts adds
+        its tensors under ``attr.`` or ``attr.{i}.``; a config or a flag adds
+        none. This order is the weight archive's layout and the optimizer's."""
+        params = []
+        for attr, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                params.append((prefix + attr, value))
+            elif isinstance(value, Module):
+                params += value.named_parameters(f"{prefix}{attr}.")
+            elif isinstance(value, list):
+                for i, part in enumerate(value):
+                    params += part.named_parameters(f"{prefix}{attr}.{i}.")
+        return params
+
+
 @dataclass
-class ClassicalFeedForward:
+class ClassicalFeedForward(Module):
     """Position-wise two-layer MLP with GELU, applied to every row."""
 
     w1: np.ndarray  # [intermediate, hidden]
@@ -88,12 +108,9 @@ class ClassicalFeedForward:
         }
         return grads, d_pre @ self.w1
 
-    def named_parameters(self):
-        return [("w1", self.w1), ("b1", self.b1), ("w2", self.w2), ("b2", self.b2)]
-
 
 @dataclass
-class QffnBlock:
+class QffnBlock(Module):
     """Down-projection, ansatz circuit, up-projection, optional residual."""
 
     w_in: np.ndarray  # [4, hidden]
@@ -126,15 +143,6 @@ class QffnBlock:
     @property
     def hidden_dim(self) -> int:
         return self.w_in.shape[1]
-
-    def named_parameters(self):
-        return [
-            ("w_in", self.w_in),
-            ("b_in", self.b_in),
-            ("w_out", self.w_out),
-            ("b_out", self.b_out),
-            ("theta", self.theta),
-        ]
 
 
 def _check_row(block: QffnBlock, row: np.ndarray) -> None:

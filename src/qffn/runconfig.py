@@ -5,7 +5,7 @@ Schema (defaults in parentheses):
     {
       "out_dir": "runs/demo",          # output directory, or pass --out
       "seed": 42,                      # the only randomness source of the run
-      "strict_depths": false,          # restrict depths to the benchmark grid {1,2,4,8}
+      "strict_depths": false,          # restrict model, sweep and probe depths to {1,2,4,8}
       "task": {
         "kind": "synth",               # or "tsv"
         "num_train": 400, "num_val": 100, "num_classes": 2        # synth
@@ -57,7 +57,7 @@ from pathlib import Path
 from .circuits import Ansatz
 from .data import MAX_SYNTH_CLASSES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
 from .diagnostics import MIN_PROBE_SAMPLES
-from .encoder import MODEL_MINIMUMS, ModelConfig, ModelConfigError, PAPER_DEPTHS, check_fields
+from .encoder import MODEL_MINIMUMS, ModelConfig, ModelConfigError, PAPER_DEPTHS, check_fields, check_strict_depths
 from .training import TrainConfig
 
 
@@ -130,8 +130,8 @@ class SweepConfig:
         tags = [fraction_tag(f) for f in self.fractions]
         if len(set(tags)) < len(tags):
             raise ModelConfigError("fractions", f"must name distinct cells, got {self.fractions} as {tags}")
-        if strict_depths and not set(self.depths) <= set(PAPER_DEPTHS):
-            raise ModelConfigError("depths", f"must be in {PAPER_DEPTHS} when strict, got {self.depths}")
+        if strict_depths:
+            check_strict_depths("depths", self.depths)
 
 
 @dataclass
@@ -140,12 +140,14 @@ class ProbeConfig:
     depths: list[int] = field(default_factory=lambda: list(PAPER_DEPTHS))
     num_samples: int = 100
 
-    def validate(self) -> None:
+    def validate(self, strict_depths: bool = False) -> None:
         check_fields(self, {"depths": 1, "num_samples": MIN_PROBE_SAMPLES})
         if not set(self.variants) <= {a.value for a in Ansatz}:
             raise ModelConfigError(
                 "variants", f"must contain only {[a.value for a in Ansatz]}, got {self.variants}"
             )
+        if strict_depths:
+            check_strict_depths("depths", self.depths)
 
 
 def _without_nulls(section: dict | None) -> dict | None:
@@ -261,7 +263,9 @@ def load_run_config(
         sweep=None if doc.sweep is None else _build(
             "sweep", SweepConfig, doc.sweep, strict_depths=doc.strict_depths
         ),
-        probe=None if doc.probe is None else _build("probe", ProbeConfig, doc.probe),
+        probe=None if doc.probe is None else _build(
+            "probe", ProbeConfig, doc.probe, strict_depths=doc.strict_depths
+        ),
         source_path=path,
     )
     config.train_config()  # rejects a bad train section or seed before any command starts

@@ -262,6 +262,21 @@ class TestProbeCommand:
         assert cmd_probe(config) == 1
         assert "probe" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_strict_depths_cover_probe_depths(self, tmp_path, capsys, where):
+        probe = {"depths": [1, 3], "variants": ["optimized"], "num_samples": 30}
+        if where == "config":
+            config, _ = write_config(tmp_path, probe=probe, strict_depths=True)
+            argv = ["probe", "--config", str(config)]
+        else:
+            config, _ = write_config(tmp_path, probe=probe)
+            argv = ["probe", "--config", str(config), "--strict-depths"]
+        assert main(argv) == 1
+        assert not (tmp_path / "out").exists()
+        assert "config error at probe.depths: depths must be in (1, 2, 4, 8) in strict-depth mode, got 3" in (
+            capsys.readouterr().err
+        )
+
 
 class TestRejectedBeforeAnyOutput:
     """Every setting is checked before a command trains or writes anything."""

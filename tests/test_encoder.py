@@ -112,6 +112,40 @@ class TestForward:
         with pytest.raises(ValueError):
             model_forward(model, np.zeros((1, 9), dtype=int))  # too long
 
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.array([[2.0, 5.0, 3.0]]),
+            np.array([[True, False, True]]),
+            np.zeros((0, 3), dtype=np.int64),
+            np.zeros((2, 0), dtype=np.int64),
+        ],
+        ids=["float", "bool", "no samples", "no positions"],
+    )
+    def test_token_ids_of_wrong_dtype_or_empty_rejected(self, ids):
+        model = EncoderModel(micro_config(), seed=5)
+        with pytest.raises(ValueError, match="token_ids"):
+            model_forward(model, ids)
+        with pytest.raises(ValueError, match="token_ids"):
+            model_backward(model, ids, None, np.zeros(len(ids), dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            np.array([0.0, 1.0]),
+            np.array([True, False]),
+            np.array([1]),
+            np.array([[0], [1]]),
+            np.array([[1, 0]]),
+        ],
+        ids=["float", "bool", "one for two samples", "column", "row"],
+    )
+    def test_labels_of_wrong_dtype_or_shape_rejected(self, labels):
+        model = EncoderModel(micro_config(), seed=5)
+        ids, mask, _ = micro_batch()
+        with pytest.raises(ValueError, match="labels"):
+            model_backward(model, ids, mask, labels)
+
     def test_attention_rows_are_distributions_and_respect_mask(self):
         model = EncoderModel(micro_config(), seed=6)
         ids, mask, _ = micro_batch(seed=7)
@@ -395,6 +429,32 @@ class TestParamCount:
 
 
 class TestWeightArchive:
+    @pytest.mark.parametrize(
+        "kind,ffn",
+        [
+            (FfnKind.CLASSICAL, ["layers.0.ffn.w1", "layers.0.ffn.b1", "layers.0.ffn.w2", "layers.0.ffn.b2"]),
+            (FfnKind.QFFN, ["layers.0.ffn.w_in", "layers.0.ffn.b_in", "layers.0.ffn.w_out",
+                            "layers.0.ffn.b_out", "layers.0.ffn.theta"]),
+        ],
+        ids=["classical", "qffn"],
+    )
+    def test_tensor_layout_is_pinned(self, kind, ffn, tmp_path):
+        """The tensor names, in the order of the archive and of the optimizer."""
+        expected = [
+            "tok_emb", "pos_emb",
+            "layers.0.attn.wq", "layers.0.attn.bq", "layers.0.attn.wk", "layers.0.attn.bk",
+            "layers.0.attn.wv", "layers.0.attn.bv", "layers.0.attn.wo", "layers.0.attn.bo",
+            "layers.0.ln1_g", "layers.0.ln1_b",
+            *ffn,
+            "layers.0.ln2_g", "layers.0.ln2_b",
+            "cls_w", "cls_b",
+        ]
+        model = EncoderModel(micro_config(kind, num_layers=1), seed=0)
+        assert [name for name, _ in model.named_parameters()] == expected
+        save_model(model, tmp_path)
+        manifest = json.loads((tmp_path / "weights.json").read_text())
+        assert [t["name"] for t in manifest["tensors"]] == expected
+
     @pytest.mark.parametrize("kind", list(FfnKind))
     def test_round_trip_is_bit_exact(self, kind, tmp_path):
         model = EncoderModel(micro_config(kind), seed=19)
@@ -504,6 +564,21 @@ class TestArchiveValidation:
         manifest["config"]["ffn_kind"] = "quantum"
         self.rewrite(directory, manifest)
         with pytest.raises(ValueError, match="ffn_kind must be one of .*, got 'quantum'"):
+            load_model(directory)
+
+    @pytest.mark.parametrize("field", ["vocab_size", "max_seq_len"])
+    def test_config_larger_than_the_archive(self, saved, field):
+        directory, manifest = saved
+        manifest["config"][field] = 10**13
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match="manifest config describes"):
+            load_model(directory)
+
+    def test_float_shape(self, saved):
+        directory, manifest = saved
+        manifest["tensors"][1]["shape"] = [float(d) for d in manifest["tensors"][1]["shape"]]
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=re.escape(f"tensor {manifest['tensors'][1]['name']} shape")):
             load_model(directory)
 
     def test_non_finite_weight(self, saved):
