@@ -25,31 +25,46 @@ Gradients use the parameter-shift rule, df/dt = (f(t + pi/2) - f(t - pi/2)) / 2,
 which is exact for the RY/RZ rotations used here. An input angle that is
 encoded more than once (vanilla) gets one shift pair per occurrence, summed.
 All shifted circuits share one gate sequence and differ only in angles, so
-they are simulated together as rows of one amplitude matrix by one kernel,
-which ``pqc_forward`` also uses with a single row. Per call it computes the
-trig of every row's angles at once, fuses each qubit's rotations between two
-entanglers into one 2x2 per row (RY @ RZ; in vanilla, the trainable RY and the
-next layer's encoding RY), applies each layer's entangler as one compiled basis
-permutation or sign vector, and reads every <Z_q> out with one contraction.
-The gates are the rows-last primitives of ``statevector``, which the register
-simulator runs too, so its dense-matrix checks cover this kernel.
-Rows never interact, and the kernel relies on one condition: along the
-amplitude axis it uses only elementwise arithmetic, gathers and fixed-order
-sums, never BLAS or a matmul whose summation order may depend on the batch
-shape. So a row's result is bit-identical whether it is simulated alone or
-inside a batch of any size.
+the batched kernel ``_run_batch`` simulates them together as rows of one
+amplitude matrix. Per call it computes the trig of every row's angles at once,
+fuses each qubit's rotations between two entanglers into one 2x2 per row
+(RY @ RZ; in vanilla, the trainable RY and the next layer's encoding RY),
+applies each layer's entangler as one compiled basis permutation or sign
+vector, and reads every <Z_q> out with one contraction. The gates are the
+rows-last primitives of ``statevector``, which the register simulator runs
+too, so its dense-matrix checks cover this kernel. Rows never interact, and
+the kernel relies on one condition: along the amplitude axis it uses only
+elementwise arithmetic, gathers and fixed-order sums, never BLAS or a matmul
+whose summation order may depend on the batch shape. So a row's result is
+bit-identical whether it is simulated alone or inside a batch of any size.
 
-The optimized ansatz's table of fused per-layer rotations depends on the theta
-rows alone, and training runs every sample of a batch through one block with
-one theta, so the kernel keeps the last table it built: one entry holding the
-config, the bytes of the theta matrix and the read-only table. The next call
-with an equal config and a byte-identical theta matrix (bytes, not floats, so
--0.0 differs from 0.0, and an in-place update always misses) gets that table
-back; it is exactly the array a cold call builds, so results do not depend on
-call history. One entry, because the probe draws a fresh theta on every call
-and never hits: it bounds the memory at one table (about 280 KB at depth 8).
-Vanilla tables fold the input re-encoding into the trainable RY, so they
-depend on x and are never cached.
+The optimized ansatz encodes x once, so its final state is U(theta) phi(x),
+with phi(x) the real product state of the encoding; and every sample of a
+training batch or an evaluation pass runs one block with one theta. So
+``pqc_forward`` and ``pqc_value_and_gradients`` compile it once per theta: one
+sweep pushes the 16x16 identity through the gates with the same primitives,
+keeping B_k, the circuit up to and including trainable gate k. A shift
+rotation commutes with its gate, so with A_k = U B_k^H each shifted unitary is
+A_k R_k(+-pi/2) B_k. As R_k(+-pi/2) = (I -+ i P_k) / sqrt(2), with P_k the
+gate's Pauli, that is (U -+ i A_k P_k B_k) / sqrt(2): one product per angle
+for both signs. A call multiplies phi(x) by U and by every shifted unitary,
+and each input-shifted phi(x +- pi/2 e_q) by U: the kernel's rows, in its
+order, with its difference formula. Both calls form the value by the same
+matmul, U @ phi(x), so it is bitwise one.
+
+The last compilation is one entry: the config, theta's bytes (so -0.0 differs
+from 0.0 and an in-place update always misses) and the read-only unitaries. A
+forward call compiles U alone, and a gradient call replaces that entry with
+the full stack; U is the sweep's last state in both, so results do not depend
+on call history. One entry, since a training step compiles four times (two
+encoder layers, forward then backward) and every Adam step changes theta; it
+holds 1 + 16L unitaries, 530 KB at depth 8.
+
+``pqc_gradients`` stays on the kernel: compiling pushes 16 columns per theta
+row, and the probe draws a fresh theta for every call, so it would never reuse
+one; it is also the reference the compiled path is tested against. The
+vanilla ansatz re-encodes x in every layer, so its unitary depends on x; it
+runs the kernel, as does ``pqc_final_state``.
 """
 from __future__ import annotations
 
@@ -62,6 +77,8 @@ import numpy as np
 from .statevector import StateVector, cnot_permutation, cz_signs, rotate_rows, z_readout
 
 SHIFT = np.pi / 2.0
+# Eight times the paper's deepest circuit; a shifted batch then has 1 + 2 * 516 rows.
+MAX_PQC_LAYERS = 64
 
 
 class Ansatz(str, Enum):
@@ -78,8 +95,8 @@ class PqcConfig:
     num_qubits: int = 4
 
     def __post_init__(self):
-        if self.num_layers < 1:
-            raise ValueError(f"num_layers must be >= 1, got {self.num_layers}")
+        if not 1 <= self.num_layers <= MAX_PQC_LAYERS:
+            raise ValueError(f"num_layers must be in 1..{MAX_PQC_LAYERS}, got {self.num_layers}")
         if self.num_qubits < 2:
             raise ValueError(f"num_qubits must be >= 2, got {self.num_qubits}")
 
@@ -136,39 +153,36 @@ def _compiled_entangler(num_qubits: int, layer_index: int):
     )
 
 
-# The last optimized gate table built: (config, the bytes of its thetas, table),
-# replaced whole so a concurrent reader always sees one consistent entry.
-_last_rotations: tuple[PqcConfig, bytes, np.ndarray] | None = None
-
-
 def _layer_rotations(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
     """Per layer and qubit, the 2x2 rotation of every row that follows the entangler.
 
-    Optimized layers apply RZ then RY, fused into RY @ RZ; that table depends
-    on the theta rows alone, so the last one built is returned, read-only,
-    while the next call's theta matrix is byte-identical. In the vanilla
+    Optimized layers apply RZ then RY, fused into RY @ RZ. In the vanilla
     ansatz the trainable RY of layer k is followed by the re-encoding RY of
     layer k + 1 with nothing in between, so the two merge into one RY of the
     summed angle. Returns [2 (out), 2 (in), L, nq, C].
     """
-    global _last_rotations
     rows, layers, nq = thetas.shape[0], config.num_layers, config.num_qubits
     if config.variant is Ansatz.VANILLA:
         angles = thetas.T.reshape(layers, nq, rows).copy()
         angles[:-1] += encodings[:, 1:].transpose(1, 2, 0)
         cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
         return np.array((cos, -sin, sin, cos)).reshape(2, 2, layers, nq, rows)
-    key, last = thetas.tobytes(), _last_rotations
-    if last is not None and last[1] == key and last[0] == config:
-        return last[2]
     angles = thetas.T.reshape(layers, 2, nq, rows)
     phase = np.exp(-0.5j * angles[:, 0])
     cos, sin = np.cos(0.5 * angles[:, 1]), np.sin(0.5 * angles[:, 1])
     conj = phase.conj()
-    table = np.array((cos * phase, -sin * conj, sin * phase, cos * conj)).reshape(2, 2, layers, nq, rows)
-    table.setflags(write=False)
-    _last_rotations = (config, key, table)
-    return table
+    return np.array((cos * phase, -sin * conj, sin * phase, cos * conj)).reshape(2, 2, layers, nq, rows)
+
+
+def _product_states(angles: np.ndarray) -> np.ndarray:
+    """RY(x_q)|0> on every qubit, one row per angle vector: [C, nq] -> real [2**nq, C]."""
+    rows, nq = angles.shape
+    half = 0.5 * angles.T
+    factors = np.array((np.cos(half), np.sin(half)))  # [2, nq, C]
+    amps = factors[:, 0]
+    for q in range(1, nq):
+        amps = (factors[:, q, None] * amps).reshape(-1, rows)
+    return amps
 
 
 def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
@@ -181,13 +195,7 @@ def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> 
     and CNOT gates are real.
     """
     nq = config.num_qubits
-    rows = thetas.shape[0]
-    # The first encoding acts on |0...0>: a product state of RY(x_q)|0>.
-    half = 0.5 * encodings[:, 0].T
-    factors = np.array((np.cos(half), np.sin(half)))  # [2, nq, C]
-    amps = factors[:, 0]
-    for q in range(1, nq):
-        amps = (factors[:, q, None] * amps).reshape(-1, rows)
+    amps = _product_states(encodings[:, 0])  # the first encoding acts on |0...0>
     gates = _layer_rotations(config, thetas, encodings)
     for layer in range(config.num_layers):
         perm, sign = _compiled_entangler(nq, layer if config.variant is Ansatz.OPTIMIZED else 0)
@@ -220,9 +228,104 @@ def _single_row(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarr
     return _run_batch(config, theta[None, :], encodings)
 
 
+# --- the optimized circuit compiled to unitaries, once per theta -------------
+
+
+def _trainable_gates(config: PqcConfig, angles: np.ndarray) -> np.ndarray:
+    """Each trainable rotation of the optimized ansatz, at ``angles`` in theta's
+    layout: cos(t/2) I - i sin(t/2) P with P = Z (RZ) or Y (RY), [2, 2, P]."""
+    half = 0.5 * angles
+    cos, sin = np.cos(half), np.sin(half)
+    is_rz = np.arange(angles.size) // config.num_qubits % 2 == 0
+    diag, off = np.where(is_rz, sin, 0.0), np.where(is_rz, 0.0, sin)
+    return np.array(((cos - 1j * diag, -off), (off, cos + 1j * diag)))
+
+
+@lru_cache(maxsize=None)
+def _generators(config: PqcConfig) -> np.ndarray:
+    """P_k, the Pauli that trainable angle k rotates about (Z for RZ, Y for RY),
+    on the whole register: [P, 2**nq, 2**nq], read-only."""
+    nq = config.num_qubits
+    paulis = np.array(([[1, 0], [0, -1]], [[0, -1j], [1j, 0]]))[..., None]  # Z, Y as [out, in, 1]
+    eye = np.eye(2**nq, dtype=np.complex128)
+    generators = np.array(
+        [rotate_rows(eye, k % nq, paulis[k // nq % 2]) for k in range(pqc_param_count(config))]
+    )
+    generators.setflags(write=False)
+    return generators
+
+
+def _compile(config: PqcConfig, theta: np.ndarray, shifted: bool) -> np.ndarray:
+    """U(theta) as [1, 2**nq, 2**nq]; with ``shifted``, followed by
+    U(theta + pi/2 e_k) and U(theta - pi/2 e_k) for every k, in ``_shift_tables``
+    row order: [1 + 2P, 2**nq, 2**nq]. U is the sweep's last state either way;
+    ``after`` holds each B_k."""
+    nq, per_layer = config.num_qubits, 2 * config.num_qubits
+    gates = _trainable_gates(config, theta)
+    unitary = np.eye(2**nq, dtype=np.complex128)
+    after = []
+    for k in range(theta.size):
+        if k % per_layer == 0:
+            perm, sign = _compiled_entangler(nq, k // per_layer)
+            if perm is not None:
+                unitary = unitary[perm]
+            if sign is not None:
+                unitary = unitary * sign[:, None]
+        unitary = rotate_rows(unitary, k % nq, gates[:, :, k, None])
+        after.append(unitary)
+    if not shifted:
+        return unitary[None]
+    before = np.array(after)
+    turned = 1j * ((unitary @ before.conj().swapaxes(1, 2)) @ (_generators(config) @ before))  # i A_k P_k B_k
+    out = np.empty((1 + 2 * theta.size, 2**nq, 2**nq), dtype=np.complex128)
+    out[0] = unitary
+    np.subtract(unitary, turned, out=out[1::2])
+    np.add(unitary, turned, out=out[2::2])
+    out[1:] *= np.sqrt(0.5)
+    return out
+
+
+# The last optimized circuit compiled: (config, the bytes of its theta, the
+# unitaries), replaced whole so a concurrent reader always sees one entry.
+_last_compiled: tuple[PqcConfig, bytes, np.ndarray] | None = None
+
+
+def _compiled(config: PqcConfig, theta: np.ndarray, shifted: bool) -> np.ndarray:
+    """``_compile``'s unitaries, read-only, from the cache while theta's bytes and
+    the config are unchanged; an entry holding U alone is rebuilt for ``shifted``."""
+    global _last_compiled
+    key, last = theta.tobytes(), _last_compiled
+    if last is not None and last[1] == key and last[0] == config and (len(last[2]) > 1 or not shifted):
+        return last[2]
+    unitaries = _compile(config, theta, shifted)
+    unitaries.setflags(write=False)
+    _last_compiled = (config, key, unitaries)
+    return unitaries
+
+
+def _compiled_amplitudes(config: PqcConfig, theta: np.ndarray, x: np.ndarray, shifted: bool) -> np.ndarray:
+    """Rows-last amplitudes of the compiled circuit at (theta, x), [2**nq, 1];
+    with ``shifted``, every row of the parameter-shift batch, [2**nq, R]."""
+    unitaries = _compiled(config, theta, shifted)
+    state = _product_states(x[None])
+    amps = unitaries[0] @ state  # the same product in both modes: the value is bitwise one
+    if not shifted:
+        return amps
+    input_shifts = _shift_tables(config)[1][1 + 2 * theta.size :, 0]
+    return np.concatenate(
+        (amps, (unitaries[1:] @ state)[:, :, 0].T, unitaries[0] @ _product_states(x + input_shifts)), axis=1
+    )
+
+
+# --- public entry points ----------------------------------------------------
+
+
 def pqc_forward(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Per-qubit Z expectations of the circuit evaluated at (theta, x)."""
-    return _z_readout(_single_row(config, theta, x), config.num_qubits)[0]
+    if config.variant is Ansatz.VANILLA:
+        return _z_readout(_single_row(config, theta, x), config.num_qubits)[0]
+    theta, x = _check_shapes(config, theta, x)
+    return _z_readout(_compiled_amplitudes(config, theta, x, shifted=False), config.num_qubits)[0]
 
 
 def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> StateVector:
@@ -247,25 +350,41 @@ def _shift_tables(config: PqcConfig) -> tuple[np.ndarray, np.ndarray]:
     return offsets[:, :p], offsets[:, p:].reshape(len(offsets), -1, config.num_qubits)
 
 
-def pqc_value_and_gradients(
-    config: PqcConfig, theta: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Forward value plus exact Jacobians w.r.t. theta and the input angles.
-
-    Returns ``(value[nq], jac_theta[nq, P], jac_x[nq, nq])``. Simulates one
-    baseline circuit plus two per shifted angle occurrence, all as one batch.
-    """
-    theta, x = _check_shapes(config, theta, x)
-    nq, p = config.num_qubits, theta.size
+def _kernel_shift_readout(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<Z> of every row of the parameter-shift batch, simulated by the kernel: [R, nq]."""
     theta_shifts, encoding_shifts = _shift_tables(config)
-    out = _z_readout(_run_batch(config, theta + theta_shifts, x + encoding_shifts), nq)
+    return _z_readout(_run_batch(config, theta + theta_shifts, x + encoding_shifts), config.num_qubits)
+
+
+def _shift_jacobians(config: PqcConfig, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(value, jac_theta, jac_x)`` from the readout of a parameter-shift batch."""
+    nq, p = config.num_qubits, pqc_param_count(config)
     shifts = out[1:].reshape(-1, 2, nq)
     diffs = 0.5 * (shifts[:, 0, :] - shifts[:, 1, :])  # [K, nq]
     jac_x = diffs[p:].reshape(-1, nq, nq).sum(axis=0).T  # summed over encoding events
     return out[0], diffs[:p].T.copy(), jac_x
 
 
+def pqc_value_and_gradients(
+    config: PqcConfig, theta: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Forward value plus exact Jacobians w.r.t. theta and the input angles.
+
+    Returns ``(value[nq], jac_theta[nq, P], jac_x[nq, nq])`` from one baseline
+    circuit plus two per shifted angle occurrence: the compiled unitaries for
+    the optimized ansatz, one kernel batch for vanilla.
+    """
+    theta, x = _check_shapes(config, theta, x)
+    if config.variant is Ansatz.VANILLA:
+        return _shift_jacobians(config, _kernel_shift_readout(config, theta, x))
+    out = _z_readout(_compiled_amplitudes(config, theta, x, shifted=True), config.num_qubits)
+    return _shift_jacobians(config, out)
+
+
 def pqc_gradients(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Parameter-shift Jacobians ``(jac_theta[nq, P], jac_x[nq, nq])``."""
-    _, jac_theta, jac_x = pqc_value_and_gradients(config, theta, x)
+    """Parameter-shift Jacobians ``(jac_theta[nq, P], jac_x[nq, nq])``, always
+    simulated as one kernel batch: the reference the compiled path is tested
+    against, and the cheaper path for a theta that is used once."""
+    theta, x = _check_shapes(config, theta, x)
+    _, jac_theta, jac_x = _shift_jacobians(config, _kernel_shift_readout(config, theta, x))
     return jac_theta, jac_x

@@ -18,6 +18,7 @@ from .circuits import SHIFT, Ansatz, PqcConfig, init_pqc_params, pqc_gradients
 from .statevector import apply_ry, expectation_z, zero_state
 
 MIN_PROBE_SAMPLES = 30
+MAX_PROBE_SAMPLES = 10**6  # one float64 per sample is kept
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,8 @@ def grad_variance_probe(
     shift, and records the population variance of those samples.
     """
     variant = Ansatz(variant)
-    if num_samples < MIN_PROBE_SAMPLES:
-        raise ValueError(f"num_samples must be >= {MIN_PROBE_SAMPLES}, got {num_samples}")
+    if not MIN_PROBE_SAMPLES <= num_samples <= MAX_PROBE_SAMPLES:
+        raise ValueError(f"num_samples must be in {MIN_PROBE_SAMPLES}..{MAX_PROBE_SAMPLES}, got {num_samples}")
     rng = np.random.default_rng(seed)
     entries = []
     for depth in depths:

@@ -62,13 +62,13 @@ import math
 import numbers
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import PqcConfig, pqc_param_count
+from .circuits import MAX_PQC_LAYERS, PqcConfig, pqc_param_count
 from .feedforward import (
     INIT_STD,
     QUANTUM_BLOCKS,
@@ -99,11 +99,17 @@ MODEL_MINIMUMS = {
     "vocab_size": 4, "num_classes": 2, "hidden": 1, "num_layers": 1, "num_heads": 1,
     "intermediate": 1, "max_seq_len": 2, "pqc_layers": 1,
 }
+# Upper bounds of the sizes that allocate beyond the parameters: every encoded
+# split is two [N, max_seq_len] arrays, and a circuit's shift tables and
+# compiled unitaries grow with its depth. 8192 is 16x BERT-base's length.
+MODEL_MAXIMUMS = {"max_seq_len": 8192, "pqc_layers": MAX_PQC_LAYERS}
+# BERT-base (110M) fits; training holds four float64 copies, 4 GiB at the bound.
+MAX_MODEL_PARAMS = 2**27
 # The annotations check_fields enforces; a class checks fields of other types itself.
 _FIELD_TYPES = {"int": numbers.Integral, "float": numbers.Real, "str": str, "bool": bool, "dict": dict}
 
 
-def _check_value(name: str, annotation: str, value, minimum, subject: str = "") -> None:
+def _check_value(name: str, annotation: str, value, minimum, maximum, subject: str = "") -> None:
     kind = _FIELD_TYPES.get(annotation.removesuffix(" | None"))
     if kind is None:
         return
@@ -113,24 +119,29 @@ def _check_value(name: str, annotation: str, value, minimum, subject: str = "") 
         raise ModelConfigError(name, f"{subject}must be finite, got {value}")
     if minimum is not None and value < minimum:
         raise ModelConfigError(name, f"{subject}must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ModelConfigError(name, f"{subject}must be <= {maximum}, got {value}")
 
 
-def check_fields(config, minimums: dict) -> None:
+def check_fields(config, minimums: dict, maximums: dict | None = None) -> None:
     """Raise ``ModelConfigError`` naming the first field of the dataclass ``config``
-    that breaks its annotation: ``int``/``float`` (never a bool, floats finite, at
-    least its entry in ``minimums``), ``str``, ``bool``, ``dict``, or a non-empty
-    ``list[T]`` of distinct such items; ``| None`` allows None."""
+    that breaks its annotation: ``int``/``float`` (never a bool, floats finite,
+    within its entries in ``minimums`` and ``maximums``), ``str``, ``bool``,
+    ``dict``, or a non-empty ``list[T]`` of distinct such items; ``| None``
+    allows None."""
+    maximums = maximums or {}
     for f in fields(config):
         value = getattr(config, f.name)
         if value is None and f.type.endswith(" | None"):
             continue
+        bounds = minimums.get(f.name), maximums.get(f.name)
         if not f.type.startswith("list["):
-            _check_value(f.name, f.type, value, minimums.get(f.name))
+            _check_value(f.name, f.type, value, *bounds)
             continue
         if not isinstance(value, list) or not value:
             raise ModelConfigError(f.name, f"must be a non-empty {f.type}, got {value!r}")
         for item in value:
-            _check_value(f.name, f.type[5:-1], item, minimums.get(f.name), "items ")
+            _check_value(f.name, f.type[5:-1], item, *bounds, "items ")
         if len(set(value)) < len(value):
             raise ModelConfigError(f.name, f"must hold distinct values, got {value}")
 
@@ -166,11 +177,20 @@ class ModelConfig:
             ) from None
 
     def validate(self, strict_depths: bool = False) -> None:
-        check_fields(self, MODEL_MINIMUMS)
+        check_fields(self, MODEL_MINIMUMS, MODEL_MAXIMUMS)
         if self.hidden % self.num_heads != 0:
             raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelConfigError("dropout", f"must be in [0, 1), got {self.dropout}")
+        # Bound the parameter count before anything is allocated. The field named is
+        # the first, in declaration order, that takes the count past the bound while
+        # every later size stays at its minimum.
+        sizes = dict(MODEL_MINIMUMS)
+        for name in MODEL_MINIMUMS:
+            sizes[name] = getattr(self, name)
+            count = model_param_count(replace(self, **sizes))
+            if count > MAX_MODEL_PARAMS:
+                raise ModelConfigError(name, f"makes the model {count} parameters, more than {MAX_MODEL_PARAMS}")
         if strict_depths and self.ffn_kind in QUANTUM_BLOCKS:
             check_strict_depths("pqc_layers", [self.pqc_layers])
 
@@ -655,11 +675,12 @@ def load_model(directory) -> EncoderModel:
     if unknown or missing:
         raise ValueError(f"manifest config has unknown keys {unknown}, missing keys {missing}")
     config = ModelConfig(**config_doc)
-    config.validate()
+    check_fields(config, MODEL_MINIMUMS, {"pqc_layers": MAX_PQC_LAYERS})  # what counting needs
     # Only a config whose tensors the blob holds is built, so its size is bounded by the file's.
     expected, stored_bytes = 4 * model_param_count(config), sum(t["size"] for t in manifest["tensors"])
     if expected != stored_bytes:
         raise ValueError(f"manifest config describes {expected} tensor bytes, its tensors hold {stored_bytes}")
+    config.validate()
     model = EncoderModel(config, seed=0)
     stored = {t["name"]: t for t in manifest["tensors"]}
     for name, param in model.named_parameters():

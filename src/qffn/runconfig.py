@@ -54,9 +54,9 @@ import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
-from .circuits import Ansatz
+from .circuits import MAX_PQC_LAYERS, Ansatz
 from .data import MAX_SYNTH_CLASSES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
-from .diagnostics import MIN_PROBE_SAMPLES
+from .diagnostics import MAX_PROBE_SAMPLES, MIN_PROBE_SAMPLES
 from .encoder import MODEL_MINIMUMS, ModelConfig, ModelConfigError, PAPER_DEPTHS, check_fields, check_strict_depths
 from .training import TrainConfig
 
@@ -124,7 +124,7 @@ class SweepConfig:
     include_classical: bool = True
 
     def validate(self, strict_depths: bool = False) -> None:
-        check_fields(self, {"depths": 1})
+        check_fields(self, {"depths": 1}, {"depths": MAX_PQC_LAYERS})
         if not all(0 < f <= 1 for f in self.fractions):
             raise ModelConfigError("fractions", f"items must be in (0, 1], got {self.fractions}")
         tags = [fraction_tag(f) for f in self.fractions]
@@ -141,7 +141,10 @@ class ProbeConfig:
     num_samples: int = 100
 
     def validate(self, strict_depths: bool = False) -> None:
-        check_fields(self, {"depths": 1, "num_samples": MIN_PROBE_SAMPLES})
+        check_fields(
+            self, {"depths": 1, "num_samples": MIN_PROBE_SAMPLES},
+            {"depths": MAX_PQC_LAYERS, "num_samples": MAX_PROBE_SAMPLES},
+        )
         if not set(self.variants) <= {a.value for a in Ansatz}:
             raise ModelConfigError(
                 "variants", f"must contain only {[a.value for a in Ansatz]}, got {self.variants}"

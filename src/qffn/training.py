@@ -191,10 +191,12 @@ def train(
             loss, grads = model_backward(
                 model, train_ids[idx], train_mask[idx], train_labels[idx], rng=dropout_rng
             )
+            where = f"at epoch {epoch}, step {batch_start // train_config.batch_size}"
             if not np.isfinite(loss):
-                raise TrainingDiverged(
-                    f"non-finite loss {loss} at epoch {epoch}, step {batch_start // train_config.batch_size}"
-                )
+                raise TrainingDiverged(f"non-finite loss {loss} {where}")
+            for name, _ in optimizer.params:  # before Adam folds a NaN into its moments
+                if not np.isfinite(grads[name]).all():
+                    raise TrainingDiverged(f"non-finite gradient of tensor {name} {where}")
             optimizer.step(grads)
             batch_losses.append(loss)
         _, train_acc = _eval_arrays(model, train_ids, train_mask, train_labels)

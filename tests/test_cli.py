@@ -133,6 +133,24 @@ class TestTrainCommand:
         assert not (tmp_path / "out").exists()
         assert f"config error at model.{field}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field,value,kind",
+        [
+            ("max_seq_len", 10**12, "qffn"),
+            ("pqc_layers", 10**6, "qffn"),
+            ("hidden", 10**9, "qffn"),
+            ("num_layers", 10**6, "qffn"),
+            ("intermediate", 10**9, "classical"),
+        ],
+    )
+    def test_oversized_model_named_before_any_allocation(self, tmp_path, capsys, field, value, kind):
+        config, _ = write_config(tmp_path, model={**TINY_MODEL, "ffn_kind": kind, field: value})
+        assert main(["train", "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        err = capsys.readouterr().err
+        assert f"config error at model.{field}" in err
+        assert "Traceback" not in err
+
     def test_unknown_field_named_in_error(self, tmp_path, capsys):
         config, _ = write_config(tmp_path, typo_field=1)
         assert cmd_train(config) == 1
@@ -336,6 +354,12 @@ class TestRejectedBeforeAnyOutput:
             pytest.param("sweep", {"train": None, "sweep": None}, "sweep", id="null-train-and-sweep"),
             pytest.param("probe", {"train": None, "probe": None}, "probe", id="null-train-and-probe"),
             pytest.param("train", {"out_dir": 5}, "out_dir", id="non-string-out-dir"),
+            pytest.param("probe", {"probe": {"num_samples": 10**12}}, "probe.num_samples",
+                         id="probe-samples-beyond-memory"),
+            pytest.param("probe", {"probe": {"depths": [1, 10**6], "num_samples": 30}}, "probe.depths",
+                         id="probe-depth-beyond-bound"),
+            pytest.param("sweep", {"sweep": {"depths": [10**6], "fractions": [1.0]}}, "sweep.depths",
+                         id="sweep-depth-beyond-bound"),
         ],
     )
     def test_load_errors(self, tmp_path, capsys, monkeypatch, command, overrides, field):

@@ -243,25 +243,43 @@ OPTIMIZED_CONFIGS = [c for c in ALL_CONFIGS if c.variant is Ansatz.OPTIMIZED]
 CIRCUIT_CALLS = [pqc_forward, pqc_value_and_gradients]
 
 
-class TestGateTableCache:
-    """The optimized kernel keeps the last theta-only gate table it built."""
+class TestCompiledCircuit:
+    """The optimized ansatz's forward and gradient calls reuse the unitaries
+    compiled for the last theta."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(circuits, "_last_rotations", None)
+        monkeypatch.setattr(circuits, "_last_compiled", None)
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
-    @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
-    def test_warm_results_equal_cold_bitwise(self, config, call):
+    def test_values_and_jacobians_match_the_kernel(self, config):
+        rng = np.random.default_rng(591 + config.num_layers)
+        for _ in range(5):
+            theta, x = random_angles(config, rng)
+            value, jac_theta, jac_x = pqc_value_and_gradients(config, theta, x)
+            kernel_theta, kernel_x = pqc_gradients(config, theta, x)
+            kernel_value = circuits._z_readout(pqc_final_state(config, theta, x).amplitudes[:, None], 4)[0]
+            assert np.max(np.abs(value - kernel_value)) <= 1e-12
+            assert np.max(np.abs(jac_theta - kernel_theta)) <= 1e-12
+            assert np.max(np.abs(jac_x - kernel_x)) <= 1e-12
+
+    @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
+    @pytest.mark.parametrize("order", [CIRCUIT_CALLS, CIRCUIT_CALLS[::-1]], ids=["forward-first", "gradient-first"])
+    def test_warm_results_equal_cold_bitwise(self, config, order):
         rng = np.random.default_rng(601 + config.num_layers)
         theta, x = random_angles(config, rng)
-        cold = result_bytes(call(config, theta, x))
-        call(config, init_pqc_params(config, rng), x)  # another theta in between
-        call(config, theta, rng.uniform(-np.pi, np.pi, 4))  # rebuilds theta's table
-        table = circuits._last_rotations[2]
-        warm = result_bytes(call(config, theta.copy(), x))
-        assert circuits._last_rotations[2] is table  # served from the cache
+        cold = []
+        for call in order:
+            circuits._last_compiled = None
+            cold.append(result_bytes(call(config, theta, x)))
+        circuits._last_compiled = None
+        order[0](config, theta, rng.uniform(-np.pi, np.pi, 4))  # compiles theta at another input
+        first_build = circuits._last_compiled[2]
+        warm = [result_bytes(call(config, theta.copy(), x)) for call in order]
         assert warm == cold
+        # a gradient call rebuilds a forward-only entry; a forward call reuses a full one
+        assert (circuits._last_compiled[2] is first_build) == (order[0] is pqc_value_and_gradients)
+        assert circuits._last_compiled[2][0].tobytes() == first_build[0].tobytes()
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
@@ -271,42 +289,50 @@ class TestGateTableCache:
         before = result_bytes(call(config, theta, x))
         theta -= 1e-3 * rng.standard_normal(theta.size)  # like the Adam step
         after = result_bytes(call(config, theta, x))
-        circuits._last_rotations = None
+        circuits._last_compiled = None
         assert after == result_bytes(call(config, theta.copy(), x))
         assert after != before
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
-    def test_signed_zero_is_a_different_key(self, config):
+    @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
+    def test_signed_zero_is_a_different_key(self, config, call):
         theta, x = np.zeros(pqc_param_count(config)), np.full(4, 0.3)
-        pqc_forward(config, theta, x)
-        table = circuits._last_rotations[2]
+        call(config, theta, x)
+        entry = circuits._last_compiled
         theta[0] = -0.0  # equal as floats, not as bytes
-        pqc_forward(config, theta, x)
-        assert circuits._last_rotations[2] is not table
+        call(config, theta, x)
+        assert circuits._last_compiled is not entry
+        assert circuits._last_compiled[1] == theta.tobytes()
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
-    def test_cached_table_is_read_only(self, config):
+    @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
+    def test_cached_arrays_are_read_only(self, config, call):
         theta, x = random_angles(config, np.random.default_rng(621))
-        pqc_value_and_gradients(config, theta, x)
-        table = circuits._last_rotations[2]
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[...] = 0.0
+        call(config, theta, x)
+        for cached in (circuits._last_compiled[2], circuits._generators(config)):
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[...] = 0.0
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
-    def test_fresh_thetas_leave_one_table(self, config):
+    def test_fresh_thetas_leave_one_entry(self, config):
         rng = np.random.default_rng(631 + config.num_layers)
-        tables = []
+        builds = []
         for i in range(6):
             theta, x = random_angles(config, rng)
             CIRCUIT_CALLS[i % 2](config, theta, x)
-            tables.append(weakref.ref(circuits._last_rotations[2]))
+            builds.append(weakref.ref(circuits._last_compiled[2]))
         gc.collect()
-        assert [ref() is not None for ref in tables] == [False] * 5 + [True]
+        assert [ref() is not None for ref in builds] == [False] * 5 + [True]
 
-    @pytest.mark.parametrize("config", [c for c in ALL_CONFIGS if c.variant is Ansatz.VANILLA], ids=str)
-    def test_vanilla_tables_are_not_cached(self, config):
+    @pytest.mark.parametrize("config", ALL_CONFIGS, ids=str)
+    def test_kernel_paths_never_compile(self, config):
+        # vanilla re-encodes x in every layer; pqc_gradients and pqc_final_state
+        # run the kernel for both ansatzes
         theta, x = random_angles(config, np.random.default_rng(641))
-        pqc_value_and_gradients(config, theta, x)
-        pqc_forward(config, theta, x)
-        assert circuits._last_rotations is None
+        pqc_gradients(config, theta, x)
+        pqc_final_state(config, theta, x)
+        if config.variant is Ansatz.VANILLA:
+            pqc_value_and_gradients(config, theta, x)
+            pqc_forward(config, theta, x)
+        assert circuits._last_compiled is None

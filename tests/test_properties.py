@@ -1,20 +1,24 @@
-"""Property-based checks of the gate primitives, the ansatz circuits and the
-run-config loader.
+"""Property-based checks of the gate primitives, the ansatz circuits, the
+tokenizer and vocabulary, the stratified subsample and the run-config loader.
 
 Derandomized and without an example database, so every run draws the same
 examples and leaves no files behind.
 """
 import copy
 import json
+import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from qffn.circuits import Ansatz, PqcConfig, pqc_forward, pqc_param_count
+from qffn.data import CLS_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, UNK_ID, Dataset, Vocab, build_vocab, subsample, tokenize
 from qffn.runconfig import ConfigError, RunConfig, load_run_config
 from qffn.statevector import cnot_permutation, cz_signs, rotate_rows
 
@@ -101,6 +105,82 @@ def test_forward_is_two_pi_periodic_in_every_angle(point):
             shifted = pqc_forward(config, theta, x)
             vector[i] = saved
             np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12, err_msg=f"index {i}")
+
+
+WORDS = st.text(alphabet="abc#", min_size=1, max_size=6)
+
+
+@st.composite
+def labelled_texts(draw):
+    """A dataset of short texts over a small alphabet, labels from 2-4 classes."""
+    num_classes = draw(st.integers(2, 4))
+    texts = draw(st.lists(st.lists(WORDS, max_size=8).map(" ".join), min_size=1, max_size=40))
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=len(texts), max_size=len(texts)))
+    return Dataset(list(zip(texts, labels)), num_classes)
+
+
+def check_encoding(vocab, text, max_len):
+    """The tokenize layout: [CLS] pieces [SEP] then padding, the mask covering
+    exactly the unpadded prefix, every id a vocabulary id; returns the pieces."""
+    ids, mask = tokenize(vocab, text, max_len)
+    assert ids.shape == mask.shape == (max_len,)
+    length = int(mask.sum())
+    assert 2 <= length <= max_len
+    assert mask.tolist() == [1] * length + [0] * (max_len - length)
+    assert ids[0] == CLS_ID and ids[length - 1] == SEP_ID
+    assert np.all(ids[length:] == PAD_ID)
+    assert np.all((ids >= 0) & (ids < len(vocab)))
+    return ids[1 : length - 1].tolist()
+
+
+@PROPERTY
+@given(labelled_texts(), st.integers(2, 12))
+def test_built_vocabulary_covers_its_dataset(dataset, max_len):
+    vocab = build_vocab(dataset)
+    assert tuple(vocab.tokens[:4]) == SPECIAL_TOKENS
+    assert len(set(vocab.tokens)) == len(vocab)
+    assert all(vocab.index[token] == i for i, token in enumerate(vocab.tokens))
+    for text, _ in dataset.examples:
+        words = text.split()
+        assert all(word in vocab for word in words)
+        # every word is one whole-word piece, so the pieces are the words, truncated
+        pieces = check_encoding(vocab, text, max_len)
+        assert pieces == [vocab.index[w] for w in words][: max_len - 2]
+        assert UNK_ID not in pieces
+
+
+@PROPERTY
+@given(st.lists(WORDS, unique=True, max_size=12), st.lists(WORDS, max_size=8), st.integers(2, 12))
+def test_wordpieces_spell_each_word_or_unk_it(pieces, words, max_len):
+    vocab = Vocab(list(SPECIAL_TOKENS) + pieces)
+    joined = []
+    for word in words:
+        ids = check_encoding(vocab, word, 2 + len(word))  # a piece covers at least one character
+        joined += ids
+        if ids != [UNK_ID]:
+            first, *rest = (vocab.tokens[i] for i in ids)
+            assert all(token.startswith("##") for token in rest)
+            assert first + "".join(token[2:] for token in rest) == word
+    text = " ".join(words)
+    assert check_encoding(vocab, text, 2 + len(joined)) == joined
+    assert check_encoding(vocab, text, max_len) == joined[: max_len - 2]
+
+
+@PROPERTY
+@given(labelled_texts(), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_subsample_meets_every_class_quota(dataset, fraction, seed):
+    target = math.floor(fraction * len(dataset))
+    if target == 0:
+        with pytest.raises(ValueError):
+            subsample(dataset, fraction, seed)
+        return
+    subset = subsample(dataset, fraction, seed)
+    assert len(subset) == target and subset.num_classes == dataset.num_classes
+    assert not Counter(subset.examples) - Counter(dataset.examples)  # drawn without replacement
+    parent, picked = Counter(dataset.labels().tolist()), Counter(subset.labels().tolist())
+    for label, count in parent.items():
+        assert abs(picked[label] - fraction * count) < 1.0 + 1e-9, label
+    assert subsample(dataset, fraction, seed).examples == subset.examples
 
 
 SYNTH_DOC = {

@@ -1,9 +1,11 @@
 """Training loop determinism, metric identities, Adam behaviour."""
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
+import qffn.training as training
 from _oracles import adam_reference_steps
 from qffn.data import build_vocab, synth_generate
 from qffn.encoder import EncoderModel, FfnKind, ModelConfig, ModelConfigError
@@ -82,6 +84,23 @@ class TestReport:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingDiverged):
                 tiny_train(TrainConfig(max_epochs=2, learning_rate=1e200))
+
+    @pytest.mark.parametrize("tensor", ["layers.0.ffn.theta", "tok_emb"])
+    def test_non_finite_gradient_stops_before_the_step(self, monkeypatch, tensor):
+        backward, steps = training.model_backward, []
+
+        def poisoned(*args, **kwargs):
+            loss, grads = backward(*args, **kwargs)
+            grads[tensor] = grads[tensor].copy()
+            grads[tensor].flat[-1] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(training, "model_backward", poisoned)
+        monkeypatch.setattr(training.AdamOptimizer, "step", lambda self, grads: steps.append(grads))
+        expected = f"non-finite gradient of tensor {re.escape(tensor)} at epoch 1, step 0"
+        with pytest.raises(TrainingDiverged, match=expected):
+            tiny_train(TrainConfig(max_epochs=1), ffn_kind=FfnKind.QFFN)
+        assert steps == []
 
     def test_vocab_size_mismatch_rejected(self):
         train_set, val_set, vocab = tiny_task()
