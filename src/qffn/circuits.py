@@ -41,15 +41,17 @@ bit-identical whether it is simulated alone or inside a batch of any size.
 The optimized ansatz encodes x once, so its final state is U(theta) phi(x),
 with phi(x) the real product state of the encoding; and every sample of a
 training batch or an evaluation pass runs one block with one theta. So
-``pqc_forward`` and ``pqc_value_and_gradients`` compile it once per theta: one
-sweep pushes the 16x16 identity through the gates with the same primitives,
-keeping B_k, the circuit up to and including trainable gate k. A shift
-rotation commutes with its gate, so with A_k = U B_k^H each shifted unitary is
-A_k R_k(+-pi/2) B_k. As R_k(+-pi/2) = (I -+ i P_k) / sqrt(2), with P_k the
-gate's Pauli, that is (U -+ i A_k P_k B_k) / sqrt(2): one product per angle
-for both signs. A call multiplies phi(x) by U and by every shifted unitary,
-and each input-shifted phi(x +- pi/2 e_q) by U: the kernel's rows, in its
-order, with its difference formula. Both calls form the value by the same
+``pqc_forward`` and ``pqc_value_and_gradients`` compile it once per theta:
+``_sweep``, the kernel's layer walk, pushes the 16x16 identity through the
+kernel's fused gates and keeps B_k for each angle k, the state before its
+qubit's fused RY @ RZ for an RZ angle and after it for an RY angle. That is
+the circuit before rotation k followed only by gates that commute with its
+Pauli P_k, and R_k(+-pi/2) = (I -+ i P_k) / sqrt(2) commutes with its gate
+too, so each shifted unitary is
+U B_k^H R_k(+-pi/2) B_k = (U -+ i U B_k^H P_k B_k) / sqrt(2): one product per
+angle for both signs. A call multiplies phi(x) by U and by every shifted
+unitary, and each input-shifted phi(x +- pi/2 e_q) by U: the kernel's rows, in
+its order, with its difference formula. Both calls form the value by the same
 matmul, U @ phi(x), so it is bitwise one.
 
 The last compilation is one entry: the config, theta's bytes (so -0.0 differs
@@ -60,11 +62,11 @@ on call history. One entry, since a training step compiles four times (two
 encoder layers, forward then backward) and every Adam step changes theta; it
 holds 1 + 16L unitaries, 530 KB at depth 8.
 
-``pqc_gradients`` stays on the kernel: compiling pushes 16 columns per theta
-row, and the probe draws a fresh theta for every call, so it would never reuse
-one; it is also the reference the compiled path is tested against. The
-vanilla ansatz re-encodes x in every layer, so its unitary depends on x; it
-runs the kernel, as does ``pqc_final_state``.
+``pqc_gradients`` stays on the kernel: it is the reference the compiled path
+is tested against, and the probe draws a fresh theta for every call, which a
+compile would serve once at more cost than the kernel's batch. The vanilla
+ansatz re-encodes x in every layer, so its unitary depends on x; it runs the
+kernel, as does ``pqc_final_state``.
 """
 from __future__ import annotations
 
@@ -185,18 +187,12 @@ def _product_states(angles: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
-    """Simulate one circuit per row: thetas [C, P], encodings [C, E, nq].
-
-    ``encodings`` carries one row per encoding event (a single event for the
-    optimized ansatz, one per layer for vanilla) so that gradient code can
-    shift individual encoding occurrences. Returns the rows-last amplitudes
-    [2**nq, C]: complex for the optimized ansatz, real for vanilla, whose RY
-    and CNOT gates are real.
-    """
+def _sweep(config: PqcConfig, gates: np.ndarray, amps: np.ndarray, states: list | None = None) -> np.ndarray:
+    """Push rows-last amplitudes [2**nq, C] through every layer: the entangler,
+    then each qubit's 2x2 from ``gates`` [2, 2, L, nq, C or 1]. With ``states``,
+    appends each 2x2's (before, after) amplitudes, layer by layer and qubit by
+    qubit."""
     nq = config.num_qubits
-    amps = _product_states(encodings[:, 0])  # the first encoding acts on |0...0>
-    gates = _layer_rotations(config, thetas, encodings)
     for layer in range(config.num_layers):
         perm, sign = _compiled_entangler(nq, layer if config.variant is Ansatz.OPTIMIZED else 0)
         if perm is not None:
@@ -204,8 +200,23 @@ def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> 
         if sign is not None:
             amps = amps * sign[:, None]
         for q in range(nq):
-            amps = rotate_rows(amps, q, gates[:, :, layer, q])
+            rotated = rotate_rows(amps, q, gates[:, :, layer, q])
+            if states is not None:
+                states.append((amps, rotated))
+            amps = rotated
     return amps
+
+
+def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
+    """Simulate one circuit per row: thetas [C, P], encodings [C, E, nq].
+
+    ``encodings`` carries one row per encoding event (a single event for the
+    optimized ansatz, one per layer for vanilla) so that gradient code can
+    shift individual encoding occurrences. Returns the rows-last amplitudes
+    [2**nq, C]: complex for the optimized ansatz, real for vanilla, whose RY
+    and CNOT gates are real. The first encoding acts on |0...0>.
+    """
+    return _sweep(config, _layer_rotations(config, thetas, encodings), _product_states(encodings[:, 0]))
 
 
 _z_readout = z_readout  # per-qubit <Z> [C, nq] of rows-last amplitudes [2**nq, C]
@@ -231,16 +242,6 @@ def _single_row(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarr
 # --- the optimized circuit compiled to unitaries, once per theta -------------
 
 
-def _trainable_gates(config: PqcConfig, angles: np.ndarray) -> np.ndarray:
-    """Each trainable rotation of the optimized ansatz, at ``angles`` in theta's
-    layout: cos(t/2) I - i sin(t/2) P with P = Z (RZ) or Y (RY), [2, 2, P]."""
-    half = 0.5 * angles
-    cos, sin = np.cos(half), np.sin(half)
-    is_rz = np.arange(angles.size) // config.num_qubits % 2 == 0
-    diag, off = np.where(is_rz, sin, 0.0), np.where(is_rz, 0.0, sin)
-    return np.array(((cos - 1j * diag, -off), (off, cos + 1j * diag)))
-
-
 @lru_cache(maxsize=None)
 def _generators(config: PqcConfig) -> np.ndarray:
     """P_k, the Pauli that trainable angle k rotates about (Z for RZ, Y for RY),
@@ -258,25 +259,17 @@ def _generators(config: PqcConfig) -> np.ndarray:
 def _compile(config: PqcConfig, theta: np.ndarray, shifted: bool) -> np.ndarray:
     """U(theta) as [1, 2**nq, 2**nq]; with ``shifted``, followed by
     U(theta + pi/2 e_k) and U(theta - pi/2 e_k) for every k, in ``_shift_tables``
-    row order: [1 + 2P, 2**nq, 2**nq]. U is the sweep's last state either way;
-    ``after`` holds each B_k."""
-    nq, per_layer = config.num_qubits, 2 * config.num_qubits
-    gates = _trainable_gates(config, theta)
-    unitary = np.eye(2**nq, dtype=np.complex128)
-    after = []
-    for k in range(theta.size):
-        if k % per_layer == 0:
-            perm, sign = _compiled_entangler(nq, k // per_layer)
-            if perm is not None:
-                unitary = unitary[perm]
-            if sign is not None:
-                unitary = unitary * sign[:, None]
-        unitary = rotate_rows(unitary, k % nq, gates[:, :, k, None])
-        after.append(unitary)
+    row order: [1 + 2P, 2**nq, 2**nq]. U is the identity's ``_sweep`` through the
+    kernel's gates either way; ``states`` yields each B_k (see the module docstring)."""
+    nq = config.num_qubits
+    gates, eye = _layer_rotations(config, theta[None], None), np.eye(2**nq, dtype=np.complex128)
+    states = [] if shifted else None
+    unitary = _sweep(config, gates, eye, states)
     if not shifted:
         return unitary[None]
-    before = np.array(after)
-    turned = 1j * ((unitary @ before.conj().swapaxes(1, 2)) @ (_generators(config) @ before))  # i A_k P_k B_k
+    # (before, after) per layer and qubit -> per layer, every qubit's before (RZ), then every qubit's after (RY)
+    kept = np.array(states).reshape(config.num_layers, nq, 2, -1).swapaxes(1, 2).reshape(theta.size, 2**nq, 2**nq)
+    turned = 1j * ((unitary @ kept.conj().swapaxes(1, 2)) @ (_generators(config) @ kept))  # i U B_k^H P_k B_k
     out = np.empty((1 + 2 * theta.size, 2**nq, 2**nq), dtype=np.complex128)
     out[0] = unitary
     np.subtract(unitary, turned, out=out[1::2])
@@ -384,7 +377,8 @@ def pqc_value_and_gradients(
 def pqc_gradients(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parameter-shift Jacobians ``(jac_theta[nq, P], jac_x[nq, nq])``, always
     simulated as one kernel batch: the reference the compiled path is tested
-    against, and the cheaper path for a theta that is used once."""
+    against, whose rows the probe's simulation count checks, and for a theta
+    used once about 0.5-0.7x the time of a compile and its readout."""
     theta, x = _check_shapes(config, theta, x)
     _, jac_theta, jac_x = _shift_jacobians(config, _kernel_shift_readout(config, theta, x))
     return jac_theta, jac_x

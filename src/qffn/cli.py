@@ -4,7 +4,7 @@ Subcommands:
 
     train    one fine-tuning run  -> metrics.json, epochs.csv, weights archive
     sweep    depth x fraction grid with classical baselines
-             -> per-cell metrics under cells/, combined table.csv
+             -> per-cell metrics under cells/, table.csv rewritten per cell
     ablate   sweep with the vanilla quantum block (no internal residual) forced
     probe    gradient-variance probe across depths -> probe.csv
 
@@ -112,11 +112,17 @@ def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | Non
 
 
 def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
-    """Train every cell, write its report, then ``table.csv`` and any
-    ``failures.csv``; a cell that fails to train is recorded, not raised."""
+    """Train every cell and write its report, rewriting ``table.csv`` (and any
+    ``failures.csv``) after each cell, so a grid cut short keeps the rows of its
+    finished cells; a cell that fails to train is recorded, not raised."""
     out_dir = _create_out_dir(rc)
-    rows = []
-    failures = []
+    table = ["model,layers,fraction,val_acc,train_acc,gap,acc_per_param"]
+    failures = ["cell,error"]
+
+    def save(name, lines):
+        atomic_write(out_dir / name, "\n".join(lines) + "\n")
+
+    save("table.csv", table)
     for depth, model_cfg, train_cfg in cells:
         fraction, cell_kind = train_cfg.fraction, model_cfg.ffn_kind
         tag = f"frac{fraction_tag(fraction)}"
@@ -124,26 +130,21 @@ def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
         try:
             _, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
         except (TrainingDiverged, ValueError) as exc:
-            failures.append((name, str(exc)))
+            failures.append(f"{name},{str(exc)!r}")
+            save("failures.csv", failures)
             print(f"{name}: failed: {exc}", file=sys.stderr)
             continue
         cell_dir = out_dir / "cells" / name
         cell_dir.mkdir(parents=True, exist_ok=True)
         _write_report(cell_dir, report, rc.echo(resolved_model=vars(model_cfg), train_fraction=fraction))
-        rows.append(
+        table.append(
             f"{cell_kind.value},{'-' if depth is None else depth},{fraction!r},"
             f"{report.validation_accuracy!r},{report.training_accuracy!r},"
             f"{report.gap!r},{report.accuracy_per_param!r}"
         )
+        save("table.csv", table)
         print(f"{name}: {report.summary_line()}")
-
-    header = "model,layers,fraction,val_acc,train_acc,gap,acc_per_param"
-    atomic_write(out_dir / "table.csv", "\n".join([header, *rows]) + "\n")
-    if failures:
-        lines = ["cell,error"] + [f"{name},{msg!r}" for name, msg in failures]
-        atomic_write(out_dir / "failures.csv", "\n".join(lines) + "\n")
-        return 1
-    return 0
+    return 1 if len(failures) > 1 else 0
 
 
 def cmd_sweep(config_path, out=None, seed=None, strict_depths=None) -> int:

@@ -5,6 +5,8 @@ plain matrix-vector products, deliberately sharing no code with the package's
 in-place gate kernels. Bit order matches the package convention: qubit 0 is
 the least significant bit of the basis index.
 """
+from functools import lru_cache
+
 import numpy as np
 from scipy.special import erf
 
@@ -106,6 +108,33 @@ def dense_ansatz_output(variant, num_layers, theta, x):
         raise ValueError(variant)
 
     return np.array([z_expectation(n, psi, q) for q in range(n)]), psi
+
+
+def dense_optimized_unitary(num_layers, theta):
+    """U(theta) of the optimized ansatz at width 4, its input encoding left out:
+    the product of dense 16x16 operators, built from the documented definition
+    as ``dense_ansatz_output`` builds them. Per layer, the alternating entangler
+    (CNOT ring on even layers, CZ(0,2) CZ(1,3) on odd), then the Kronecker
+    product of every qubit's RZ, then that of every qubit's RY."""
+    n = 4
+    op = np.eye(2**n, dtype=np.complex128)
+    for layer in range(num_layers):
+        base = 8 * layer
+        op = _dense_entangler(layer % 2) @ op
+        op = kron_chain(n, {q: rz_matrix(theta[base + q]) for q in range(n)}) @ op
+        op = kron_chain(n, {q: ry_matrix(theta[base + 4 + q]) for q in range(n)}) @ op
+    return op
+
+
+@lru_cache(maxsize=None)
+def _dense_entangler(parity):
+    n = 4
+    pairs = [(0, 1), (1, 2), (2, 3), (3, 0)] if parity == 0 else [(0, 2), (1, 3)]
+    op = np.eye(2**n, dtype=np.complex128)
+    for a, b in pairs:
+        op = (cnot_op(n, a, b) if parity == 0 else cz_op(n, a, b)) @ op
+    op.setflags(write=False)  # one cached array per parity
+    return op
 
 
 def reduced_purity(num_qubits, amplitudes, qubit):

@@ -237,6 +237,24 @@ class TestSweepCommand:
         table = (out / "table.csv").read_text()
         assert "qffn,2," not in table and "qffn,1," in table
 
+    def test_interrupted_grid_keeps_the_finished_rows(self, tmp_path, monkeypatch):
+        config, _ = self.sweep_config(tmp_path)
+        real_train = cli.train
+        calls = []
+
+        def interrupted_train(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", interrupted_train)
+        with pytest.raises(KeyboardInterrupt):
+            cmd_sweep(config)
+        lines = (tmp_path / "out" / "table.csv").read_text().strip().split("\n")
+        assert lines[0] == "model,layers,fraction,val_acc,train_acc,gap,acc_per_param"
+        assert [line.split(",")[:3] for line in lines[1:]] == [["classical", "-", "1.0"], ["classical", "-", "0.5"]]
+
     def test_classical_kind_rejected_for_sweep(self, tmp_path, capsys):
         config, _ = self.sweep_config(
             tmp_path, model={"ffn_kind": "classical", **TINY_MODEL}

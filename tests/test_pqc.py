@@ -19,7 +19,7 @@ from qffn.circuits import (
 )
 from qffn.diagnostics import finite_diff
 
-from _oracles import cnot_op, cz_op, dense_ansatz_output, reduced_purity
+from _oracles import cnot_op, cz_op, dense_ansatz_output, dense_optimized_unitary, reduced_purity
 
 ALL_CONFIGS = [
     PqcConfig(variant, layers)
@@ -336,3 +336,21 @@ class TestCompiledCircuit:
             pqc_value_and_gradients(config, theta, x)
             pqc_forward(config, theta, x)
         assert circuits._last_compiled is None
+
+
+class TestCompiledUnitaries:
+    """The compiled unitaries against dense 16x16 gate products: the compile
+    and the kernel share their layer walk and gate table, so this oracle is the
+    check that shares no code with either."""
+
+    @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
+    def test_every_unitary_matches_the_dense_oracle(self, config):
+        theta = init_pqc_params(config, np.random.default_rng(641 + config.num_layers))
+        compiled = circuits._compile(config, theta, shifted=True)
+        shifts = 0.5 * np.pi * np.eye(theta.size)
+        expected = [dense_optimized_unitary(config.num_layers, theta)]
+        for shift in shifts:  # entries 1 + 2k and 2 + 2k
+            expected += [dense_optimized_unitary(config.num_layers, theta + s) for s in (shift, -shift)]
+        assert compiled.shape == (1 + 2 * theta.size, 16, 16)
+        assert np.max(np.abs(compiled - np.array(expected))) <= 1e-12
+        assert circuits._compile(config, theta, shifted=False).tobytes() == compiled[:1].tobytes()
