@@ -70,6 +70,7 @@ kernel, as does ``pqc_final_state``.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -97,6 +98,14 @@ class PqcConfig:
     num_qubits: int = 4
 
     def __post_init__(self):
+        try:  # the variant is tested by identity, which a str fails
+            object.__setattr__(self, "variant", Ansatz(self.variant))
+        except ValueError:
+            raise ValueError(f"variant must be one of {[a.value for a in Ansatz]}, got {self.variant!r}") from None
+        for name in ("num_layers", "num_qubits"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.num_layers <= MAX_PQC_LAYERS:
             raise ValueError(f"num_layers must be in 1..{MAX_PQC_LAYERS}, got {self.num_layers}")
         if self.num_qubits < 2:

@@ -22,6 +22,8 @@ that identical configs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -116,11 +118,13 @@ def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
     ``failures.csv``) after each cell, so a grid cut short keeps the rows of its
     finished cells; a cell that fails to train is recorded, not raised."""
     out_dir = _create_out_dir(rc)
-    table = ["model,layers,fraction,val_acc,train_acc,gap,acc_per_param"]
-    failures = ["cell,error"]
+    table = [["model", "layers", "fraction", "val_acc", "train_acc", "gap", "acc_per_param"]]
+    failures = [["cell", "error"]]
 
-    def save(name, lines):
-        atomic_write(out_dir / name, "\n".join(lines) + "\n")
+    def save(name, rows):
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        atomic_write(out_dir / name, text.getvalue())
 
     save("table.csv", table)
     for depth, model_cfg, train_cfg in cells:
@@ -130,18 +134,17 @@ def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
         try:
             _, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
         except (TrainingDiverged, ValueError) as exc:
-            failures.append(f"{name},{str(exc)!r}")
+            failures.append([name, str(exc)])
             save("failures.csv", failures)
             print(f"{name}: failed: {exc}", file=sys.stderr)
             continue
         cell_dir = out_dir / "cells" / name
         cell_dir.mkdir(parents=True, exist_ok=True)
         _write_report(cell_dir, report, rc.echo(resolved_model=vars(model_cfg), train_fraction=fraction))
-        table.append(
-            f"{cell_kind.value},{'-' if depth is None else depth},{fraction!r},"
-            f"{report.validation_accuracy!r},{report.training_accuracy!r},"
-            f"{report.gap!r},{report.accuracy_per_param!r}"
-        )
+        table.append([
+            cell_kind.value, "-" if depth is None else depth, fraction, report.validation_accuracy,
+            report.training_accuracy, report.gap, report.accuracy_per_param,
+        ])
         save("table.csv", table)
         print(f"{name}: {report.summary_line()}")
     return 1 if len(failures) > 1 else 0

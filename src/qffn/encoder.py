@@ -36,9 +36,9 @@ token: a sample whose keys were all masked would spread its weight over the
 padding. ``_check_inputs`` rejects any other mask. Backward is the exact
 adjoint: query and residual gradients exist for the query rows only, key and
 value gradients for the unmasked rows, and every gradient into a masked row
-is exactly zero. Dropout masks are drawn at the full [B, S, H] shape and
-then indexed, so the rng stream does not depend on the rows a layer
-computes.
+is exactly zero. Dropout masks are drawn at [B, W, H], W the row set's
+width, and then indexed, so the rng stream depends neither on the rows a
+layer computes nor on how many all-pad columns the batch carries.
 
 Inputs: ``token_ids`` is a non-empty [batch, seq] array of an integer dtype
 (bool is not one) with ids in [0, vocab_size) and seq <= max_seq_len;
@@ -405,8 +405,8 @@ def _attention_backward(attn: AttentionWeights, d_out, cache, keys: RowSet, quer
 
 
 def _dropout_mask(shape, rows: RowSet, p, rng):
-    """Mask for ``rows``, drawn at the full [B, S, H] ``shape`` so the rng
-    stream does not depend on which rows a layer computes."""
+    """Mask for ``rows``, drawn at ``shape`` [B, W, H] (W the row set's width)
+    so the rng stream depends on neither the layer's rows nor all-pad columns."""
     if p <= 0.0:
         return None
     if rng is None:
@@ -441,12 +441,12 @@ def _check_inputs(model: EncoderModel, token_ids, attention_mask):
 def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=None):
     token_ids, mask = _check_inputs(model, token_ids, attention_mask)
     cfg = model.config
-    batch, seq = token_ids.shape
+    batch = token_ids.shape[0]
     tokens = RowSet(*np.nonzero(mask))
     h = model.tok_emb[token_ids[tokens.sample, tokens.position]] + model.pos_emb[tokens.position]
     key_bias = ((1.0 - mask[:, : tokens.width]) * MASK_BIAS)[:, None, None, :]
     p = cfg.dropout if train else 0.0
-    full_shape = (batch, seq, cfg.hidden)
+    mask_shape = (batch, tokens.width, cfg.hidden)
     caches = []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
@@ -460,7 +460,7 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
         attn_out, attn_cache = _attention_forward(
             layer.attn, h, tokens, x, rows, key_bias, cfg.num_heads
         )
-        attn_drop = _dropout_mask(full_shape, rows, p, rng)
+        attn_drop = _dropout_mask(mask_shape, rows, p, rng)
         if attn_drop is not None:
             attn_out *= attn_drop
         attn_out += x
@@ -474,7 +474,7 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
         else:
             ffn_out, ffn_cache = layer.ffn.forward(mid)
 
-        ffn_drop = _dropout_mask(full_shape, rows, p, rng)
+        ffn_drop = _dropout_mask(mask_shape, rows, p, rng)
         if ffn_drop is not None:
             ffn_out *= ffn_drop
         ffn_out += mid

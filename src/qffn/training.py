@@ -110,13 +110,6 @@ class AdamOptimizer:
             p -= update
 
 
-def _trim_padding(ids, mask):
-    """Drop trailing all-pad columns; masked columns carry exactly zero
-    attention weight, so this changes nothing but the work done."""
-    longest = max(int(mask.sum(axis=1).max()), 2)
-    return ids[:, :longest], mask[:, :longest]
-
-
 def _eval_arrays(model, ids, mask, labels, batch_size=64):
     """Mean cross-entropy and argmax accuracy over pre-encoded arrays."""
     total_nll = 0.0
@@ -135,7 +128,6 @@ def _eval_arrays(model, ids, mask, labels, batch_size=64):
 def evaluate(model: EncoderModel, dataset: Dataset, vocab: Vocab) -> float:
     """Argmax accuracy on a dataset; no calibration or post-processing."""
     ids, mask, labels = encode_dataset(vocab, dataset, model.config.max_seq_len)
-    ids, mask = _trim_padding(ids, mask)
     _, acc = _eval_arrays(model, ids, mask, labels)
     return acc
 
@@ -170,8 +162,6 @@ def train(
     max_len = model_config.max_seq_len
     train_ids, train_mask, train_labels = encode_dataset(vocab, train_set, max_len)
     val_ids, val_mask, val_labels = encode_dataset(vocab, val_set, max_len)
-    train_ids, train_mask = _trim_padding(train_ids, train_mask)
-    val_ids, val_mask = _trim_padding(val_ids, val_mask)
 
     init_ss, dropout_ss, shuffle_ss = np.random.SeedSequence(train_config.seed).spawn(3)
     model = EncoderModel(model_config, np.random.default_rng(init_ss))

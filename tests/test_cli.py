@@ -1,4 +1,5 @@
 """CLI commands: artifact emission, validation, determinism, sweep/probe shapes."""
+import csv
 import json
 import os
 import subprocess
@@ -236,6 +237,21 @@ class TestSweepCommand:
         assert "qffn_L2_frac1" in failures and "synthetic failure" in failures
         table = (out / "table.csv").read_text()
         assert "qffn,2," not in table and "qffn,1," in table
+
+    def test_failure_rows_are_csv_records(self, tmp_path, monkeypatch):
+        config, _ = self.sweep_config(tmp_path)
+        real_train = cli.train
+        message = "non-finite loss nan at epoch 1, step 0"
+
+        def diverging_train(model_cfg, train_cfg, *args, **kwargs):
+            if model_cfg.pqc_layers == 2 and train_cfg.fraction == 1.0:
+                raise TrainingDiverged(message)
+            return real_train(model_cfg, train_cfg, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", diverging_train)
+        assert cmd_sweep(config) == 1
+        with open(tmp_path / "out" / "failures.csv", newline="") as f:
+            assert list(csv.reader(f)) == [["cell", "error"], ["qffn_L2_frac1", message]]
 
     def test_interrupted_grid_keeps_the_finished_rows(self, tmp_path, monkeypatch):
         config, _ = self.sweep_config(tmp_path)

@@ -1,6 +1,7 @@
 """Encoder forward/backward, parameter accounting, and the weight archive."""
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -320,6 +321,30 @@ class TestRowSkip:
             "layers.1." + n for n in ["attn.wq", "attn.wk", "attn.wv", "attn.bo", "ln1_b", "ln2_g", *ffn]
         ]
         assert_matches_finite_differences(model, ids, mask, labels, check)
+
+    @pytest.mark.parametrize("kind", list(FfnKind))
+    def test_all_pad_columns_change_nothing(self, kind):
+        # Three more all-pad columns leave the row set, and so every grid and
+        # dropout mask, as they were: W = 4 for padded_batch either way.
+        config = replace(micro_config(kind, pqc_layers=2), max_seq_len=9)
+        model = spread_model(config, seed=61)
+        ids, mask, labels = padded_batch(seed=62)
+        wide_ids = np.pad(ids, ((0, 0), (0, 3)))
+        wide_mask = np.pad(mask, ((0, 0), (0, 3)))
+        np.testing.assert_array_equal(model_forward(model, wide_ids, wide_mask), model_forward(model, ids, mask))
+        batch, width, hidden = ids.shape[0], 4, config.hidden
+        for dropout in (0.0, 0.2):
+            model.config.dropout = dropout
+            rng, wide_rng, want_rng = (np.random.default_rng(63) for _ in range(3))
+            loss, grads = model_backward(model, ids, mask, labels, rng=rng)
+            wide_loss, wide_grads = model_backward(model, wide_ids, wide_mask, labels, rng=wide_rng)
+            assert wide_loss == loss
+            for name in grads:
+                np.testing.assert_array_equal(wide_grads[name], grads[name], err_msg=name)
+            if dropout:
+                want_rng.random(2 * config.num_layers * batch * width * hidden)
+            assert rng.bit_generator.state == want_rng.bit_generator.state
+            assert wide_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_gradients_into_masked_rows_are_zero(self):
         model = spread_model(micro_config(num_layers=3), seed=47)

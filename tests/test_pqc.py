@@ -80,6 +80,26 @@ class TestParamCount:
         with pytest.raises(ValueError):
             PqcConfig(Ansatz.OPTIMIZED, 0)
 
+    def test_string_variant_is_the_ansatz_it_names(self):
+        config = PqcConfig("optimized", 4)
+        assert config.variant is Ansatz.OPTIMIZED
+        assert config == PqcConfig(Ansatz.OPTIMIZED, 4)
+        assert pqc_param_count(config) == 32
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(("quantum", 2), "variant must be one of", id="unknown-variant"),
+            pytest.param((Ansatz.OPTIMIZED, 2.5), "num_layers must be an integer", id="fractional-depth"),
+            pytest.param((Ansatz.OPTIMIZED, True), "num_layers must be an integer", id="bool-depth"),
+            pytest.param((Ansatz.VANILLA, 2, 4.0), "num_qubits must be an integer", id="float-width"),
+            pytest.param((Ansatz.VANILLA, 2, True), "num_qubits must be an integer", id="bool-width"),
+        ],
+    )
+    def test_bad_field_is_named(self, args, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            PqcConfig(*args)
+
 
 class TestForward:
     def test_optimized_identity_point(self):
