@@ -46,21 +46,20 @@ training batch or an evaluation pass runs one block with one theta. So
 kernel's fused gates and keeps B_k for each angle k, the state before its
 qubit's fused RY @ RZ for an RZ angle and after it for an RY angle. That is
 the circuit before rotation k followed only by gates that commute with its
-Pauli P_k, and R_k(+-pi/2) = (I -+ i P_k) / sqrt(2) commutes with its gate
-too, so each shifted unitary is
-U B_k^H R_k(+-pi/2) B_k = (U -+ i U B_k^H P_k B_k) / sqrt(2): one product per
-angle for both signs. A call multiplies phi(x) by U and by every shifted
-unitary, and each input-shifted phi(x +- pi/2 e_q) by U: the kernel's rows, in
-its order, with its difference formula. Both calls form the value by the same
-matmul, U @ phi(x), so it is bitwise one.
+Pauli P_k, so dU/dtheta_k = -T_k / 2 with T_k = i U B_k^H P_k B_k: one product
+per angle. The parameter-shift difference of a Pauli rotation is this
+derivative exactly. With psi = U phi(x), the value's own product in both
+calls, so it is bitwise one, the Jacobians are
+jac_theta[q, k] = -Re psi^H Z_q T_k phi(x) and, since
+d phi / dx_j = phi(x + pi e_j) / 2, jac_x[q, j] = Re psi^H Z_q U phi(x + pi e_j).
 
 The last compilation is one entry: the config, theta's bytes (so -0.0 differs
-from 0.0 and an in-place update always misses) and the read-only unitaries. A
+from 0.0 and an in-place update always misses) and the read-only matrices. A
 forward call compiles U alone, and a gradient call replaces that entry with
-the full stack; U is the sweep's last state in both, so results do not depend
+U and every T_k; U is the sweep's last state in both, so results do not depend
 on call history. One entry, since a training step compiles four times (two
 encoder layers, forward then backward) and every Adam step changes theta; it
-holds 1 + 16L unitaries, 530 KB at depth 8.
+holds 1 + 8L matrices, 270 KB at depth 8.
 
 ``pqc_gradients`` stays on the kernel: it is the reference the compiled path
 is tested against, and the probe draws a fresh theta for every call, which a
@@ -77,7 +76,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevector import StateVector, cnot_permutation, cz_signs, rotate_rows, z_readout
+from .statevector import StateVector, cnot_permutation, cz_signs, rotate_rows, z_readout, z_signs
 
 SHIFT = np.pi / 2.0
 # Eight times the paper's deepest circuit; a shifted batch then has 1 + 2 * 516 rows.
@@ -265,58 +264,39 @@ def _generators(config: PqcConfig) -> np.ndarray:
     return generators
 
 
-def _compile(config: PqcConfig, theta: np.ndarray, shifted: bool) -> np.ndarray:
-    """U(theta) as [1, 2**nq, 2**nq]; with ``shifted``, followed by
-    U(theta + pi/2 e_k) and U(theta - pi/2 e_k) for every k, in ``_shift_tables``
-    row order: [1 + 2P, 2**nq, 2**nq]. U is the identity's ``_sweep`` through the
-    kernel's gates either way; ``states`` yields each B_k (see the module docstring)."""
+def _compile(config: PqcConfig, theta: np.ndarray, derivatives: bool) -> np.ndarray:
+    """U(theta) as [1, 2**nq, 2**nq]; with ``derivatives``, followed by every
+    T_k = i U B_k^H P_k B_k = -2 dU/dtheta_k: [1 + P, 2**nq, 2**nq]. U is the
+    identity's ``_sweep`` through the kernel's gates either way; ``states``
+    yields each B_k (see the module docstring)."""
     nq = config.num_qubits
     gates, eye = _layer_rotations(config, theta[None], None), np.eye(2**nq, dtype=np.complex128)
-    states = [] if shifted else None
+    states = [] if derivatives else None
     unitary = _sweep(config, gates, eye, states)
-    if not shifted:
+    if not derivatives:
         return unitary[None]
     # (before, after) per layer and qubit -> per layer, every qubit's before (RZ), then every qubit's after (RY)
     kept = np.array(states).reshape(config.num_layers, nq, 2, -1).swapaxes(1, 2).reshape(theta.size, 2**nq, 2**nq)
-    turned = 1j * ((unitary @ kept.conj().swapaxes(1, 2)) @ (_generators(config) @ kept))  # i U B_k^H P_k B_k
-    out = np.empty((1 + 2 * theta.size, 2**nq, 2**nq), dtype=np.complex128)
-    out[0] = unitary
-    np.subtract(unitary, turned, out=out[1::2])
-    np.add(unitary, turned, out=out[2::2])
-    out[1:] *= np.sqrt(0.5)
-    return out
+    turned = 1j * ((unitary @ kept.conj().swapaxes(1, 2)) @ (_generators(config) @ kept))
+    return np.concatenate((unitary[None], turned))
 
 
 # The last optimized circuit compiled: (config, the bytes of its theta, the
-# unitaries), replaced whole so a concurrent reader always sees one entry.
+# matrices), replaced whole so a concurrent reader always sees one entry.
 _last_compiled: tuple[PqcConfig, bytes, np.ndarray] | None = None
 
 
-def _compiled(config: PqcConfig, theta: np.ndarray, shifted: bool) -> np.ndarray:
-    """``_compile``'s unitaries, read-only, from the cache while theta's bytes and
-    the config are unchanged; an entry holding U alone is rebuilt for ``shifted``."""
+def _compiled(config: PqcConfig, theta: np.ndarray, derivatives: bool) -> np.ndarray:
+    """``_compile``'s matrices, read-only, from the cache while theta's bytes and
+    the config are unchanged; an entry holding U alone is rebuilt for ``derivatives``."""
     global _last_compiled
     key, last = theta.tobytes(), _last_compiled
-    if last is not None and last[1] == key and last[0] == config and (len(last[2]) > 1 or not shifted):
+    if last is not None and last[1] == key and last[0] == config and (len(last[2]) > 1 or not derivatives):
         return last[2]
-    unitaries = _compile(config, theta, shifted)
-    unitaries.setflags(write=False)
-    _last_compiled = (config, key, unitaries)
-    return unitaries
-
-
-def _compiled_amplitudes(config: PqcConfig, theta: np.ndarray, x: np.ndarray, shifted: bool) -> np.ndarray:
-    """Rows-last amplitudes of the compiled circuit at (theta, x), [2**nq, 1];
-    with ``shifted``, every row of the parameter-shift batch, [2**nq, R]."""
-    unitaries = _compiled(config, theta, shifted)
-    state = _product_states(x[None])
-    amps = unitaries[0] @ state  # the same product in both modes: the value is bitwise one
-    if not shifted:
-        return amps
-    input_shifts = _shift_tables(config)[1][1 + 2 * theta.size :, 0]
-    return np.concatenate(
-        (amps, (unitaries[1:] @ state)[:, :, 0].T, unitaries[0] @ _product_states(x + input_shifts)), axis=1
-    )
+    matrices = _compile(config, theta, derivatives)
+    matrices.setflags(write=False)
+    _last_compiled = (config, key, matrices)
+    return matrices
 
 
 # --- public entry points ----------------------------------------------------
@@ -327,7 +307,7 @@ def pqc_forward(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarr
     if config.variant is Ansatz.VANILLA:
         return _z_readout(_single_row(config, theta, x), config.num_qubits)[0]
     theta, x = _check_shapes(config, theta, x)
-    return _z_readout(_compiled_amplitudes(config, theta, x, shifted=False), config.num_qubits)[0]
+    return _z_readout(_compiled(config, theta, False)[0] @ _product_states(x[None]), config.num_qubits)[0]
 
 
 def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> StateVector:
@@ -372,15 +352,20 @@ def pqc_value_and_gradients(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Forward value plus exact Jacobians w.r.t. theta and the input angles.
 
-    Returns ``(value[nq], jac_theta[nq, P], jac_x[nq, nq])`` from one baseline
-    circuit plus two per shifted angle occurrence: the compiled unitaries for
-    the optimized ansatz, one kernel batch for vanilla.
+    Returns ``(value[nq], jac_theta[nq, P], jac_x[nq, nq])``: for vanilla from
+    one kernel batch of a baseline circuit plus two per shifted angle
+    occurrence; for the optimized ansatz from the compiled U and T_k (see the
+    module docstring).
     """
     theta, x = _check_shapes(config, theta, x)
     if config.variant is Ansatz.VANILLA:
         return _shift_jacobians(config, _kernel_shift_readout(config, theta, x))
-    out = _z_readout(_compiled_amplitudes(config, theta, x, shifted=True), config.num_qubits)
-    return _shift_jacobians(config, out)
+    nq, compiled, state = config.num_qubits, _compiled(config, theta, True), _product_states(x[None])
+    psi = compiled[0] @ state  # the forward's own product: the value is bitwise one
+    signed = z_signs(nq) * psi.conj()
+    jac_theta = -(signed.T @ (compiled[1:] @ state[:, 0]).T).real
+    jac_x = (signed.T @ (compiled[0] @ _product_states(x + np.pi * np.eye(nq)))).real
+    return _z_readout(psi, nq)[0], jac_theta, jac_x
 
 
 def pqc_gradients(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

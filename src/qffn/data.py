@@ -12,6 +12,7 @@ is applied.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +24,11 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 _MAX_WORD_CHARS = 100
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass
 class Dataset:
     examples: list[tuple[str, int]]
@@ -30,13 +36,17 @@ class Dataset:
     split: str = ""
 
     def __post_init__(self):
+        if not _is_integer(self.num_classes):
+            raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
         if not self.examples:
             raise ValueError("dataset must not be empty")
-        for text, label in self.examples:
+        for i, (text, label) in enumerate(self.examples):
+            if not isinstance(text, str):
+                raise ValueError(f"examples[{i}] text must be a str, got {text!r}")
+            if not _is_integer(label):
+                raise ValueError(f"examples[{i}] label must be an integer, got {label!r}")
             if not 0 <= label < self.num_classes:
-                raise ValueError(
-                    f"label {label} out of range for {self.num_classes} classes"
-                )
+                raise ValueError(f"examples[{i}] label {label} out of range for {self.num_classes} classes")
 
     def __len__(self):
         return len(self.examples)

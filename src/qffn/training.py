@@ -127,6 +127,8 @@ def _eval_arrays(model, ids, mask, labels, batch_size=64):
 
 def evaluate(model: EncoderModel, dataset: Dataset, vocab: Vocab) -> float:
     """Argmax accuracy on a dataset; no calibration or post-processing."""
+    if dataset.num_classes > model.config.num_classes:
+        raise ValueError("dataset has more classes than the model")
     ids, mask, labels = encode_dataset(vocab, dataset, model.config.max_seq_len)
     _, acc = _eval_arrays(model, ids, mask, labels)
     return acc

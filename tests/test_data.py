@@ -226,3 +226,22 @@ class TestDataset:
     def test_rejects_out_of_range_label(self):
         with pytest.raises(ValueError):
             Dataset([("x", 2)], 2)
+
+    @pytest.mark.parametrize(
+        "examples, num_classes, named",
+        [
+            ([("a", 0), ("b", 1.7)], 2, r"examples\[1\] label"),
+            ([("a", True)], 2, r"examples\[0\] label"),
+            ([("a", 0), (123, 0)], 2, r"examples\[1\] text"),
+            ([("a", 0)], 2.5, "num_classes"),
+            ([("a", 0)], True, "num_classes"),
+        ],
+        ids=["float-label", "bool-label", "int-text", "float-classes", "bool-classes"],
+    )
+    def test_bad_field_is_named(self, examples, num_classes, named):
+        with pytest.raises(ValueError, match=named):
+            Dataset(examples, num_classes)
+
+    def test_numpy_integers_accepted(self):
+        data = Dataset([("a", np.int64(1)), ("b", np.int32(0))], np.int64(2))
+        assert data.labels().tolist() == [1, 0]

@@ -366,11 +366,14 @@ class TestCompiledUnitaries:
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     def test_every_unitary_matches_the_dense_oracle(self, config):
         theta = init_pqc_params(config, np.random.default_rng(641 + config.num_layers))
-        compiled = circuits._compile(config, theta, shifted=True)
+        compiled = circuits._compile(config, theta, derivatives=True)
         shifts = 0.5 * np.pi * np.eye(theta.size)
         expected = [dense_optimized_unitary(config.num_layers, theta)]
-        for shift in shifts:  # entries 1 + 2k and 2 + 2k
-            expected += [dense_optimized_unitary(config.num_layers, theta + s) for s in (shift, -shift)]
-        assert compiled.shape == (1 + 2 * theta.size, 16, 16)
+        for shift in shifts:  # entry 1 + k: T_k = -2 dU/dtheta_k, by parameter shift
+            minus, plus = (dense_optimized_unitary(config.num_layers, theta + s) for s in (-shift, shift))
+            expected.append((minus - plus) / np.sqrt(2.0))
+        assert compiled.shape == (1 + theta.size, 16, 16)
         assert np.max(np.abs(compiled - np.array(expected))) <= 1e-12
-        assert circuits._compile(config, theta, shifted=False).tobytes() == compiled[:1].tobytes()
+        assert circuits._compile(config, theta, derivatives=False).tobytes() == compiled[:1].tobytes()
+        circuits.pqc_value_and_gradients(config, theta, np.zeros(config.num_qubits))
+        assert len(circuits._last_compiled[2]) == 1 + theta.size

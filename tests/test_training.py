@@ -169,6 +169,13 @@ class TestEvaluate:
             accs.append(evaluate(EncoderModel(mc, seed=seed), data, vocab))
         assert abs(np.mean(accs) - 1 / 14) < 0.05
 
+    def test_more_dataset_classes_than_the_model_rejected(self):
+        data = synth_generate(30, 3, seed=3)
+        vocab = build_vocab(data)
+        model = EncoderModel(ModelConfig(vocab_size=len(vocab), **TINY_MODEL), seed=0)
+        with pytest.raises(ValueError, match="dataset has more classes than the model"):
+            evaluate(model, data, vocab)
+
 
 class TestAdam:
     def test_zero_gradient_leaves_fresh_weights_unchanged(self):
