@@ -22,14 +22,14 @@ Flat parameter layout (radians):
     vanilla:   theta[4k + q]     -> RY angle, layer k, qubit q
 
 Gradients use the parameter-shift rule, df/dt = (f(t + pi/2) - f(t - pi/2)) / 2,
-which is exact for the RY/RZ rotations used here. An input angle that is
-encoded more than once (vanilla) gets one shift pair per occurrence, summed.
-All shifted circuits share one gate sequence and differ only in angles, so
-the batched kernel ``_run_batch`` simulates them together as rows of one
-amplitude matrix. Per call it computes the trig of every row's angles at once,
-fuses each qubit's rotations between two entanglers into one 2x2 per row
-(RY @ RZ; in vanilla, the trainable RY and the next layer's encoding RY),
-applies each layer's entangler as one compiled basis permutation or sign
+which is exact for the RY/RZ rotations used here. Each theta and each input
+angle of the first encoding gets one shift pair. Every later vanilla encoding
+of x_q shares one RY with a theta (``_angles``), so jac_x adds that theta's
+column. All shifted circuits share one gate sequence and differ only in
+angles, so the batched kernel ``_run_batch`` simulates them together as rows
+of one amplitude matrix. Per call it computes the trig of every row's angles
+at once, fuses each qubit's rotations between two entanglers into one 2x2 per
+row (RY @ RZ in the optimized ansatz), applies each layer's entangler as one compiled basis permutation or sign
 vector, and reads every <Z_q> out with one contraction. The gates are the
 rows-last primitives of ``statevector``, which the register simulator runs
 too, so its dense-matrix checks cover this kernel. Rows never interact, and
@@ -53,13 +53,13 @@ calls, so it is bitwise one, the Jacobians are
 jac_theta[q, k] = -Re psi^H Z_q T_k phi(x) and, since
 d phi / dx_j = phi(x + pi e_j) / 2, jac_x[q, j] = Re psi^H Z_q U phi(x + pi e_j).
 
-The last compilation is one entry: the config, theta's bytes (so -0.0 differs
-from 0.0 and an in-place update always misses) and the read-only matrices. A
-forward call compiles U alone, and a gradient call replaces that entry with
-U and every T_k; U is the sweep's last state in both, so results do not depend
-on call history. One entry, since a training step compiles four times (two
-encoder layers, forward then backward) and every Adam step changes theta; it
-holds 1 + 8L matrices, 270 KB at depth 8.
+``_compiled`` caches one compilation, keyed by the config, theta's bytes (so
+-0.0 differs from 0.0 and an in-place update always misses) and whether the
+T_k are wanted: a forward call compiles U alone, a gradient call U and every
+T_k. U is the sweep's last state in both, so results do not depend on call
+history. One entry, since a training step compiles four times (two encoder
+layers, forward then backward) and every Adam step changes theta; it holds
+1 + 8L read-only matrices, 270 KB at depth 8.
 
 ``pqc_gradients`` stays on the kernel: it is the reference the compiled path
 is tested against, and the probe draws a fresh theta for every call, which a
@@ -73,6 +73,7 @@ import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -90,25 +91,21 @@ class Ansatz(str, Enum):
 
 @dataclass(frozen=True)
 class PqcConfig:
-    """Ansatz variant, depth (number of stacked layers), and register width."""
+    """Ansatz variant and depth (number of stacked layers); the register is 4 qubits wide."""
 
     variant: Ansatz
     num_layers: int
-    num_qubits: int = 4
+    num_qubits: ClassVar[int] = 4
 
     def __post_init__(self):
         try:  # the variant is tested by identity, which a str fails
             object.__setattr__(self, "variant", Ansatz(self.variant))
         except ValueError:
             raise ValueError(f"variant must be one of {[a.value for a in Ansatz]}, got {self.variant!r}") from None
-        for name in ("num_layers", "num_qubits"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.num_layers, bool) or not isinstance(self.num_layers, numbers.Integral):
+            raise ValueError(f"num_layers must be an integer, got {self.num_layers!r}")
         if not 1 <= self.num_layers <= MAX_PQC_LAYERS:
             raise ValueError(f"num_layers must be in 1..{MAX_PQC_LAYERS}, got {self.num_layers}")
-        if self.num_qubits < 2:
-            raise ValueError(f"num_qubits must be >= 2, got {self.num_qubits}")
 
 
 def layer_entangler(layer_index: int, num_qubits: int = 4) -> list[tuple[str, int, int]]:
@@ -135,10 +132,6 @@ def init_pqc_params(config: PqcConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-np.pi, np.pi, size=pqc_param_count(config))
 
 
-def _encoding_layers(config: PqcConfig) -> int:
-    return 1 if config.variant is Ansatz.OPTIMIZED else config.num_layers
-
-
 # --- batched amplitude kernel: independent circuits, one per row ------------
 
 
@@ -163,21 +156,31 @@ def _compiled_entangler(num_qubits: int, layer_index: int):
     )
 
 
-def _layer_rotations(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
-    """Per layer and qubit, the 2x2 rotation of every row that follows the entangler.
+def _angles(config: PqcConfig, thetas: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Every row's rotation angles [C, P], in theta's layout, from thetas [C, P]
+    and the input x ([nq] or [C, nq]).
 
-    Optimized layers apply RZ then RY, fused into RY @ RZ. In the vanilla
-    ansatz the trainable RY of layer k is followed by the re-encoding RY of
-    layer k + 1 with nothing in between, so the two merge into one RY of the
-    summed angle. Returns [2 (out), 2 (in), L, nq, C].
+    In the vanilla ansatz the trainable RY of layer k is followed by the
+    re-encoding RY of layer k + 1 with nothing in between, so the two merge
+    into one RY of the angle theta + x; the optimized angles are theta alone.
     """
-    rows, layers, nq = thetas.shape[0], config.num_layers, config.num_qubits
+    if config.variant is Ansatz.OPTIMIZED:
+        return thetas
+    angles = thetas.reshape(len(thetas), config.num_layers, config.num_qubits).copy()
+    angles[:, :-1] += x[..., None, :]
+    return angles.reshape(thetas.shape)
+
+
+def _layer_rotations(config: PqcConfig, angles: np.ndarray) -> np.ndarray:
+    """Per layer and qubit, the 2x2 rotation of every row of ``_angles`` that
+    follows the entangler: RY in vanilla, RZ then RY fused into RY @ RZ in the
+    optimized ansatz. Returns [2 (out), 2 (in), L, nq, C]."""
+    rows, layers, nq = angles.shape[0], config.num_layers, config.num_qubits
     if config.variant is Ansatz.VANILLA:
-        angles = thetas.T.reshape(layers, nq, rows).copy()
-        angles[:-1] += encodings[:, 1:].transpose(1, 2, 0)
-        cos, sin = np.cos(0.5 * angles), np.sin(0.5 * angles)
+        half = 0.5 * angles.T.reshape(layers, nq, rows)
+        cos, sin = np.cos(half), np.sin(half)
         return np.array((cos, -sin, sin, cos)).reshape(2, 2, layers, nq, rows)
-    angles = thetas.T.reshape(layers, 2, nq, rows)
+    angles = angles.T.reshape(layers, 2, nq, rows)
     phase = np.exp(-0.5j * angles[:, 0])
     cos, sin = np.cos(0.5 * angles[:, 1]), np.sin(0.5 * angles[:, 1])
     conj = phase.conj()
@@ -215,16 +218,14 @@ def _sweep(config: PqcConfig, gates: np.ndarray, amps: np.ndarray, states: list 
     return amps
 
 
-def _run_batch(config: PqcConfig, thetas: np.ndarray, encodings: np.ndarray) -> np.ndarray:
-    """Simulate one circuit per row: thetas [C, P], encodings [C, E, nq].
+def _run_batch(config: PqcConfig, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Simulate one circuit per row: angles [C, P] from ``_angles``, and x
+    [C, nq], the input that the first encoding puts on |0...0>.
 
-    ``encodings`` carries one row per encoding event (a single event for the
-    optimized ansatz, one per layer for vanilla) so that gradient code can
-    shift individual encoding occurrences. Returns the rows-last amplitudes
-    [2**nq, C]: complex for the optimized ansatz, real for vanilla, whose RY
-    and CNOT gates are real. The first encoding acts on |0...0>.
+    Returns the rows-last amplitudes [2**nq, C]: complex for the optimized
+    ansatz, real for vanilla, whose RY and CNOT gates are real.
     """
-    return _sweep(config, _layer_rotations(config, thetas, encodings), _product_states(encodings[:, 0]))
+    return _sweep(config, _layer_rotations(config, angles), _product_states(x))
 
 
 _z_readout = z_readout  # per-qubit <Z> [C, nq] of rows-last amplitudes [2**nq, C]
@@ -243,8 +244,7 @@ def _check_shapes(config, theta, x):
 
 def _single_row(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     theta, x = _check_shapes(config, theta, x)
-    encodings = np.tile(x, (1, _encoding_layers(config), 1))
-    return _run_batch(config, theta[None, :], encodings)
+    return _run_batch(config, _angles(config, theta[None], x), x[None])
 
 
 # --- the optimized circuit compiled to unitaries, once per theta -------------
@@ -270,7 +270,7 @@ def _compile(config: PqcConfig, theta: np.ndarray, derivatives: bool) -> np.ndar
     identity's ``_sweep`` through the kernel's gates either way; ``states``
     yields each B_k (see the module docstring)."""
     nq = config.num_qubits
-    gates, eye = _layer_rotations(config, theta[None], None), np.eye(2**nq, dtype=np.complex128)
+    gates, eye = _layer_rotations(config, theta[None]), np.eye(2**nq, dtype=np.complex128)
     states = [] if derivatives else None
     unitary = _sweep(config, gates, eye, states)
     if not derivatives:
@@ -281,21 +281,12 @@ def _compile(config: PqcConfig, theta: np.ndarray, derivatives: bool) -> np.ndar
     return np.concatenate((unitary[None], turned))
 
 
-# The last optimized circuit compiled: (config, the bytes of its theta, the
-# matrices), replaced whole so a concurrent reader always sees one entry.
-_last_compiled: tuple[PqcConfig, bytes, np.ndarray] | None = None
-
-
-def _compiled(config: PqcConfig, theta: np.ndarray, derivatives: bool) -> np.ndarray:
-    """``_compile``'s matrices, read-only, from the cache while theta's bytes and
-    the config are unchanged; an entry holding U alone is rebuilt for ``derivatives``."""
-    global _last_compiled
-    key, last = theta.tobytes(), _last_compiled
-    if last is not None and last[1] == key and last[0] == config and (len(last[2]) > 1 or not derivatives):
-        return last[2]
-    matrices = _compile(config, theta, derivatives)
+@lru_cache(maxsize=1)
+def _compiled(config: PqcConfig, theta_bytes: bytes, derivatives: bool) -> np.ndarray:
+    """``_compile``'s matrices, read-only, for the theta whose float64 bytes are
+    ``theta_bytes``; the last call's are reused while its arguments repeat."""
+    matrices = _compile(config, np.frombuffer(theta_bytes), derivatives)
     matrices.setflags(write=False)
-    _last_compiled = (config, key, matrices)
     return matrices
 
 
@@ -307,7 +298,8 @@ def pqc_forward(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarr
     if config.variant is Ansatz.VANILLA:
         return _z_readout(_single_row(config, theta, x), config.num_qubits)[0]
     theta, x = _check_shapes(config, theta, x)
-    return _z_readout(_compiled(config, theta, False)[0] @ _product_states(x[None]), config.num_qubits)[0]
+    unitary = _compiled(config, theta.tobytes(), False)[0]
+    return _z_readout(unitary @ _product_states(x[None]), config.num_qubits)[0]
 
 
 def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> StateVector:
@@ -317,34 +309,32 @@ def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> Stat
 
 
 @lru_cache(maxsize=None)
-def _shift_tables(config: PqcConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Row offsets of one parameter-shift batch: thetas [R, P], encodings [R, E, nq].
-
-    Row 0 is the unshifted circuit; then every angle occurrence (each theta,
-    then each encoding event's input angle) gets a +pi/2 row and a -pi/2 row.
-    """
-    p = pqc_param_count(config)
-    occurrences = p + _encoding_layers(config) * config.num_qubits
+def _shift_table(config: PqcConfig) -> np.ndarray:
+    """Row offsets of one parameter-shift batch over (theta, x): [1 + 2K, K],
+    K = P + nq. Row 0 is the unshifted circuit; then each theta, then each
+    input angle of the first encoding, gets a +pi/2 row and a -pi/2 row."""
+    occurrences = pqc_param_count(config) + config.num_qubits
     offsets = np.zeros((1 + 2 * occurrences, occurrences))
     offsets[1::2] = SHIFT * np.eye(occurrences)
     offsets[2::2] = -SHIFT * np.eye(occurrences)
     offsets.setflags(write=False)
-    return offsets[:, :p], offsets[:, p:].reshape(len(offsets), -1, config.num_qubits)
+    return offsets
 
 
-def _kernel_shift_readout(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<Z> of every row of the parameter-shift batch, simulated by the kernel: [R, nq]."""
-    theta_shifts, encoding_shifts = _shift_tables(config)
-    return _z_readout(_run_batch(config, theta + theta_shifts, x + encoding_shifts), config.num_qubits)
-
-
-def _shift_jacobians(config: PqcConfig, out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(value, jac_theta, jac_x)`` from the readout of a parameter-shift batch."""
+def _shift_gradients(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(value, jac_theta, jac_x)`` from one kernel batch of ``_shift_table``'s
+    rows. In vanilla, x's encoding in layer k + 1 is part of theta's RY in layer
+    k, so jac_x also adds jac_theta's columns of layers 0..L-2."""
     nq, p = config.num_qubits, pqc_param_count(config)
+    offsets = _shift_table(config)
+    angles = _angles(config, theta + offsets[:, :p], x)
+    out = _z_readout(_run_batch(config, angles, x + offsets[:, p:]), nq)
     shifts = out[1:].reshape(-1, 2, nq)
-    diffs = 0.5 * (shifts[:, 0, :] - shifts[:, 1, :])  # [K, nq]
-    jac_x = diffs[p:].reshape(-1, nq, nq).sum(axis=0).T  # summed over encoding events
-    return out[0], diffs[:p].T.copy(), jac_x
+    diffs = 0.5 * (shifts[:, 0, :] - shifts[:, 1, :])  # [P + nq, nq]
+    jac_theta, jac_x = diffs[:p].T.copy(), diffs[p:].T
+    if config.variant is Ansatz.VANILLA:
+        jac_x = jac_x + jac_theta[:, :-nq].reshape(nq, config.num_layers - 1, nq).sum(axis=1)
+    return out[0], jac_theta, jac_x
 
 
 def pqc_value_and_gradients(
@@ -353,14 +343,13 @@ def pqc_value_and_gradients(
     """Forward value plus exact Jacobians w.r.t. theta and the input angles.
 
     Returns ``(value[nq], jac_theta[nq, P], jac_x[nq, nq])``: for vanilla from
-    one kernel batch of a baseline circuit plus two per shifted angle
-    occurrence; for the optimized ansatz from the compiled U and T_k (see the
-    module docstring).
+    ``_shift_gradients``' kernel batch; for the optimized ansatz from the
+    compiled U and T_k (see the module docstring).
     """
     theta, x = _check_shapes(config, theta, x)
     if config.variant is Ansatz.VANILLA:
-        return _shift_jacobians(config, _kernel_shift_readout(config, theta, x))
-    nq, compiled, state = config.num_qubits, _compiled(config, theta, True), _product_states(x[None])
+        return _shift_gradients(config, theta, x)
+    nq, compiled, state = config.num_qubits, _compiled(config, theta.tobytes(), True), _product_states(x[None])
     psi = compiled[0] @ state  # the forward's own product: the value is bitwise one
     signed = z_signs(nq) * psi.conj()
     jac_theta = -(signed.T @ (compiled[1:] @ state[:, 0]).T).real
@@ -374,5 +363,5 @@ def pqc_gradients(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> tuple[
     against, whose rows the probe's simulation count checks, and for a theta
     used once about 0.5-0.7x the time of a compile and its readout."""
     theta, x = _check_shapes(config, theta, x)
-    _, jac_theta, jac_x = _shift_jacobians(config, _kernel_shift_readout(config, theta, x))
+    _, jac_theta, jac_x = _shift_gradients(config, theta, x)
     return jac_theta, jac_x

@@ -663,11 +663,13 @@ def load_model(directory) -> EncoderModel:
             raise ValueError(f"tensor {name} shape must list non-negative ints, got {shape}")
         if size != 4 * math.prod(shape):
             raise ValueError(f"tensor {name} has size {size}, expected {4 * math.prod(shape)} bytes")
-        if offset < 0 or offset + size > len(blob):
+        if offset != end:  # save_model writes the tensors back to back from byte 0
+            raise ValueError(f"tensor {name} starts at byte {offset}, expected {end}, where the previous one ends")
+        if offset + size > len(blob):
             raise ValueError(
                 f"tensor {name} spans bytes [{offset}, {offset + size}) of a {len(blob)}-byte blob"
             )
-        end = max(end, offset + size)
+        end = offset + size
     config_doc = manifest["config"]
     known = {f.name for f in fields(ModelConfig)}
     required = {f.name for f in fields(ModelConfig) if f.default is MISSING}

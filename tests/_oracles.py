@@ -75,7 +75,8 @@ def dense_ansatz_output(variant, num_layers, theta, x):
     Re-derives the circuit structure from its documented definition: optimized
     encodes once then per layer applies the alternating entangler (CNOT ring on
     even layers, CZ(0,2) CZ(1,3) on odd) and RZ-then-RY rotations; vanilla
-    re-encodes every layer, applies the CNOT ring, then RY rotations.
+    re-encodes every layer, applies the CNOT ring, then RY rotations. For
+    vanilla, x may also be [num_layers, 4]: row k is the input layer k encodes.
     """
     n = 4
     ring = [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -98,8 +99,9 @@ def dense_ansatz_output(variant, num_layers, theta, x):
             psi = apply(_rotation_layer(n, [rz_matrix(theta[base + q]) for q in range(n)]), psi)
             psi = apply(_rotation_layer(n, [ry_matrix(theta[base + 4 + q]) for q in range(n)]), psi)
     elif variant == "vanilla":
+        inputs = np.broadcast_to(x, (num_layers, n))
         for layer in range(num_layers):
-            psi = apply(_rotation_layer(n, [ry_matrix(xi) for xi in x]), psi)
+            psi = apply(_rotation_layer(n, [ry_matrix(xi) for xi in inputs[layer]]), psi)
             for c, t in ring:
                 psi = apply(cnot_op(n, c, t), psi)
             base = 4 * layer

@@ -578,6 +578,17 @@ class TestArchiveValidation:
         with pytest.raises(ValueError, match="cls_b"):
             load_model(directory)
 
+    @pytest.mark.parametrize("start", ["previous-start", "gap"])
+    def test_tensor_not_where_the_previous_one_ends(self, saved, start):
+        # every offset is in the blob, so only the layout check can catch this
+        directory, manifest = saved
+        tensors = manifest["tensors"]
+        i = next(i for i, t in enumerate(tensors) if t["name"] == "layers.0.ln1_g")
+        tensors[i]["offset"] = tensors[i - 1]["offset"] if start == "previous-start" else tensors[i]["offset"] + 4
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=re.escape("tensor layers.0.ln1_g starts at byte")):
+            load_model(directory)
+
     def test_trailing_bytes(self, saved):
         directory, _ = saved
         self.rewrite(directory, blob=(directory / "weights.bin").read_bytes() + bytes(4))

@@ -92,8 +92,6 @@ class TestParamCount:
             pytest.param(("quantum", 2), "variant must be one of", id="unknown-variant"),
             pytest.param((Ansatz.OPTIMIZED, 2.5), "num_layers must be an integer", id="fractional-depth"),
             pytest.param((Ansatz.OPTIMIZED, True), "num_layers must be an integer", id="bool-depth"),
-            pytest.param((Ansatz.VANILLA, 2, 4.0), "num_qubits must be an integer", id="float-width"),
-            pytest.param((Ansatz.VANILLA, 2, True), "num_qubits must be an integer", id="bool-width"),
         ],
     )
     def test_bad_field_is_named(self, args, message):
@@ -193,7 +191,7 @@ class TestGradients:
             (PqcConfig(Ansatz.OPTIMIZED, 1), 8 + 4),
             (PqcConfig(Ansatz.OPTIMIZED, 4), 32 + 4),
             (PqcConfig(Ansatz.VANILLA, 1), 4 + 4),
-            (PqcConfig(Ansatz.VANILLA, 4), 16 + 16),
+            (PqcConfig(Ansatz.VANILLA, 4), 16 + 4),
         ],
         ids=str,
     )
@@ -206,10 +204,31 @@ class TestGradients:
         monkeypatch.setattr(
             circuits,
             "_run_batch",
-            lambda cfg, thetas, encs: simulated.append(thetas.shape[0]) or original(cfg, thetas, encs),
+            lambda cfg, angles, xs: simulated.append(angles.shape[0]) or original(cfg, angles, xs),
         )
         pqc_gradients(config, theta, x)
         assert sum(simulated) == 1 + 2 * occurrences
+
+    @pytest.mark.parametrize("config", [c for c in ALL_CONFIGS if c.variant is Ansatz.VANILLA], ids=str)
+    def test_vanilla_jac_x_sums_every_encoding_occurrence(self, config):
+        # the dense oracle takes one x per layer, so each encoding occurrence
+        # is shifted on its own; dx_j is the sum of their differences
+        rng = np.random.default_rng(701 + config.num_layers)
+        for _ in range(3):
+            theta, x = random_angles(config, rng)
+            expected = np.zeros((4, 4))
+            for layer in range(config.num_layers):
+                for j in range(4):
+                    plus, minus = np.tile(x, (config.num_layers, 1)), np.tile(x, (config.num_layers, 1))
+                    plus[layer, j] += np.pi / 2
+                    minus[layer, j] -= np.pi / 2
+                    z_plus, _ = dense_ansatz_output("vanilla", config.num_layers, theta, plus)
+                    z_minus, _ = dense_ansatz_output("vanilla", config.num_layers, theta, minus)
+                    expected[:, j] += 0.5 * (z_plus - z_minus)
+            _, jac_x = pqc_gradients(config, theta, x)
+            _, _, paired_jac_x = pqc_value_and_gradients(config, theta, x)
+            assert np.max(np.abs(jac_x - expected)) <= 1e-12
+            assert np.max(np.abs(paired_jac_x - expected)) <= 1e-12
 
     def test_jacobian_shapes(self):
         config = PqcConfig(Ansatz.OPTIMIZED, 2)
@@ -229,10 +248,10 @@ class TestBatchKernel:
         rng = np.random.default_rng(503 + rows + config.num_layers)
         thetas = rng.uniform(-np.pi, np.pi, (rows, pqc_param_count(config)))
         xs = rng.uniform(-np.pi, np.pi, (rows, 4))
-        encodings = np.repeat(xs[:, None, :], circuits._encoding_layers(config), axis=1)
-        batch = circuits._z_readout(circuits._run_batch(config, thetas, encodings), 4)
+        angles = circuits._angles(config, thetas, xs)
+        batch = circuits._z_readout(circuits._run_batch(config, angles, xs), 4)
         for r in range(rows):
-            alone = circuits._z_readout(circuits._run_batch(config, thetas[r : r + 1], encodings[r : r + 1]), 4)
+            alone = circuits._z_readout(circuits._run_batch(config, angles[r : r + 1], xs[r : r + 1]), 4)
             np.testing.assert_array_equal(batch[r], alone[0])
             expected, _ = dense_ansatz_output(config.variant.value, config.num_layers, thetas[r], xs[r])
             assert np.max(np.abs(batch[r] - expected)) <= 1e-12
@@ -268,8 +287,8 @@ class TestCompiledCircuit:
     compiled for the last theta."""
 
     @pytest.fixture(autouse=True)
-    def empty_cache(self, monkeypatch):
-        monkeypatch.setattr(circuits, "_last_compiled", None)
+    def empty_cache(self):
+        circuits._compiled.cache_clear()
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     def test_values_and_jacobians_match_the_kernel(self, config):
@@ -290,16 +309,17 @@ class TestCompiledCircuit:
         theta, x = random_angles(config, rng)
         cold = []
         for call in order:
-            circuits._last_compiled = None
+            circuits._compiled.cache_clear()
             cold.append(result_bytes(call(config, theta, x)))
-        circuits._last_compiled = None
+        circuits._compiled.cache_clear()
         order[0](config, theta, rng.uniform(-np.pi, np.pi, 4))  # compiles theta at another input
-        first_build = circuits._last_compiled[2]
+        first_build = circuits._compiled(config, theta.tobytes(), order[0] is pqc_value_and_gradients)
         warm = [result_bytes(call(config, theta.copy(), x)) for call in order]
         assert warm == cold
-        # a gradient call rebuilds a forward-only entry; a forward call reuses a full one
-        assert (circuits._last_compiled[2] is first_build) == (order[0] is pqc_value_and_gradients)
-        assert circuits._last_compiled[2][0].tobytes() == first_build[0].tobytes()
+        # the first warm call reuses the build; the other call compiles its own
+        assert circuits._compiled.cache_info()[:2] == (2, 2)  # hits, misses
+        last_build = circuits._compiled(config, theta.tobytes(), order[1] is pqc_value_and_gradients)
+        assert last_build[0].tobytes() == first_build[0].tobytes()
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
@@ -309,7 +329,7 @@ class TestCompiledCircuit:
         before = result_bytes(call(config, theta, x))
         theta -= 1e-3 * rng.standard_normal(theta.size)  # like the Adam step
         after = result_bytes(call(config, theta, x))
-        circuits._last_compiled = None
+        circuits._compiled.cache_clear()
         assert after == result_bytes(call(config, theta.copy(), x))
         assert after != before
 
@@ -317,19 +337,21 @@ class TestCompiledCircuit:
     @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
     def test_signed_zero_is_a_different_key(self, config, call):
         theta, x = np.zeros(pqc_param_count(config)), np.full(4, 0.3)
+        derivatives = call is pqc_value_and_gradients
         call(config, theta, x)
-        entry = circuits._last_compiled
+        entry = circuits._compiled(config, theta.tobytes(), derivatives)
         theta[0] = -0.0  # equal as floats, not as bytes
         call(config, theta, x)
-        assert circuits._last_compiled is not entry
-        assert circuits._last_compiled[1] == theta.tobytes()
+        assert circuits._compiled.cache_info().misses == 2
+        assert circuits._compiled(config, theta.tobytes(), derivatives) is not entry
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
     def test_cached_arrays_are_read_only(self, config, call):
         theta, x = random_angles(config, np.random.default_rng(621))
         call(config, theta, x)
-        for cached in (circuits._last_compiled[2], circuits._generators(config)):
+        compiled = circuits._compiled(config, theta.tobytes(), call is pqc_value_and_gradients)
+        for cached in (compiled, circuits._generators(config)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[...] = 0.0
@@ -341,7 +363,7 @@ class TestCompiledCircuit:
         for i in range(6):
             theta, x = random_angles(config, rng)
             CIRCUIT_CALLS[i % 2](config, theta, x)
-            builds.append(weakref.ref(circuits._last_compiled[2]))
+            builds.append(weakref.ref(circuits._compiled(config, theta.tobytes(), i % 2 == 1)))
         gc.collect()
         assert [ref() is not None for ref in builds] == [False] * 5 + [True]
 
@@ -355,7 +377,7 @@ class TestCompiledCircuit:
         if config.variant is Ansatz.VANILLA:
             pqc_value_and_gradients(config, theta, x)
             pqc_forward(config, theta, x)
-        assert circuits._last_compiled is None
+        assert circuits._compiled.cache_info().misses == 0
 
 
 class TestCompiledUnitaries:
@@ -375,5 +397,7 @@ class TestCompiledUnitaries:
         assert compiled.shape == (1 + theta.size, 16, 16)
         assert np.max(np.abs(compiled - np.array(expected))) <= 1e-12
         assert circuits._compile(config, theta, derivatives=False).tobytes() == compiled[:1].tobytes()
+        circuits._compiled.cache_clear()
         circuits.pqc_value_and_gradients(config, theta, np.zeros(config.num_qubits))
-        assert len(circuits._last_compiled[2]) == 1 + theta.size
+        assert circuits._compiled(config, theta.tobytes(), True).tobytes() == compiled.tobytes()
+        assert circuits._compiled.cache_info()[:2] == (1, 1)  # hits, misses
