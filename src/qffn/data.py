@@ -38,9 +38,14 @@ class Dataset:
     def __post_init__(self):
         if not _is_integer(self.num_classes):
             raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
+        if not isinstance(self.examples, list):
+            raise ValueError(f"examples must be a list, got {type(self.examples).__name__}")
         if not self.examples:
-            raise ValueError("dataset must not be empty")
-        for i, (text, label) in enumerate(self.examples):
+            raise ValueError("examples must not be empty")
+        for i, example in enumerate(self.examples):
+            if not isinstance(example, (tuple, list)) or len(example) != 2:
+                raise ValueError(f"examples[{i}] must be a (text, label) pair, got {example!r}")
+            text, label = example
             if not isinstance(text, str):
                 raise ValueError(f"examples[{i}] text must be a str, got {text!r}")
             if not _is_integer(label):

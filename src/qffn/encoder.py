@@ -58,11 +58,10 @@ are exactly reproducible.
 from __future__ import annotations
 
 import json
-import math
 import numbers
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -182,6 +181,8 @@ class ModelConfig:
             raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelConfigError("dropout", f"must be in [0, 1), got {self.dropout}")
+        if not self.layer_norm_eps > 0.0:
+            raise ModelConfigError("layer_norm_eps", f"must be > 0, got {self.layer_norm_eps}")
         # Bound the parameter count before anything is allocated. The field named is
         # the first, in declaration order, that takes the count past the bound while
         # every later size stays at its minimum.
@@ -611,92 +612,69 @@ def atomic_write(path: Path, data: bytes | str) -> None:
         raise
 
 
+def _manifest(model: EncoderModel) -> dict:
+    """The manifest ``save_model`` writes for ``model``: its config, and its
+    tensors in ``named_parameters`` order as little-endian float32, back to back
+    from byte 0."""
+    tensors, offset = [], 0
+    for name, param in model.named_parameters():
+        tensors.append({"name": name, "shape": list(param.shape), "offset": offset, "size": 4 * param.size})
+        offset += 4 * param.size
+    return {"dtype": "float32", "byte_order": "little", "config": vars(model.config), "tensors": tensors}
+
+
 def save_model(model: EncoderModel, directory) -> None:
     """Write the flat float32 tensor archive and its JSON manifest."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    tensors = []
-    chunks = []
-    offset = 0
-    for name, param in model.named_parameters():
-        data = np.asarray(param, dtype="<f4").tobytes()
-        tensors.append(
-            {"name": name, "shape": list(param.shape), "offset": offset, "size": len(data)}
-        )
-        chunks.append(data)
-        offset += len(data)
-    manifest = {
-        "dtype": "float32",
-        "byte_order": "little",
-        "config": vars(model.config),
-        "tensors": tensors,
-    }
-    atomic_write(directory / WEIGHTS_BIN, b"".join(chunks))
-    atomic_write(directory / WEIGHTS_MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
+    blob = b"".join(np.asarray(param, dtype="<f4").tobytes() for _, param in model.named_parameters())
+    atomic_write(directory / WEIGHTS_BIN, blob)
+    atomic_write(directory / WEIGHTS_MANIFEST, json.dumps(_manifest(model), indent=2, sort_keys=True))
 
 
 def load_model(directory) -> EncoderModel:
     """Rebuild a model from ``save_model`` output; values are the stored float32s.
 
-    Raises ``ValueError`` naming the field or tensor when the manifest, the
-    blob and the model its config describes disagree in any way.
+    The manifest must be the one ``save_model`` writes for its config, field for
+    field (so an entry out of ``named_parameters`` order is rejected), and the
+    blob must hold exactly that config's tensors, every weight finite. Anything
+    else raises ``ValueError`` naming the field or tensor.
     """
     directory = Path(directory)
     manifest = json.loads((directory / WEIGHTS_MANIFEST).read_text())
     blob = (directory / WEIGHTS_BIN).read_bytes()
     if not isinstance(manifest, dict):
         raise ValueError(f"{WEIGHTS_MANIFEST} must hold a JSON object, got {type(manifest).__name__}")
-    for field, expected in (("dtype", "float32"), ("byte_order", "little")):
-        if manifest.get(field) != expected:
-            raise ValueError(f"manifest {field} must be {expected!r}, got {manifest.get(field)!r}")
     for field, kind in (("config", dict), ("tensors", list)):
         if not isinstance(manifest.get(field), kind):
             raise ValueError(f"manifest {field} must be {kind.__name__}, got {type(manifest.get(field)).__name__}")
-    end = 0
-    for i, t in enumerate(manifest["tensors"]):
-        for field, kind in (("name", str), ("shape", list), ("offset", int), ("size", int)):
-            value = t.get(field) if isinstance(t, dict) else None
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"manifest tensors[{i}].{field} must be {kind.__name__}, got {value!r}")
-        name, shape, offset, size = t["name"], t["shape"], t["offset"], t["size"]
-        if not all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape):
-            raise ValueError(f"tensor {name} shape must list non-negative ints, got {shape}")
-        if size != 4 * math.prod(shape):
-            raise ValueError(f"tensor {name} has size {size}, expected {4 * math.prod(shape)} bytes")
-        if offset != end:  # save_model writes the tensors back to back from byte 0
-            raise ValueError(f"tensor {name} starts at byte {offset}, expected {end}, where the previous one ends")
-        if offset + size > len(blob):
-            raise ValueError(
-                f"tensor {name} spans bytes [{offset}, {offset + size}) of a {len(blob)}-byte blob"
-            )
-        end = offset + size
-    config_doc = manifest["config"]
-    known = {f.name for f in fields(ModelConfig)}
-    required = {f.name for f in fields(ModelConfig) if f.default is MISSING}
-    unknown, missing = sorted(set(config_doc) - known), sorted(required - set(config_doc))
-    if unknown or missing:
-        raise ValueError(f"manifest config has unknown keys {unknown}, missing keys {missing}")
-    config = ModelConfig(**config_doc)
+    try:
+        config = ModelConfig(**manifest["config"])
+    except TypeError as err:  # an unknown or missing key
+        raise ValueError(f"manifest config: {err}") from None
     check_fields(config, MODEL_MINIMUMS, {"pqc_layers": MAX_PQC_LAYERS})  # what counting needs
     # Only a config whose tensors the blob holds is built, so its size is bounded by the file's.
-    expected, stored_bytes = 4 * model_param_count(config), sum(t["size"] for t in manifest["tensors"])
-    if expected != stored_bytes:
-        raise ValueError(f"manifest config describes {expected} tensor bytes, its tensors hold {stored_bytes}")
-    config.validate()
+    size = 4 * model_param_count(config)
+    if len(blob) != size:
+        raise ValueError(f"manifest config describes {size} tensor bytes, {WEIGHTS_BIN} holds {len(blob)}")
     model = EncoderModel(config, seed=0)
-    stored = {t["name"]: t for t in manifest["tensors"]}
-    for name, param in model.named_parameters():
-        t = stored.pop(name, None)
-        if t is None:
-            raise ValueError(f"archive is missing tensor {name}")
-        if tuple(t["shape"]) != param.shape:
-            raise ValueError(f"shape mismatch for tensor {name}")
-        raw = np.frombuffer(blob, dtype="<f4", count=param.size, offset=t["offset"])
+    expected = _manifest(model)
+    for field in ("dtype", "byte_order"):
+        if json.dumps(manifest.get(field)) != json.dumps(expected[field]):
+            raise ValueError(f"manifest {field} must be {expected[field]!r}, got {manifest.get(field)!r}")
+    entries, count = manifest["tensors"], len(expected["tensors"])
+    if len(entries) != count:
+        raise ValueError(f"manifest tensors must hold {count} entries, got {len(entries)}")
+    for i, (stored, entry) in enumerate(zip(entries, expected["tensors"])):
+        for field, value in entry.items():
+            got = stored.get(field) if isinstance(stored, dict) else None
+            if json.dumps(got) != json.dumps(value):
+                raise ValueError(
+                    f"tensor {entry['name']} {field} must be {value!r}, got {got!r} (manifest tensors[{i}].{field})"
+                )
+    for (name, param), entry in zip(model.named_parameters(), expected["tensors"]):
+        raw = np.frombuffer(blob, dtype="<f4", count=param.size, offset=entry["offset"])
         if not np.isfinite(raw).all():
             raise ValueError(f"tensor {name} holds non-finite values")
         param[...] = raw.reshape(param.shape).astype(np.float64)
-    if stored:
-        raise ValueError(f"archive holds unknown tensors: {sorted(stored)}")
-    if len(blob) != end:
-        raise ValueError(f"{WEIGHTS_BIN} has {len(blob) - end} trailing bytes after the last tensor")
     return model

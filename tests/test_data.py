@@ -242,6 +242,21 @@ class TestDataset:
         with pytest.raises(ValueError, match=named):
             Dataset(examples, num_classes)
 
+    @pytest.mark.parametrize(
+        "examples, named",
+        [
+            ([5], r"examples\[0\] must be a \(text, label\) pair"),
+            ([("a", 0), ("a",)], r"examples\[1\] must be a \(text, label\) pair"),
+            ([("a", 0, 1)], r"examples\[0\] must be a \(text, label\) pair"),
+            ("ab", "examples must be a list, got str"),
+            ((("a", 0),), "examples must be a list, got tuple"),
+        ],
+        ids=["int-item", "one-item", "three-items", "str-examples", "tuple-examples"],
+    )
+    def test_malformed_examples_are_named(self, examples, named):
+        with pytest.raises(ValueError, match=named):
+            Dataset(examples, 2)
+
     def test_numpy_integers_accepted(self):
         data = Dataset([("a", np.int64(1)), ("b", np.int32(0))], np.int64(2))
         assert data.labels().tolist() == [1, 0]

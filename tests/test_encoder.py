@@ -575,7 +575,7 @@ class TestArchiveValidation:
     def test_tensor_past_end_of_blob(self, saved):
         directory, manifest = saved
         self.rewrite(directory, blob=(directory / "weights.bin").read_bytes()[:-4])
-        with pytest.raises(ValueError, match="cls_b"):
+        with pytest.raises(ValueError, match="weights.bin holds"):
             load_model(directory)
 
     @pytest.mark.parametrize("start", ["previous-start", "gap"])
@@ -586,13 +586,38 @@ class TestArchiveValidation:
         i = next(i for i, t in enumerate(tensors) if t["name"] == "layers.0.ln1_g")
         tensors[i]["offset"] = tensors[i - 1]["offset"] if start == "previous-start" else tensors[i]["offset"] + 4
         self.rewrite(directory, manifest)
-        with pytest.raises(ValueError, match=re.escape("tensor layers.0.ln1_g starts at byte")):
+        with pytest.raises(ValueError, match=re.escape("tensor layers.0.ln1_g offset must be")):
             load_model(directory)
 
     def test_trailing_bytes(self, saved):
         directory, _ = saved
         self.rewrite(directory, blob=(directory / "weights.bin").read_bytes() + bytes(4))
-        with pytest.raises(ValueError, match="weights.bin has 4 trailing bytes"):
+        with pytest.raises(ValueError, match="weights.bin holds"):
+            load_model(directory)
+
+    @pytest.mark.parametrize("change", ["swap-names", "drop-last", "duplicate"])
+    def test_tensor_list_differs_from_the_model(self, saved, change):
+        directory, manifest = saved
+        tensors = manifest["tensors"]
+        if change == "swap-names":  # same shape, so only the entry order tells them apart
+            g, b = (next(t for t in tensors if t["name"] == n) for n in ("layers.0.ln1_g", "layers.0.ln1_b"))
+            g["name"], b["name"] = b["name"], g["name"]
+            named = re.escape("tensor layers.0.ln1_g name must be 'layers.0.ln1_g', got 'layers.0.ln1_b'")
+        elif change == "drop-last":
+            tensors.pop()
+            named = f"must hold {len(tensors) + 1} entries, got {len(tensors)}"
+        else:
+            tensors.insert(4, dict(tensors[3]))
+            named = f"must hold {len(tensors) - 1} entries, got {len(tensors)}"
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=named):
+            load_model(directory)
+
+    def test_non_positive_layer_norm_eps(self, saved):
+        directory, manifest = saved
+        manifest["config"]["layer_norm_eps"] = -1.0
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=re.escape("layer_norm_eps must be > 0, got -1.0")):
             load_model(directory)
 
     def test_unknown_ffn_kind(self, saved):
@@ -650,6 +675,13 @@ class TestConfigValidation:
         with pytest.raises(ModelConfigError, match=f"{field} must be >= 1, got 0") as info:
             config.validate()
         assert info.value.field == field
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-12])
+    def test_non_positive_layer_norm_eps_rejected(self, eps):
+        config = ModelConfig(vocab_size=10, num_classes=2, layer_norm_eps=eps)
+        with pytest.raises(ModelConfigError, match=re.escape(f"layer_norm_eps must be > 0, got {eps}")) as info:
+            config.validate()
+        assert info.value.field == "layer_norm_eps"
 
     def test_unknown_ffn_kind_names_the_field(self):
         with pytest.raises(ModelConfigError) as info:
