@@ -484,15 +484,27 @@ class TestModelSectionCheckedOnLoad:
         )
 
 
+def run_fresh_interpreter(code, *args):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env)
+
+
 class TestMain:
     def test_import_does_not_load_scipy_special(self):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run(
-            [sys.executable, "-c", "import sys, qffn.cli; assert 'scipy.special' not in sys.modules"],
-            capture_output=True, text=True, env=env,
+        run = run_fresh_interpreter("import sys, qffn.cli; assert 'scipy.special' not in sys.modules")
+        assert run.returncode == 0, run.stderr
+
+    def test_classical_training_runs_where_scipy_cannot_be_imported(self, tmp_path):
+        config, _ = write_config(tmp_path, model={**TINY_MODEL, "ffn_kind": "classical"})
+        blocked = tmp_path / "blocked"
+        run = run_fresh_interpreter(
+            "import sys; sys.modules['scipy'] = None; import qffn.cli; sys.exit(qffn.cli.main(sys.argv[1:]))",
+            "train", "--config", str(config), "--out", str(blocked),
         )
         assert run.returncode == 0, run.stderr
+        assert main(["train", "--config", str(config)]) == 0
+        assert (blocked / "weights.bin").read_bytes() == (tmp_path / "out" / "weights.bin").read_bytes()
 
     def test_dispatch_and_exit_codes(self, tmp_path):
         config, _ = write_config(tmp_path)

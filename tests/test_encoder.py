@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from _oracles import (
     full_row_logits,
@@ -32,7 +33,7 @@ from qffn.encoder import (
     softmax,
 )
 from qffn.diagnostics import finite_diff
-from qffn.feedforward import ClassicalFeedForward
+from qffn.feedforward import _ERF_CHUNK, ClassicalFeedForward, _erf
 
 MICRO = dict(vocab_size=20, num_classes=2, hidden=16, num_layers=2, num_heads=1,
              intermediate=32, max_seq_len=6)
@@ -421,6 +422,35 @@ class TestClassicalFeedForward:
         np.testing.assert_array_equal(grads["b1"], d_pre.sum(axis=0))
         np.testing.assert_array_equal(grads["w2"], upstream.T @ gelu(pre))
         np.testing.assert_array_equal(d_in, d_pre @ ffn.w1)
+
+    @staticmethod
+    def assert_scipy_erf_bitwise(x):
+        ours = _erf(x)
+        assert ours.shape == x.shape and ours.flags.c_contiguous
+        np.testing.assert_array_equal(ours.view(np.uint64), erf(x).view(np.uint64))
+
+    def test_erf_is_scipys_bitwise_on_every_branch_and_special_value(self):
+        rng = np.random.default_rng(36)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310,
+                   1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(8.0, 0.0), 8.0, -8.0, 1e300]
+        draws = rng.normal(0.0, 1.0, (5, 4000)) * np.array([[0.3], [1.0], [3.0], [10.0], [100.0]])
+        x = np.concatenate([special, draws.ravel()])
+        mag = np.abs(x)
+        assert min(np.sum(mag <= 1.0), np.sum((mag > 1.0) & (mag < 8.0)), np.sum(mag >= 8.0)) > 1000
+        self.assert_scipy_erf_bitwise(x)
+        assert np.signbit(_erf(np.array([0.0, -0.0]))).tolist() == [False, True]
+
+    @pytest.mark.parametrize("size", [0, 1, _ERF_CHUNK - 1, _ERF_CHUNK, _ERF_CHUNK + 1])
+    def test_erf_is_scipys_bitwise_at_chunk_edges(self, size):
+        x = np.random.default_rng(size).normal(0.0, 3.0, size)
+        x[-1:] = -2.5  # a tail element in the last chunk
+        self.assert_scipy_erf_bitwise(x)
+
+    def test_erf_of_a_non_contiguous_view_is_scipys_bitwise(self):
+        x = np.random.default_rng(37).normal(0.0, 3.0, (300, 70))
+        assert x.T.size > _ERF_CHUNK and x.T.flags.f_contiguous
+        self.assert_scipy_erf_bitwise(x.T)
+        self.assert_scipy_erf_bitwise(x[::3, 1::2])
 
 
 class TestParamCount:
