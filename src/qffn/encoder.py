@@ -40,6 +40,16 @@ is exactly zero. Dropout masks are drawn at [B, W, H], W the row set's
 width, and then indexed, so the rng stream depends neither on the rows a
 layer computes nor on how many all-pad columns the batch carries.
 
+Caches. ``model_backward``'s forward keeps, per layer, what ``_backward``
+reads, each array once: the row set and query selector, the attention's
+``(h, q, k, v, probs, ctx, x)`` (layer input, query/key/value grids, softmax,
+context, query rows), both dropout masks (None without dropout), each layer
+norm's ``(xhat, inv_std)``, the feedforward input ``mid``, and the classical
+MLP's ``(pre, cdf)``; the quantum block keeps nothing and re-runs its circuit.
+``_backward`` pops each layer's cache once that layer's gradients exist.
+``model_forward`` (every evaluation pass and finite-difference check) keeps
+no cache: a sublayer's intermediates are freed once the forward moves on.
+
 Inputs: ``token_ids`` is a non-empty [batch, seq] array of an integer dtype
 (bool is not one) with ids in [0, vocab_size) and seq <= max_seq_len;
 ``labels`` is a [batch] array of an integer dtype with values in
@@ -439,7 +449,16 @@ def _check_inputs(model: EncoderModel, token_ids, attention_mask):
     return token_ids, attention_mask
 
 
-def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=None):
+class _Discard(dict):
+    """The layer cache of a pass that keeps none: it stores nothing, so each
+    sublayer's cache is freed as soon as the forward moves past it."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=None, keep=True):
+    """Logits and, when ``keep``, the cache ``_backward`` reads; else None."""
     token_ids, mask = _check_inputs(model, token_ids, attention_mask)
     cfg = model.config
     batch = token_ids.shape[0]
@@ -457,54 +476,43 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
             rows, select = RowSet(np.arange(batch), np.zeros(batch, dtype=np.intp)), tokens.cls
         else:
             rows, select = tokens, slice(None)
+        lc = {"rows": rows, "select": select} if keep else _Discard()
         x = h[select]
-        attn_out, attn_cache = _attention_forward(
-            layer.attn, h, tokens, x, rows, key_bias, cfg.num_heads
-        )
-        attn_drop = _dropout_mask(mask_shape, rows, p, rng)
+        attn_out, lc["attn"] = _attention_forward(layer.attn, h, tokens, x, rows, key_bias, cfg.num_heads)
+        lc["attn_drop"] = attn_drop = _dropout_mask(mask_shape, rows, p, rng)
         if attn_drop is not None:
             attn_out *= attn_drop
         attn_out += x
-        mid, ln1_cache = _layer_norm(attn_out, layer.ln1_g, layer.ln1_b, cfg.layer_norm_eps)
+        mid, lc["ln1"] = _layer_norm(attn_out, layer.ln1_g, layer.ln1_b, cfg.layer_norm_eps)
+        lc["mid"] = mid
 
         if isinstance(layer.ffn, QffnBlock):
             ffn_out = mid.copy()  # every row but row 0 passes through the block
             for n in rows.cls:
                 ffn_out[n] = qffn_forward(layer.ffn, mid[n])
-            ffn_cache = None
         else:
-            ffn_out, ffn_cache = layer.ffn.forward(mid)
+            ffn_out, lc["ffn"] = layer.ffn.forward(mid)
 
-        ffn_drop = _dropout_mask(mask_shape, rows, p, rng)
+        lc["ffn_drop"] = ffn_drop = _dropout_mask(mask_shape, rows, p, rng)
         if ffn_drop is not None:
             ffn_out *= ffn_drop
         ffn_out += mid
-        h, ln2_cache = _layer_norm(ffn_out, layer.ln2_g, layer.ln2_b, cfg.layer_norm_eps)
-        caches.append(
-            {
-                "rows": rows,
-                "select": select,
-                "attn": attn_cache,
-                "attn_drop": attn_drop,
-                "ln1": ln1_cache,
-                "mid": mid,
-                "ffn": ffn_cache,
-                "ffn_drop": ffn_drop,
-                "ln2": ln2_cache,
-            }
-        )
+        h, lc["ln2"] = _layer_norm(ffn_out, layer.ln2_g, layer.ln2_b, cfg.layer_norm_eps)
+        caches.append(lc)
     logits = h @ model.cls_w.T + model.cls_b
     cache = {"token_ids": token_ids, "tokens": tokens, "final": h[:, None], "layers": caches}
-    return logits, cache
+    return logits, cache if keep else None
 
 
 def model_forward(model: EncoderModel, token_ids, attention_mask=None) -> np.ndarray:
-    """Class logits, shape [batch, num_classes]."""
-    logits, _ = _forward(model, token_ids, attention_mask)
+    """Class logits, shape [batch, num_classes]; no cache is kept."""
+    logits, _ = _forward(model, token_ids, attention_mask, keep=False)
     return logits
 
 
 def _backward(model: EncoderModel, cache, d_logits):
+    """Gradients from ``_forward``'s cache, popping each layer's entry once
+    its gradients exist."""
     cfg = model.config
     tokens = cache["tokens"]
     grads = {
@@ -515,7 +523,7 @@ def _backward(model: EncoderModel, cache, d_logits):
 
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
-        lc = cache["layers"][i]
+        lc = cache["layers"].pop()
         rows = lc["rows"]
         prefix = f"layers.{i}."
 

@@ -1,6 +1,7 @@
 """Encoder forward/backward, parameter accounting, and the weight archive."""
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -85,6 +86,21 @@ def micro_batch(seed=0, batch=2, seq=6):
     return ids, mask, labels
 
 
+def owned_nbytes(obj, owners=None) -> int:
+    """Bytes of the distinct buffers behind the arrays in a nest of dicts, tuples and lists."""
+    owners = {} if owners is None else owners
+    if isinstance(obj, np.ndarray):
+        base = obj if obj.base is None else obj.base
+        owners[id(base)] = base.nbytes
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            owned_nbytes(value, owners)
+    elif isinstance(obj, (tuple, list)):
+        for value in obj:
+            owned_nbytes(value, owners)
+    return sum(owners.values())
+
+
 class TestForward:
     def test_logits_shape(self):
         model = EncoderModel(ModelConfig(vocab_size=50, num_classes=2, max_seq_len=16), seed=1)
@@ -158,6 +174,22 @@ class TestForward:
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-10)
             masked_cols = probs[0, :, :, mask[0] == 0]
             assert np.max(masked_cols) <= 1e-12
+
+    def test_evaluation_peaks_below_the_caches_a_training_pass_keeps(self):
+        model = EncoderModel(ModelConfig(vocab_size=30, num_classes=2), seed=45)
+        rng = np.random.default_rng(46)
+        ids, mask = rng.integers(0, 30, (64, 16)), np.ones((64, 16))
+        mask[1::2, 9:] = 0
+        kept = owned_nbytes(_forward(model, ids, mask)[1]["layers"])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model_forward(model, ids, mask)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < kept, f"model_forward peaked at {peak} bytes, the training caches hold {kept}"
 
     def test_layer_norm_statistics(self):
         rng = np.random.default_rng(8)
@@ -295,7 +327,9 @@ class TestRowSkip:
         assert 0.4 <= 1.0 - mask.mean() <= 0.6
         want = full_row_logits(model, ids, mask)
         assert np.max(np.abs(want)) > 0.1
-        np.testing.assert_allclose(model_forward(model, ids, mask), want, rtol=0, atol=1e-12)
+        logits = model_forward(model, ids, mask)
+        np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(logits, _forward(model, ids, mask)[0])  # the caching pass
 
     @pytest.mark.parametrize("kind", list(FfnKind))
     def test_masked_rows_are_inert(self, kind):
@@ -412,22 +446,30 @@ class TestClassicalFeedForward:
         hidden = rng.normal(0.0, 1.0, (40, 16))
         upstream = rng.normal(0.0, 1.0, (40, 16))
         out, cache = ffn.forward(hidden)
-        pre, _, act = cache
+        pre, cdf = cache
         assert np.min(pre) < -4.0 and np.max(pre) > 4.0
-        np.testing.assert_array_equal(act, gelu(pre))
+        np.testing.assert_array_equal(pre, hidden @ ffn.w1.T + ffn.b1)
+        np.testing.assert_array_equal(pre * cdf, gelu(pre))
         np.testing.assert_array_equal(out, gelu(pre) @ ffn.w2.T + ffn.b2)
         grads, d_in = ffn.backward(hidden, cache, upstream)
         d_pre = (upstream @ ffn.w2) * gelu_grad(pre)
         np.testing.assert_array_equal(grads["w1"], d_pre.T @ hidden)
         np.testing.assert_array_equal(grads["b1"], d_pre.sum(axis=0))
         np.testing.assert_array_equal(grads["w2"], upstream.T @ gelu(pre))
+        np.testing.assert_array_equal(grads["b2"], upstream.sum(axis=0))
         np.testing.assert_array_equal(d_in, d_pre @ ffn.w1)
 
     @staticmethod
     def assert_scipy_erf_bitwise(x):
+        """Into a new array, and into a copy of ``x`` itself, where the tail
+        must read its elements' signs before the chunk is overwritten."""
+        want = erf(x).view(np.uint64)
         ours = _erf(x)
         assert ours.shape == x.shape and ours.flags.c_contiguous
-        np.testing.assert_array_equal(ours.view(np.uint64), erf(x).view(np.uint64))
+        np.testing.assert_array_equal(ours.view(np.uint64), want)
+        buffer = x.copy()
+        assert _erf(buffer, out=buffer) is buffer
+        np.testing.assert_array_equal(buffer.view(np.uint64), want)
 
     def test_erf_is_scipys_bitwise_on_every_branch_and_special_value(self):
         rng = np.random.default_rng(36)
