@@ -14,18 +14,25 @@ Each sublayer sits inside the standard post-norm residual,
 exists in addition to that outer one.
 
 Rows are selected once per batch, as a ``RowSet``. The embedding gathers the
-unmasked tokens into an [N, H] matrix, and every layer reads that matrix: its
-keys and values cover those N rows. Every layer but the last computes its
-queries for the same rows, so its output is the next layer's [N, H] input.
+unmasked tokens into an [N, H] matrix, and every layer reads that matrix.
+Every layer but the last is full self-attention over those N rows, so its
+output is the next layer's [N, H] input. For the score matmuls, rows are
+scattered into zero [B, heads, W, H / heads] grids, where W is one past the
+last position of the row set, so the scores are [B, heads, W, W]. A grid cell
+that is no row holds a zero query, key and value: its probability row is
+still a distribution that nothing reads, and a zero key carries the padding
+bias like any masked key.
+
 The last layer computes row 0 alone, the only row that reaches the
-classifier, and its [B, H] output is ``cache["final"]`` as [B, 1, H]. The Q
-and output projections, both residual adds, both layer norms, dropout and
-the feedforward sublayer run on a layer's query rows only. For the score
-matmuls, rows are scattered into zero [B, heads, W, H / heads] grids, where W
-is one past the last position of the row set, so the scores are
-[B, heads, W_query, W_key]. A grid cell that is no row holds a zero query,
-key and value: its probability row is still a distribution that nothing
-reads, and a zero key carries the padding bias like any masked key.
+classifier, and its [B, H] output is ``cache["final"]`` as [B, 1, H]. Its
+attention folds W_k and W_v to the query side, so no key or value is
+projected per row: per head, the score of row j is ``(q W_k) . h_j`` and the
+context is ``W_v (sum_j p_j h_j) + b_v``, with h read from one zero [B, W, H]
+grid of the layer input. The ``q . b_k`` term is one constant per query,
+which softmax cancels, so it is dropped; the last layer's ``attn.bk`` reaches
+no output, gets a gradient of exactly zero, and stays at its initial zero.
+The Q and output projections, both residual adds, both layer norms, dropout
+and the feedforward sublayer run on a layer's query rows only.
 
 Skipping masked rows cannot change the logits: a masked key's score carries
 the -1e9 bias, so its weight is exp(-1e9) = 0.0 exactly, and a masked row
@@ -41,14 +48,17 @@ width, and then indexed, so the rng stream depends neither on the rows a
 layer computes nor on how many all-pad columns the batch carries.
 
 Caches. ``model_backward``'s forward keeps, per layer, what ``_backward``
-reads, each array once: the row set and query selector, the attention's
-``(h, q, k, v, probs, ctx, x)`` (layer input, query/key/value grids, softmax,
-context, query rows), both dropout masks (None without dropout), each layer
-norm's ``(xhat, inv_std)``, the feedforward input ``mid``, and the classical
-MLP's ``(pre, cdf)``; the quantum block keeps nothing and re-runs its circuit.
-``_backward`` pops each layer's cache once that layer's gradients exist.
-``model_forward`` (every evaluation pass and finite-difference check) keeps
-no cache: a sublayer's intermediates are freed once the forward moves on.
+reads, each array once: the query row set; the attention's
+``(h, q, k, v, probs, ctx)`` (layer input, query/key/value grids, softmax,
+context) in a full layer, and ``(grid, q, q W_k, pooled, probs, ctx, x)``
+(input grid, per-head queries, folded queries, probability-weighted input,
+softmax [B, heads, 1, W], context, query rows) in the last; both dropout
+masks (None without dropout), each layer norm's ``(xhat, inv_std)``, the
+feedforward input ``mid``, and the classical MLP's ``(pre, cdf)``; the
+quantum block keeps nothing and re-runs its circuit. ``_backward`` pops each
+layer's cache once that layer's gradients exist. ``model_forward`` (every
+evaluation pass and finite-difference check) keeps no cache: a sublayer's
+intermediates are freed once the forward moves on.
 
 Inputs: ``token_ids`` is a non-empty [batch, seq] array of an integer dtype
 (bool is not one) with ids in [0, vocab_size) and seq <= max_seq_len;
@@ -365,53 +375,118 @@ class RowSet(NamedTuple):
         return rows.reshape(len(rows), -1)
 
 
-def _attention_forward(attn: AttentionWeights, h, keys: RowSet, x, queries: RowSet, key_bias, num_heads):
-    """Self-attention of the query rows ``x`` [Nq, H] over the key rows ``h`` [Nk, H].
+def _attention_forward(attn: AttentionWeights, h, rows: RowSet, key_bias, num_heads):
+    """Self-attention of the rows ``h`` [N, H] over themselves.
 
-    ``key_bias`` [B, 1, 1, keys.width] is the additive padding mask. Grid cells
+    ``key_bias`` [B, 1, 1, rows.width] is the additive padding mask. Grid cells
     that are not rows hold zero queries, keys and values."""
     batch = key_bias.shape[0]
-    q = x @ attn.wq.T
+    q = h @ attn.wq.T
     q += attn.bq
-    q = queries.grid(q, batch, num_heads)
+    q = rows.grid(q, batch, num_heads)
     k = h @ attn.wk.T
     k += attn.bk
-    k = keys.grid(k, batch, num_heads)
+    k = rows.grid(k, batch, num_heads)
     v = h @ attn.wv.T
     v += attn.bv
-    v = keys.grid(v, batch, num_heads)
+    v = rows.grid(v, batch, num_heads)
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= 1.0 / np.sqrt(q.shape[-1])
     scores += key_bias
     probs = softmax(scores, axis=-1)
-    ctx = queries.gather(probs @ v)
+    ctx = rows.gather(probs @ v)
     out = ctx @ attn.wo.T
     out += attn.bo
-    return out, (h, q, k, v, probs, ctx, x)
+    return out, (h, q, k, v, probs, ctx)
 
 
-def _attention_backward(attn: AttentionWeights, d_out, cache, keys: RowSet, queries: RowSet, select, num_heads):
-    """Adjoint of ``_attention_forward`` for ``x`` = ``h[select]``: parameter
-    gradients and ``d_h`` [Nk, H], through the keys, queries and values."""
-    h, q, k, v, probs, ctx, x = cache
+def _attention_backward(attn: AttentionWeights, d_out, cache, rows: RowSet, num_heads):
+    """Adjoint of ``_attention_forward``: parameter gradients and ``d_h`` [N, H],
+    through the keys, queries and values."""
+    h, q, k, v, probs, ctx = cache
     grads = {"wo": d_out.T @ ctx, "bo": d_out.sum(axis=0)}
-    d_ctx = queries.grid(d_out @ attn.wo, probs.shape[0], num_heads)
-    d_v = keys.gather(probs.transpose(0, 1, 3, 2) @ d_ctx)
+    d_ctx = rows.grid(d_out @ attn.wo, probs.shape[0], num_heads)
+    d_v = rows.gather(probs.transpose(0, 1, 3, 2) @ d_ctx)
     d_scores = d_ctx @ v.transpose(0, 1, 3, 2)  # d_probs, until turned into d_scores below
     weighted = d_scores * probs
     d_scores -= np.sum(weighted, axis=-1, keepdims=True)
     d_scores *= probs
     scale = 1.0 / np.sqrt(q.shape[-1])
-    d_q = queries.gather(d_scores @ k)
+    d_q = rows.gather(d_scores @ k)
     d_q *= scale
-    d_k = keys.gather(d_scores.transpose(0, 1, 3, 2) @ q)
+    d_k = rows.gather(d_scores.transpose(0, 1, 3, 2) @ q)
     d_k *= scale
-    for d_proj, name, inputs in ((d_q, "q", x), (d_k, "k", h), (d_v, "v", h)):
-        grads["w" + name] = d_proj.T @ inputs
+    for d_proj, name in ((d_q, "q"), (d_k, "k"), (d_v, "v")):
+        grads["w" + name] = d_proj.T @ h
         grads["b" + name] = d_proj.sum(axis=0)
     d_h = d_k @ attn.wk
-    d_h[select] += d_q @ attn.wq
+    d_h += d_q @ attn.wq
     d_h += d_v @ attn.wv
+    return grads, d_h
+
+
+def _head_weights(w, num_heads):
+    """Rows of a [H, H] projection split by head: [heads, H / heads, H]."""
+    return w.reshape(num_heads, -1, w.shape[1])
+
+
+def _cls_attention_forward(attn: AttentionWeights, h, keys: RowSet, x, key_bias, num_heads):
+    """Attention of the classification rows ``x`` = ``h[keys.cls]`` [B, H] over
+    the key rows ``h`` [N, H], with W_k and W_v folded to the query side.
+
+    Per head, the score of key row j is ``(q W_k) . h_j``: the ``q . b_k`` term
+    is one constant per query, which softmax cancels. The context is
+    ``W_v (sum_j p_j h_j) + b_v``. No key or value is projected per row; ``h``
+    is read from one zero [B, W, H] grid, W = ``keys.width``."""
+    batch = len(x)
+    grid = np.zeros((batch, keys.width, h.shape[1]))
+    grid[keys.sample, keys.position] = h
+    q = x @ attn.wq.T
+    q += attn.bq
+    q = q.reshape(batch, num_heads, -1).transpose(1, 0, 2)  # [heads, B, H / heads]
+    qk = (q @ _head_weights(attn.wk, num_heads)).transpose(1, 0, 2)  # [B, heads, H]
+    scores = (qk @ grid.transpose(0, 2, 1))[:, :, None]  # [B, heads, 1, W]
+    scores *= 1.0 / np.sqrt(q.shape[-1])
+    scores += key_bias
+    probs = softmax(scores, axis=-1)
+    pooled = (probs[:, :, 0] @ grid).transpose(1, 0, 2)  # [heads, B, H]
+    ctx = pooled @ _head_weights(attn.wv, num_heads).transpose(0, 2, 1)  # [heads, B, H / heads]
+    ctx = ctx.transpose(1, 0, 2).reshape(batch, -1)
+    ctx += attn.bv
+    out = ctx @ attn.wo.T
+    out += attn.bo
+    return out, (grid, q, qk, pooled, probs, ctx, x)
+
+
+def _cls_attention_backward(attn: AttentionWeights, d_out, cache, keys: RowSet, num_heads):
+    """Adjoint of ``_cls_attention_forward``: parameter gradients and ``d_h``
+    [N, H], the query path included. ``b_k`` reaches no output, so its
+    gradient is exactly zero."""
+    grid, q, qk, pooled, probs, ctx, x = cache
+    batch = len(x)
+    grads = {"wo": d_out.T @ ctx, "bo": d_out.sum(axis=0)}
+    d_ctx = d_out @ attn.wo
+    grads["bv"] = d_ctx.sum(axis=0)
+    d_ctx = d_ctx.reshape(batch, num_heads, -1).transpose(1, 0, 2)  # [heads, B, H / heads]
+    grads["wv"] = (d_ctx.transpose(0, 2, 1) @ pooled).reshape(attn.wv.shape)
+    d_pooled = (d_ctx @ _head_weights(attn.wv, num_heads)).transpose(1, 0, 2)  # [B, heads, H]
+    p = probs[:, :, 0]  # [B, heads, W]
+    d_grid = p.transpose(0, 2, 1) @ d_pooled
+    d_scores = d_pooled @ grid.transpose(0, 2, 1)  # d_probs, until turned into d_scores below
+    weighted = d_scores * p
+    d_scores -= np.sum(weighted, axis=-1, keepdims=True)
+    d_scores *= p
+    d_scores *= 1.0 / np.sqrt(q.shape[-1])
+    d_grid += d_scores.transpose(0, 2, 1) @ qk
+    d_qk = (d_scores @ grid).transpose(1, 0, 2)  # [heads, B, H]
+    grads["wk"] = (q.transpose(0, 2, 1) @ d_qk).reshape(attn.wk.shape)
+    grads["bk"] = np.zeros_like(attn.bk)
+    d_q = d_qk @ _head_weights(attn.wk, num_heads).transpose(0, 2, 1)  # [heads, B, H / heads]
+    d_q = d_q.transpose(1, 0, 2).reshape(batch, -1)
+    grads["wq"] = d_q.T @ x
+    grads["bq"] = d_q.sum(axis=0)
+    d_h = d_grid[keys.sample, keys.position]
+    d_h[keys.cls] += d_q @ attn.wq
     return grads, d_h
 
 
@@ -472,13 +547,14 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
     for i, layer in enumerate(model.layers):
         # Every layer reads the unmasked rows; the last one computes row 0
         # alone, the only row that reaches the classifier.
+        lc = {} if keep else _Discard()
         if i == last:
-            rows, select = RowSet(np.arange(batch), np.zeros(batch, dtype=np.intp)), tokens.cls
+            rows, x = RowSet(np.arange(batch), np.zeros(batch, dtype=np.intp)), h[tokens.cls]
+            attn_out, lc["attn"] = _cls_attention_forward(layer.attn, h, tokens, x, key_bias, cfg.num_heads)
         else:
-            rows, select = tokens, slice(None)
-        lc = {"rows": rows, "select": select} if keep else _Discard()
-        x = h[select]
-        attn_out, lc["attn"] = _attention_forward(layer.attn, h, tokens, x, rows, key_bias, cfg.num_heads)
+            rows, x = tokens, h
+            attn_out, lc["attn"] = _attention_forward(layer.attn, h, tokens, key_bias, cfg.num_heads)
+        lc["rows"] = rows
         lc["attn_drop"] = attn_drop = _dropout_mask(mask_shape, rows, p, rng)
         if attn_drop is not None:
             attn_out *= attn_drop
@@ -521,6 +597,7 @@ def _backward(model: EncoderModel, cache, d_logits):
     }
     d_h = d_logits @ model.cls_w  # gradient of the last layer's output rows
 
+    last = len(model.layers) - 1
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         lc = cache["layers"].pop()
@@ -551,13 +628,14 @@ def _backward(model: EncoderModel, cache, d_logits):
         grads[prefix + "ln1_g"] = d_g1
         grads[prefix + "ln1_b"] = d_b1
         d_attn_out = d_sum1 if lc["attn_drop"] is None else d_sum1 * lc["attn_drop"]
-        attn_grads, d_h = _attention_backward(
-            layer.attn, d_attn_out, lc["attn"], tokens, rows, lc["select"], cfg.num_heads
-        )
+        if i == last:
+            attn_grads, d_h = _cls_attention_backward(layer.attn, d_attn_out, lc["attn"], tokens, cfg.num_heads)
+            d_h[tokens.cls] += d_sum1  # the post-norm residual of the query rows
+        else:
+            attn_grads, d_h = _attention_backward(layer.attn, d_attn_out, lc["attn"], tokens, cfg.num_heads)
+            d_h += d_sum1
         for name, g in attn_grads.items():
             grads[prefix + "attn." + name] = g
-        # The post-norm residual feeds the query rows of the layer input.
-        d_h[lc["select"]] += d_sum1
 
     token_ids = cache["token_ids"]
     d_tok = np.zeros_like(model.tok_emb)

@@ -72,9 +72,10 @@ def _horner(x, coefs, out, monic=False):
 
 
 def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """``scipy.special.erf(x)`` bit for bit: ±1 for |x| >= 8 and ±inf, NaN for
-    NaN, and the sign of a zero kept. The result goes into ``out``, a C-ordered
-    float64 array of x's shape that may be ``x`` itself, or else a new one."""
+    """``scipy.special.erf(x)`` bit for bit: ±1 for |x| >= 8 and ±inf, the
+    positive NaN for a NaN of either sign, and the sign of a zero kept. The
+    result goes into ``out``, a C-ordered float64 array of x's shape that may
+    be ``x`` itself, or else a new one."""
     src = np.ravel(x)
     if out is None:
         out = np.empty(np.shape(x))
@@ -86,20 +87,21 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             xs, ys = src[start:start + _ERF_CHUNK], res[start:start + _ERF_CHUNK]
             z, p, q = scratch[:, :xs.size]
             np.multiply(xs, xs, out=z)
-            tail = np.flatnonzero(z > 1.0)
+            tail = np.flatnonzero(~(z <= 1.0))  # NaN included, for scipy's positive NaN
             xt = xs[tail]  # a copy, read before ``ys`` (maybe ``xs``) is written
             _horner(z, _ERF_T, p)
             _horner(z, _ERF_U, q, monic=True)
             np.divide(np.multiply(p, xs, out=p), q, out=ys)
             if tail.size:
                 a = np.abs(xt)
-                y = np.ones(a.size)
+                y = np.where(a >= 8.0, 1.0, np.nan)
                 mid = a < 8.0
                 t = a[mid]
                 e = np.fromiter(map(math.exp, (-(t * t)).tolist()), float, t.size)
                 e *= _horner(t, _ERFC_P, np.empty(t.size))
                 y[mid] = 1.0 - e / _horner(t, _ERFC_Q, np.empty(t.size), monic=True)
-                ys[tail] = np.copysign(y, xt)
+                np.negative(y, out=y, where=xt < 0.0)  # a NaN of either sign stays positive
+                ys[tail] = y
     return out
 
 

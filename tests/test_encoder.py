@@ -22,6 +22,11 @@ from qffn.encoder import (
     FfnKind,
     ModelConfig,
     ModelConfigError,
+    RowSet,
+    _attention_backward,
+    _attention_forward,
+    _cls_attention_backward,
+    _cls_attention_forward,
     _forward,
     _layer_norm,
     _layer_norm_backward,
@@ -319,10 +324,12 @@ def padded_batch(seed, batch=4, seq=6):
 class TestRowSkip:
     """Every layer computes only the unmasked rows, the last one row 0 alone."""
 
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
     @pytest.mark.parametrize("kind", list(FfnKind))
-    def test_logits_match_full_row_oracle(self, kind, num_layers):
-        model = spread_model(micro_config(kind, pqc_layers=2, num_layers=num_layers), seed=41)
+    def test_logits_match_full_row_oracle(self, kind, num_layers, num_heads):
+        config = replace(micro_config(kind, pqc_layers=2, num_layers=num_layers), num_heads=num_heads)
+        model = spread_model(config, seed=41)
         ids, mask, _ = padded_batch(seed=42)
         assert 0.4 <= 1.0 - mask.mean() <= 0.6
         want = full_row_logits(model, ids, mask)
@@ -345,11 +352,13 @@ class TestRowSkip:
         for name in grads:
             np.testing.assert_array_equal(grads[name], other_grads[name], err_msg=name)
 
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
     @pytest.mark.parametrize("kind", list(FfnKind))
-    def test_three_layer_gradients_match_finite_differences(self, kind):
+    def test_three_layer_gradients_match_finite_differences(self, kind, num_heads):
         # The middle layer reads the skipped rows of the first and skips them
         # in turn for the last.
-        model = spread_model(micro_config(kind, pqc_layers=2, num_layers=3), seed=45)
+        config = replace(micro_config(kind, pqc_layers=2, num_layers=3), num_heads=num_heads)
+        model = spread_model(config, seed=45)
         ids, mask, labels = padded_batch(seed=46)
         ffn = ["ffn.w1", "ffn.b1"] if kind is FfnKind.CLASSICAL else ["ffn.w_in", "ffn.theta"]
         check = ["tok_emb", "pos_emb"] + [
@@ -410,6 +419,40 @@ class TestRowSkip:
                 model_forward(model, ids, mask)
             else:
                 model_backward(model, ids, mask, labels)
+
+
+class TestClassificationRowAttention:
+    """The last layer's folded attention against full self-attention's
+    classification rows, on a padded batch."""
+
+    @pytest.mark.parametrize("num_heads", [1, 2, 4])
+    def test_matches_full_self_attention_and_its_adjoint(self, num_heads):
+        config = replace(micro_config(), num_heads=num_heads)
+        attn = spread_model(config, seed=71).layers[0].attn
+        _, mask, _ = padded_batch(seed=72)
+        keys = RowSet(*np.nonzero(mask))
+        key_bias = ((1.0 - mask[:, : keys.width]) * MASK_BIAS)[:, None, None, :]
+        rng = np.random.default_rng(73)
+        h = rng.normal(0.0, 1.0, (len(keys.sample), config.hidden))
+        full, full_cache = _attention_forward(attn, h, keys, key_bias, num_heads)
+        out, cache = _cls_attention_forward(attn, h, keys, h[keys.cls], key_bias, num_heads)
+        np.testing.assert_allclose(out, full[keys.cls], rtol=0, atol=1e-12)
+        assert cache[4].shape == (4, num_heads, 1, keys.width)
+        np.testing.assert_allclose(cache[4], full_cache[4][:, :, :1], rtol=0, atol=1e-12)
+
+        d_out = rng.normal(0.0, 1.0, out.shape)
+        d_full = np.zeros_like(full)
+        d_full[keys.cls] = d_out
+        want, want_d_h = _attention_backward(attn, d_full, full_cache, keys, num_heads)
+        grads, d_h = _cls_attention_backward(attn, d_out, cache, keys, num_heads)
+        assert sorted(grads) == sorted(want) and len(grads) == 8
+        for name, g in want.items():
+            if name != "bk":
+                assert np.max(np.abs(g)) > 1e-2, name
+            np.testing.assert_allclose(grads[name], g, rtol=0, atol=1e-12, err_msg=name)
+        assert np.all(grads["bk"] == 0.0)
+        assert np.max(np.abs(want_d_h)) > 1e-2
+        np.testing.assert_allclose(d_h, want_d_h, rtol=0, atol=1e-12)
 
 
 class TestInPlacePrimitives:
@@ -473,7 +516,7 @@ class TestClassicalFeedForward:
 
     def test_erf_is_scipys_bitwise_on_every_branch_and_special_value(self):
         rng = np.random.default_rng(36)
-        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310,
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310,
                    1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(8.0, 0.0), 8.0, -8.0, 1e300]
         draws = rng.normal(0.0, 1.0, (5, 4000)) * np.array([[0.3], [1.0], [3.0], [10.0], [100.0]])
         x = np.concatenate([special, draws.ravel()])
