@@ -40,26 +40,30 @@ bit-identical whether it is simulated alone or inside a batch of any size.
 
 The optimized ansatz encodes x once, so its final state is U(theta) phi(x),
 with phi(x) the real product state of the encoding; and every sample of a
-training batch or an evaluation pass runs one block with one theta. So
-``pqc_forward`` and ``pqc_value_and_gradients`` compile it once per theta:
-``_sweep``, the kernel's layer walk, pushes the 16x16 identity through the
-kernel's fused gates and keeps B_k for each angle k, the state before its
-qubit's fused RY @ RZ for an RZ angle and after it for an RY angle. That is
-the circuit before rotation k followed only by gates that commute with its
-Pauli P_k, so dU/dtheta_k = -T_k / 2 with T_k = i U B_k^H P_k B_k: one product
-per angle. The parameter-shift difference of a Pauli rotation is this
-derivative exactly. With psi = U phi(x), the value's own product in both
-calls, so it is bitwise one, the Jacobians are
-jac_theta[q, k] = -Re psi^H Z_q T_k phi(x) and, since
-d phi / dx_j = phi(x + pi e_j) / 2, jac_x[q, j] = Re psi^H Z_q U phi(x + pi e_j).
+training batch or an evaluation pass runs one block with one theta. Since
+phi(x) is real, every readout is a real quadratic form,
+<Z_q> = phi^T A_q phi with A_q = Re(U^H Z_q U). ``_Compiled`` builds U by the
+kernel's layer walk on the whole register (each layer's entangler, then the
+Kronecker product of its fused 2x2s) and keeps, per layer, the state after
+its entangler and after its rotations. Angle k's B_k is the first for an RZ
+angle and the second for an RY angle: the circuit before rotation k followed
+only by gates that commute with its Pauli P_k, so dU/dtheta_k = -T_k / 2 with
+T_k = i U B_k^H P_k B_k. The parameter-shift difference of a Pauli rotation is
+this derivative exactly, so the theta-Jacobian is a quadratic form too:
+d<Z_q>/dtheta_k = phi^T S_qk phi with S_qk = -Re(U^H Z_q T_k), built as one
+real product over every k on the first gradient call for a theta. Since
+d phi / dx_j = phi(x + pi e_j) / 2 and A_q is symmetric,
+jac_x[q, j] = (A_q phi) . phi(x + pi e_j). ``pqc_forward`` and
+``pqc_value_and_gradients`` compute the value by one expression, so it is
+bitwise one.
 
-``_compiled`` caches one compilation, keyed by the config, theta's bytes (so
--0.0 differs from 0.0 and an in-place update always misses) and whether the
-T_k are wanted: a forward call compiles U alone, a gradient call U and every
-T_k. U is the sweep's last state in both, so results do not depend on call
-history. One entry, since a training step compiles four times (two encoder
-layers, forward then backward) and every Adam step changes theta; it holds
-1 + 8L read-only matrices, 270 KB at depth 8.
+``_compiled`` holds one compile per live theta array, keyed by its id and
+dropped by ``weakref.finalize`` when the array is freed. An entry is reused
+while theta's bytes repeat, so an in-place update (the Adam step) misses and
+-0.0 differs from 0.0. So a training step's forward, its
+backward and every evaluation batch of one theta share one compile, and a
+model's blocks never evict each other. An entry holds read-only A (8 KB)
+and, after a gradient call, S (64 KB per layer of depth).
 
 ``pqc_gradients`` stays on the kernel: it is the reference the compiled path
 is tested against, and the probe draws a fresh theta for every call, which a
@@ -70,6 +74,7 @@ kernel, as does ``pqc_final_state``.
 from __future__ import annotations
 
 import numbers
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -198,24 +203,11 @@ def _product_states(angles: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _sweep(config: PqcConfig, gates: np.ndarray, amps: np.ndarray, states: list | None = None) -> np.ndarray:
-    """Push rows-last amplitudes [2**nq, C] through every layer: the entangler,
-    then each qubit's 2x2 from ``gates`` [2, 2, L, nq, C or 1]. With ``states``,
-    appends each 2x2's (before, after) amplitudes, layer by layer and qubit by
-    qubit."""
-    nq = config.num_qubits
-    for layer in range(config.num_layers):
-        perm, sign = _compiled_entangler(nq, layer if config.variant is Ansatz.OPTIMIZED else 0)
-        if perm is not None:
-            amps = amps[perm]
-        if sign is not None:
-            amps = amps * sign[:, None]
-        for q in range(nq):
-            rotated = rotate_rows(amps, q, gates[:, :, layer, q])
-            if states is not None:
-                states.append((amps, rotated))
-            amps = rotated
-    return amps
+def _entangle(amps: np.ndarray, num_qubits: int, layer_index: int) -> np.ndarray:
+    """Apply one layer's ``_compiled_entangler`` to rows-last amplitudes [2**nq, C]."""
+    perm, sign = _compiled_entangler(num_qubits, layer_index)
+    amps = amps if perm is None else amps[perm]
+    return amps if sign is None else amps * sign[:, None]
 
 
 def _run_batch(config: PqcConfig, angles: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -225,7 +217,12 @@ def _run_batch(config: PqcConfig, angles: np.ndarray, x: np.ndarray) -> np.ndarr
     Returns the rows-last amplitudes [2**nq, C]: complex for the optimized
     ansatz, real for vanilla, whose RY and CNOT gates are real.
     """
-    return _sweep(config, _layer_rotations(config, angles), _product_states(x))
+    nq, gates, amps = config.num_qubits, _layer_rotations(config, angles), _product_states(x)
+    for layer in range(config.num_layers):
+        amps = _entangle(amps, nq, layer if config.variant is Ansatz.OPTIMIZED else 0)
+        for q in range(nq):
+            amps = rotate_rows(amps, q, gates[:, :, layer, q])
+    return amps
 
 
 _z_readout = z_readout  # per-qubit <Z> [C, nq] of rows-last amplitudes [2**nq, C]
@@ -247,47 +244,91 @@ def _single_row(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarr
     return _run_batch(config, _angles(config, theta[None], x), x[None])
 
 
-# --- the optimized circuit compiled to unitaries, once per theta -------------
+# --- the optimized circuit compiled to real quadratic forms, once per theta --
 
 
 @lru_cache(maxsize=None)
-def _generators(config: PqcConfig) -> np.ndarray:
-    """P_k, the Pauli that trainable angle k rotates about (Z for RZ, Y for RY),
-    on the whole register: [P, 2**nq, 2**nq], read-only."""
-    nq = config.num_qubits
-    paulis = np.array(([[1, 0], [0, -1]], [[0, -1j], [1j, 0]]))[..., None]  # Z, Y as [out, in, 1]
-    eye = np.eye(2**nq, dtype=np.complex128)
-    generators = np.array(
-        [rotate_rows(eye, k % nq, paulis[k // nq % 2]) for k in range(pqc_param_count(config))]
-    )
-    generators.setflags(write=False)
-    return generators
+def _y_gather(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Y on each qubit as a signed basis gather, (Y_q B)[b] = phase[b, q] * B[flip[b, q]]:
+    ``(flip, phase)``, [2**nq, nq] each, read-only."""
+    flip = np.arange(2**num_qubits)[:, None] ^ (1 << np.arange(num_qubits))
+    phase = 1j * np.take_along_axis(z_signs(num_qubits), flip, axis=0)
+    flip.setflags(write=False)
+    phase.setflags(write=False)
+    return flip, phase
 
 
-def _compile(config: PqcConfig, theta: np.ndarray, derivatives: bool) -> np.ndarray:
-    """U(theta) as [1, 2**nq, 2**nq]; with ``derivatives``, followed by every
-    T_k = i U B_k^H P_k B_k = -2 dU/dtheta_k: [1 + P, 2**nq, 2**nq]. U is the
-    identity's ``_sweep`` through the kernel's gates either way; ``states``
-    yields each B_k (see the module docstring)."""
-    nq = config.num_qubits
-    gates, eye = _layer_rotations(config, theta[None]), np.eye(2**nq, dtype=np.complex128)
-    states = [] if derivatives else None
-    unitary = _sweep(config, gates, eye, states)
-    if not derivatives:
-        return unitary[None]
-    # (before, after) per layer and qubit -> per layer, every qubit's before (RZ), then every qubit's after (RY)
-    kept = np.array(states).reshape(config.num_layers, nq, 2, -1).swapaxes(1, 2).reshape(theta.size, 2**nq, 2**nq)
-    turned = 1j * ((unitary @ kept.conj().swapaxes(1, 2)) @ (_generators(config) @ kept))
-    return np.concatenate((unitary[None], turned))
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix = np.ascontiguousarray(matrix)
+    matrix.setflags(write=False)
+    return matrix
 
 
-@lru_cache(maxsize=1)
-def _compiled(config: PqcConfig, theta_bytes: bytes, derivatives: bool) -> np.ndarray:
-    """``_compile``'s matrices, read-only, for the theta whose float64 bytes are
-    ``theta_bytes``; the last call's are reused while its arguments repeat."""
-    matrices = _compile(config, np.frombuffer(theta_bytes), derivatives)
-    matrices.setflags(write=False)
-    return matrices
+class _Compiled:
+    """One theta's circuit as real quadratic forms of the product state phi(x).
+
+    ``forms`` is A [2**nq * nq, 2**nq], rows (i, q), and ``slopes()`` is S
+    [2**nq * nq * P, 2**nq], rows (i, q, k): the A_q and S_qk of the module
+    docstring, read-only. S is built on the first gradient call, from the layer
+    states the compile kept. With the row index i outermost, each form is one
+    matrix-vector and one vector-matrix product with phi (``_quadratic``).
+    """
+
+    __slots__ = ("config", "theta_bytes", "forms", "_observables", "_kept", "_slopes")
+
+    def __init__(self, config: PqcConfig, theta: np.ndarray):
+        nq, dim = config.num_qubits, 2**config.num_qubits
+        self.config, self.theta_bytes, self._slopes = config, theta.tobytes(), None
+        gates = _layer_rotations(config, theta[None])[..., 0]  # [2, 2, L, nq]
+        unitary, self._kept = np.eye(dim, dtype=np.complex128), []
+        for layer in range(config.num_layers):  # the kernel's layer walk, on the whole register
+            entangled, rotation = _entangle(unitary, nq, layer), gates[:, :, layer, 0]
+            for q in range(1, nq):  # the Kronecker product of every qubit's 2x2, qubit 0 least significant
+                rotation = (gates[:, None, :, None, layer, q] * rotation[None, :, None, :]).reshape(2 << q, 2 << q)
+            unitary = rotation @ entangled
+            self._kept.append((entangled, unitary))
+        signed = unitary.conj().T[:, None, :] * z_signs(nq).T  # [i, q, b]: U^H Z_q
+        self._observables = signed.reshape(-1, dim) @ unitary  # U^H Z_q U, rows (i, q)
+        self.forms = _read_only(self._observables.real)
+
+    def slopes(self) -> np.ndarray:
+        if self._slopes is None:
+            nq, layers, dim = self.config.num_qubits, self.config.num_layers, 2**self.config.num_qubits
+            flip, phase = _y_gather(nq)
+            # Per layer, the state after its entangler is B_k of its RZ angles, and after its rotations of its RY angles
+            kept = np.array(self._kept)  # [L, 2, 2**nq, 2**nq]
+            paulied = (z_signs(nq)[:, :, None] * kept[:, 0, :, None], phase[:, :, None] * kept[:, 1][:, flip])
+            # H_k = B_k^H P_k B_k, [L, 2 (RZ, RY), a, (q, j)]
+            turned = kept.conj().swapaxes(-1, -2) @ np.stack(paulied, axis=1).reshape(layers, 2, dim, -1)
+            # T_k = i U H_k, so S_qk = Im(U^H Z_q U H_k): one real product over every k
+            parts = np.stack((turned.imag, turned.real), axis=2).transpose(2, 3, 0, 1, 4).reshape(2 * dim, -1)
+            observables = np.concatenate((self._observables.real, self._observables.imag), axis=1)
+            self._slopes = _read_only((observables @ parts).reshape(-1, dim))
+            self._observables = self._kept = None
+        return self._slopes
+
+
+def _quadratic(matrix: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """phi^T M_r phi for every r of ``matrix`` [2**nq * R, 2**nq], rows (i, r): [R]."""
+    return phi @ (matrix @ phi).reshape(len(phi), -1)
+
+
+# One compile per live theta array (see the module docstring).
+_compiled: dict[int, _Compiled] = {}
+
+
+def _compiled_for(config: PqcConfig, theta: np.ndarray) -> _Compiled:
+    """The compile of ``theta``'s current bytes: reused while they repeat, so
+    an in-place update misses and -0.0 differs from 0.0. Theta's length
+    (checked against the config) fixes the depth, so its bytes fix the compile."""
+    key = id(theta)
+    entry = _compiled.get(key)
+    if entry is None:
+        weakref.finalize(theta, _compiled.pop, key, None)
+    elif entry.theta_bytes == theta.tobytes():
+        return entry
+    entry = _compiled[key] = _Compiled(config, theta)
+    return entry
 
 
 # --- public entry points ----------------------------------------------------
@@ -298,8 +339,7 @@ def pqc_forward(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarr
     if config.variant is Ansatz.VANILLA:
         return _z_readout(_single_row(config, theta, x), config.num_qubits)[0]
     theta, x = _check_shapes(config, theta, x)
-    unitary = _compiled(config, theta.tobytes(), False)[0]
-    return _z_readout(unitary @ _product_states(x[None]), config.num_qubits)[0]
+    return _quadratic(_compiled_for(config, theta).forms, _product_states(x[None])[:, 0])
 
 
 def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> StateVector:
@@ -319,6 +359,15 @@ def _shift_table(config: PqcConfig) -> np.ndarray:
     offsets[2::2] = -SHIFT * np.eye(occurrences)
     offsets.setflags(write=False)
     return offsets
+
+
+@lru_cache(maxsize=None)
+def _input_shifts(num_qubits: int) -> np.ndarray:
+    """[1 + nq, nq]: no shift, then pi on each input angle in turn, since
+    d phi / dx_j = phi(x + pi e_j) / 2."""
+    shifts = np.concatenate((np.zeros((1, num_qubits)), np.pi * np.eye(num_qubits)))
+    shifts.setflags(write=False)
+    return shifts
 
 
 def _shift_gradients(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,24 +393,24 @@ def pqc_value_and_gradients(
 
     Returns ``(value[nq], jac_theta[nq, P], jac_x[nq, nq])``: for vanilla from
     ``_shift_gradients``' kernel batch; for the optimized ansatz from the
-    compiled U and T_k (see the module docstring).
+    compiled quadratic forms (see the module docstring).
     """
     theta, x = _check_shapes(config, theta, x)
     if config.variant is Ansatz.VANILLA:
         return _shift_gradients(config, theta, x)
-    nq, compiled, state = config.num_qubits, _compiled(config, theta.tobytes(), True), _product_states(x[None])
-    psi = compiled[0] @ state  # the forward's own product: the value is bitwise one
-    signed = z_signs(nq) * psi.conj()
-    jac_theta = -(signed.T @ (compiled[1:] @ state[:, 0]).T).real
-    jac_x = (signed.T @ (compiled[0] @ _product_states(x + np.pi * np.eye(nq)))).real
-    return _z_readout(psi, nq)[0], jac_theta, jac_x
+    nq, compiled = config.num_qubits, _compiled_for(config, theta)
+    states = _product_states(x + _input_shifts(nq))  # phi(x), then phi(x + pi e_j) per input j
+    phi = np.ascontiguousarray(states[:, 0])
+    formed = (compiled.forms @ phi).reshape(len(phi), -1)  # ``_quadratic``'s product: the value is bitwise pqc_forward's
+    jac_theta = _quadratic(compiled.slopes(), phi).reshape(nq, -1)
+    return phi @ formed, jac_theta, formed.T @ states[:, 1:]
 
 
 def pqc_gradients(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parameter-shift Jacobians ``(jac_theta[nq, P], jac_x[nq, nq])``, always
     simulated as one kernel batch: the reference the compiled path is tested
     against, whose rows the probe's simulation count checks, and for a theta
-    used once about 0.5-0.7x the time of a compile and its readout."""
+    used once about 0.6-1.0x the time of a compile and its readout (depths 1-8)."""
     theta, x = _check_shapes(config, theta, x)
     _, jac_theta, jac_x = _shift_gradients(config, theta, x)
     return jac_theta, jac_x

@@ -28,9 +28,9 @@ classifier, and its [B, H] output is ``cache["final"]`` as [B, 1, H]. Its
 attention folds W_k and W_v to the query side, so no key or value is
 projected per row: per head, the score of row j is ``(q W_k) . h_j`` and the
 context is ``W_v (sum_j p_j h_j) + b_v``, with h read from one zero [B, W, H]
-grid of the layer input. The ``q . b_k`` term is one constant per query,
-which softmax cancels, so it is dropped; the last layer's ``attn.bk`` reaches
-no output, gets a gradient of exactly zero, and stays at its initial zero.
+grid of the layer input. Attention has no key bias: ``q . b_k`` would be one
+constant per query, which softmax cancels, so no layer's ``b_k`` could reach
+an output.
 The Q and output projections, both residual adds, both layer norms, dropout
 and the feedforward sublayer run on a layer's query rows only.
 
@@ -120,7 +120,7 @@ MODEL_MINIMUMS = {
 }
 # Upper bounds of the sizes that allocate beyond the parameters: every encoded
 # split is two [N, max_seq_len] arrays, and a circuit's shift tables and
-# compiled unitaries grow with its depth. 8192 is 16x BERT-base's length.
+# compiled quadratic forms grow with its depth. 8192 is 16x BERT-base's length.
 MODEL_MAXIMUMS = {"max_seq_len": 8192, "pqc_layers": MAX_PQC_LAYERS}
 # BERT-base (110M) fits; training holds four float64 copies, 4 GiB at the bound.
 MAX_MODEL_PARAMS = 2**27
@@ -221,7 +221,6 @@ class AttentionWeights(Module):
     wq: np.ndarray
     bq: np.ndarray
     wk: np.ndarray
-    bk: np.ndarray
     wv: np.ndarray
     bv: np.ndarray
     wo: np.ndarray
@@ -235,7 +234,7 @@ class AttentionWeights(Module):
         def b():
             return np.zeros(hidden)
 
-        return cls(w(), b(), w(), b(), w(), b(), w(), b())
+        return cls(w(), b(), w(), w(), b(), w(), b())
 
 
 @dataclass
@@ -279,7 +278,7 @@ def model_param_count(config: ModelConfig) -> int:
     """Exact trainable-scalar count as a pure function of the configuration."""
     h = config.hidden
     total = config.vocab_size * h + config.max_seq_len * h
-    attn = 4 * (h * h + h)
+    attn = 4 * h * h + 3 * h  # no key bias
     norms = 4 * h
     if config.ffn_kind is FfnKind.CLASSICAL:
         ffn = classical_ffn_param_count(h, config.intermediate)
@@ -384,9 +383,7 @@ def _attention_forward(attn: AttentionWeights, h, rows: RowSet, key_bias, num_he
     q = h @ attn.wq.T
     q += attn.bq
     q = rows.grid(q, batch, num_heads)
-    k = h @ attn.wk.T
-    k += attn.bk
-    k = rows.grid(k, batch, num_heads)
+    k = rows.grid(h @ attn.wk.T, batch, num_heads)
     v = h @ attn.wv.T
     v += attn.bv
     v = rows.grid(v, batch, num_heads)
@@ -418,7 +415,7 @@ def _attention_backward(attn: AttentionWeights, d_out, cache, rows: RowSet, num_
     d_k *= scale
     for d_proj, name in ((d_q, "q"), (d_k, "k"), (d_v, "v")):
         grads["w" + name] = d_proj.T @ h
-        grads["b" + name] = d_proj.sum(axis=0)
+    grads["bq"], grads["bv"] = d_q.sum(axis=0), d_v.sum(axis=0)
     d_h = d_k @ attn.wk
     d_h += d_q @ attn.wq
     d_h += d_v @ attn.wv
@@ -434,8 +431,7 @@ def _cls_attention_forward(attn: AttentionWeights, h, keys: RowSet, x, key_bias,
     """Attention of the classification rows ``x`` = ``h[keys.cls]`` [B, H] over
     the key rows ``h`` [N, H], with W_k and W_v folded to the query side.
 
-    Per head, the score of key row j is ``(q W_k) . h_j``: the ``q . b_k`` term
-    is one constant per query, which softmax cancels. The context is
+    Per head, the score of key row j is ``(q W_k) . h_j``. The context is
     ``W_v (sum_j p_j h_j) + b_v``. No key or value is projected per row; ``h``
     is read from one zero [B, W, H] grid, W = ``keys.width``."""
     batch = len(x)
@@ -460,8 +456,7 @@ def _cls_attention_forward(attn: AttentionWeights, h, keys: RowSet, x, key_bias,
 
 def _cls_attention_backward(attn: AttentionWeights, d_out, cache, keys: RowSet, num_heads):
     """Adjoint of ``_cls_attention_forward``: parameter gradients and ``d_h``
-    [N, H], the query path included. ``b_k`` reaches no output, so its
-    gradient is exactly zero."""
+    [N, H], the query path included."""
     grid, q, qk, pooled, probs, ctx, x = cache
     batch = len(x)
     grads = {"wo": d_out.T @ ctx, "bo": d_out.sum(axis=0)}
@@ -480,7 +475,6 @@ def _cls_attention_backward(attn: AttentionWeights, d_out, cache, keys: RowSet, 
     d_grid += d_scores.transpose(0, 2, 1) @ qk
     d_qk = (d_scores @ grid).transpose(1, 0, 2)  # [heads, B, H]
     grads["wk"] = (q.transpose(0, 2, 1) @ d_qk).reshape(attn.wk.shape)
-    grads["bk"] = np.zeros_like(attn.bk)
     d_q = d_qk @ _head_weights(attn.wk, num_heads).transpose(0, 2, 1)  # [heads, B, H / heads]
     d_q = d_q.transpose(1, 0, 2).reshape(batch, -1)
     grads["wq"] = d_q.T @ x

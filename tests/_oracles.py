@@ -185,7 +185,7 @@ def full_row_logits(model, token_ids, mask):
     h = model.tok_emb[token_ids] + model.pos_emb[:seq]
     for layer in model.layers:
         a = layer.attn
-        q, k, v = (split(h @ w.T + b) for w, b in ((a.wq, a.bq), (a.wk, a.bk), (a.wv, a.bv)))
+        q, k, v = split(h @ a.wq.T + a.bq), split(h @ a.wk.T), split(h @ a.wv.T + a.bv)  # no key bias
         scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(width)
         scores = scores + (mask[:, None, None, :] - 1.0) * 1e9
         probs = np.exp(scores - scores.max(axis=-1, keepdims=True))

@@ -19,7 +19,7 @@ from qffn.circuits import (
 )
 from qffn.diagnostics import finite_diff
 
-from _oracles import cnot_op, cz_op, dense_ansatz_output, dense_optimized_unitary, reduced_purity
+from _oracles import Z, cnot_op, cz_op, dense_ansatz_output, dense_optimized_unitary, one_qubit_op, reduced_purity
 
 ALL_CONFIGS = [
     PqcConfig(variant, layers)
@@ -283,12 +283,12 @@ CIRCUIT_CALLS = [pqc_forward, pqc_value_and_gradients]
 
 
 class TestCompiledCircuit:
-    """The optimized ansatz's forward and gradient calls reuse the unitaries
-    compiled for the last theta."""
+    """The optimized ansatz's forward and gradient calls share one compile per
+    live theta array."""
 
     @pytest.fixture(autouse=True)
     def empty_cache(self):
-        circuits._compiled.cache_clear()
+        circuits._compiled.clear()
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     def test_values_and_jacobians_match_the_kernel(self, config):
@@ -304,22 +304,21 @@ class TestCompiledCircuit:
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     @pytest.mark.parametrize("order", [CIRCUIT_CALLS, CIRCUIT_CALLS[::-1]], ids=["forward-first", "gradient-first"])
-    def test_warm_results_equal_cold_bitwise(self, config, order):
+    def test_warm_results_equal_cold_bitwise(self, config, order, compiles):
         rng = np.random.default_rng(601 + config.num_layers)
         theta, x = random_angles(config, rng)
         cold = []
         for call in order:
-            circuits._compiled.cache_clear()
-            cold.append(result_bytes(call(config, theta, x)))
-        circuits._compiled.cache_clear()
+            circuits._compiled.clear()
+            cold.append(result_bytes(call(config, theta.copy(), x)))
+        circuits._compiled.clear()
         order[0](config, theta, rng.uniform(-np.pi, np.pi, 4))  # compiles theta at another input
-        first_build = circuits._compiled(config, theta.tobytes(), order[0] is pqc_value_and_gradients)
-        warm = [result_bytes(call(config, theta.copy(), x)) for call in order]
+        entry = circuits._compiled[id(theta)]
+        warm = [result_bytes(call(config, theta, x)) for call in order]
         assert warm == cold
-        # the first warm call reuses the build; the other call compiles its own
-        assert circuits._compiled.cache_info()[:2] == (2, 2)  # hits, misses
-        last_build = circuits._compiled(config, theta.tobytes(), order[1] is pqc_value_and_gradients)
-        assert last_build[0].tobytes() == first_build[0].tobytes()
+        # both warm calls reuse the first build
+        assert len(compiles) == 3
+        assert circuits._compiled == {id(theta): entry}
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
@@ -329,46 +328,60 @@ class TestCompiledCircuit:
         before = result_bytes(call(config, theta, x))
         theta -= 1e-3 * rng.standard_normal(theta.size)  # like the Adam step
         after = result_bytes(call(config, theta, x))
-        circuits._compiled.cache_clear()
+        circuits._compiled.clear()
         assert after == result_bytes(call(config, theta.copy(), x))
         assert after != before
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
-    def test_signed_zero_is_a_different_key(self, config, call):
+    def test_signed_zero_is_a_different_key(self, config, call, compiles):
         theta, x = np.zeros(pqc_param_count(config)), np.full(4, 0.3)
-        derivatives = call is pqc_value_and_gradients
         call(config, theta, x)
-        entry = circuits._compiled(config, theta.tobytes(), derivatives)
+        entry = circuits._compiled[id(theta)]
         theta[0] = -0.0  # equal as floats, not as bytes
         call(config, theta, x)
-        assert circuits._compiled.cache_info().misses == 2
-        assert circuits._compiled(config, theta.tobytes(), derivatives) is not entry
+        assert len(compiles) == 2
+        assert circuits._compiled[id(theta)] is not entry
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
     @pytest.mark.parametrize("call", CIRCUIT_CALLS, ids=lambda f: f.__name__)
     def test_cached_arrays_are_read_only(self, config, call):
         theta, x = random_angles(config, np.random.default_rng(621))
         call(config, theta, x)
-        compiled = circuits._compiled(config, theta.tobytes(), call is pqc_value_and_gradients)
-        for cached in (compiled, circuits._generators(config)):
+        entry = circuits._compiled[id(theta)]
+        for cached in (entry.forms, entry.slopes(), *circuits._y_gather(4)):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
-                cached[...] = 0.0
+                cached[...] = 0
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
-    def test_fresh_thetas_leave_one_entry(self, config):
+    def test_forward_builds_no_slopes(self, config):
+        theta, x = random_angles(config, np.random.default_rng(625))
+        pqc_forward(config, theta, x)
+        assert circuits._compiled[id(theta)]._slopes is None
+        pqc_value_and_gradients(config, theta, x)
+        assert circuits._compiled[id(theta)]._slopes is not None
+
+    @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
+    def test_an_entry_is_freed_with_its_theta(self, config, compiles):
         rng = np.random.default_rng(631 + config.num_layers)
-        builds = []
-        for i in range(6):
-            theta, x = random_angles(config, rng)
-            CIRCUIT_CALLS[i % 2](config, theta, x)
-            builds.append(weakref.ref(circuits._compiled(config, theta.tobytes(), i % 2 == 1)))
+        thetas = [init_pqc_params(config, rng) for _ in range(6)]
+        for i, theta in enumerate(thetas):
+            CIRCUIT_CALLS[i % 2](config, theta, rng.uniform(-np.pi, np.pi, 4))
+        del theta
+        # one entry per live theta: none evicts another
+        assert set(circuits._compiled) == {id(theta) for theta in thetas}
+        builds = [weakref.ref(circuits._compiled[id(theta)].forms) for theta in thetas]
+        del thetas[:5]
         gc.collect()
         assert [ref() is not None for ref in builds] == [False] * 5 + [True]
+        assert set(circuits._compiled) == {id(thetas[0])}
+        for i in range(2):
+            CIRCUIT_CALLS[i](config, thetas[0], np.zeros(4))
+        assert len(compiles) == 6
 
     @pytest.mark.parametrize("config", ALL_CONFIGS, ids=str)
-    def test_kernel_paths_never_compile(self, config):
+    def test_kernel_paths_never_compile(self, config, compiles):
         # vanilla re-encodes x in every layer; pqc_gradients and pqc_final_state
         # run the kernel for both ansatzes
         theta, x = random_angles(config, np.random.default_rng(641))
@@ -377,27 +390,38 @@ class TestCompiledCircuit:
         if config.variant is Ansatz.VANILLA:
             pqc_value_and_gradients(config, theta, x)
             pqc_forward(config, theta, x)
-        assert circuits._compiled.cache_info().misses == 0
+        assert compiles == [] and circuits._compiled == {}
+
+
+def dense_forms(num_layers, theta):
+    """Re(U^H Z_q U) [q, 16, 16] of the dense oracle's U(theta)."""
+    unitary = dense_optimized_unitary(num_layers, theta)
+    return np.array([(unitary.conj().T @ one_qubit_op(4, q, Z) @ unitary).real for q in range(4)])
 
 
 class TestCompiledUnitaries:
-    """The compiled unitaries against dense 16x16 gate products: the compile
-    and the kernel share their layer walk and gate table, so this oracle is the
-    check that shares no code with either."""
+    """The compiled quadratic forms against dense 16x16 gate products: the
+    compile and the kernel share their gate table, so this oracle is the check
+    that shares no code with either."""
 
     @pytest.mark.parametrize("config", OPTIMIZED_CONFIGS, ids=str)
-    def test_every_unitary_matches_the_dense_oracle(self, config):
+    def test_every_form_matches_the_dense_oracle(self, config):
         theta = init_pqc_params(config, np.random.default_rng(641 + config.num_layers))
-        compiled = circuits._compile(config, theta, derivatives=True)
-        shifts = 0.5 * np.pi * np.eye(theta.size)
-        expected = [dense_optimized_unitary(config.num_layers, theta)]
-        for shift in shifts:  # entry 1 + k: T_k = -2 dU/dtheta_k, by parameter shift
-            minus, plus = (dense_optimized_unitary(config.num_layers, theta + s) for s in (-shift, shift))
-            expected.append((minus - plus) / np.sqrt(2.0))
-        assert compiled.shape == (1 + theta.size, 16, 16)
-        assert np.max(np.abs(compiled - np.array(expected))) <= 1e-12
-        assert circuits._compile(config, theta, derivatives=False).tobytes() == compiled[:1].tobytes()
-        circuits._compiled.cache_clear()
+        compiled = circuits._Compiled(config, theta)
+        p = theta.size
+        assert compiled.forms.shape == (16 * 4, 16)
+        assert compiled.slopes().shape == (16 * 4 * p, 16)
+        forms = compiled.forms.reshape(16, 4, 16).transpose(1, 0, 2)  # [q, i, j]
+        assert np.max(np.abs(forms - dense_forms(config.num_layers, theta))) <= 1e-12
+        slopes = compiled.slopes().reshape(16, 4, p, 16).transpose(2, 1, 0, 3)  # [k, q, i, j]
+        # a quadratic form reads only the symmetric part, which is dA_q/dtheta_k,
+        # and the parameter-shift difference of A is that derivative exactly
+        symmetric = 0.5 * (slopes + slopes.swapaxes(-1, -2))
+        for k, shift in enumerate(0.5 * np.pi * np.eye(p)):
+            plus, minus = (dense_forms(config.num_layers, theta + s) for s in (shift, -shift))
+            assert np.max(np.abs(symmetric[k] - 0.5 * (plus - minus))) <= 1e-12
+        circuits._compiled.clear()
         circuits.pqc_value_and_gradients(config, theta, np.zeros(config.num_qubits))
-        assert circuits._compiled(config, theta.tobytes(), True).tobytes() == compiled.tobytes()
-        assert circuits._compiled.cache_info()[:2] == (1, 1)  # hits, misses
+        entry = circuits._compiled[id(theta)]
+        assert entry.forms.tobytes() == compiled.forms.tobytes()
+        assert entry.slopes().tobytes() == compiled.slopes().tobytes()
