@@ -1,4 +1,5 @@
 """Encoder forward/backward, parameter accounting, and the weight archive."""
+import hashlib
 import json
 import re
 import tracemalloc
@@ -30,6 +31,7 @@ from qffn.encoder import (
     _forward,
     _layer_norm,
     _layer_norm_backward,
+    _row_sums,
     cross_entropy,
     load_model,
     model_backward,
@@ -464,6 +466,70 @@ class TestClassificationRowAttention:
         np.testing.assert_allclose(d_h, want_d_h, rtol=0, atol=1e-12)
 
 
+class TestEmbeddingGradients:
+    """The ``tok_emb``/``pos_emb`` gradients are ``np.add.at`` into zeros, bit
+    for bit: each embedding row adds its rows' gradients in row order,
+    starting from +0.0."""
+
+    @staticmethod
+    def add_at(index, rows, count):
+        out = np.zeros((count, rows.shape[1]))
+        np.add.at(out, index, rows)
+        return out
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    @pytest.mark.parametrize("kind", list(FfnKind))
+    def test_model_gradients_are_add_at_into_zeros(self, kind, num_layers):
+        # A padded batch of three ids, one of them the vocabulary's last, so ids
+        # and positions repeat and most embedding rows receive nothing.
+        config = micro_config(kind, pqc_layers=2, num_layers=num_layers)
+        model = spread_model(config, seed=91)
+        ids, mask, labels = padded_batch(seed=92)
+        ids = np.random.default_rng(93).choice([5, 9, config.vocab_size - 1], ids.shape)
+        loss, grads = model_backward(model, ids, mask, labels)
+
+        # Each embedding row's gradient, read from a twin whose every unmasked
+        # row has a token of its own holding the same vector: the twin's forward
+        # is bitwise the same, and each of its token rows sums a single term.
+        sample, position = np.nonzero(mask)
+        twin = EncoderModel(replace(config, vocab_size=len(sample) + 1), seed=0)
+        for (name, p), (_, q) in zip(twin.named_parameters(), model.named_parameters()):
+            if name != "tok_emb":
+                p[...] = q
+        twin.tok_emb[1:] = model.tok_emb[ids[sample, position]]
+        twin_ids = np.zeros_like(ids)
+        twin_ids[sample, position] = np.arange(1, len(sample) + 1)
+        twin_loss, twin_grads = model_backward(twin, twin_ids, mask, labels)
+        assert twin_loss == loss
+        d_h = twin_grads["tok_emb"][1:]
+        assert np.max(np.abs(d_h)) > 1e-3
+
+        for name, index, count in (
+            ("tok_emb", ids[sample, position], config.vocab_size),
+            ("pos_emb", position, config.max_seq_len),
+        ):
+            assert grads[name].tobytes() == self.add_at(index, d_h, count).tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.intp, np.uint8], ids=["intp", "uint8"])
+    def test_sums_in_row_order_from_positive_zero(self, dtype):
+        # Row 2 meets 1e16, 1 and -1e16, whose sum depends on the order; row 0
+        # meets negative zeros only; row 6, the last, meets an inf in column 1;
+        # rows 1, 3, 4 and 5 meet nothing. At 50 columns a uint8 index times the
+        # width would wrap.
+        count, width = 7, 50
+        index = np.array([2, 0, 2, 6, 2, 0, 6], dtype=dtype)
+        rows = np.random.default_rng(94).normal(0.0, 1.0, (len(index), width))
+        rows[[0, 2, 4], 0] = 1e16, 1.0, -1e16
+        rows[[1, 5]] = -0.0
+        rows[3, 1] = np.inf
+        out = _row_sums(index, rows, count)
+        assert out.tobytes() == self.add_at(index, rows, count).tobytes()
+        assert out[2, 0] != (1e16 + -1e16) + 1.0
+        assert np.isinf(out[6, 1]) and np.isfinite(np.delete(out, 1, axis=1)).all()
+        for r in (0, 1, 3, 4, 5):
+            assert not out[r].any() and not np.signbit(out[r]).any(), r
+
+
 class TestCompileCount:
     """Each block's theta compiles once per value: a training step's forward
     and backward share one compile, and so does the evaluation after it."""
@@ -633,8 +699,12 @@ class TestWeightArchive:
         save_model(model, first)
         reloaded = load_model(first)
         save_model(reloaded, second)
-        assert (first / "weights.bin").read_bytes() == (second / "weights.bin").read_bytes()
+        blob = (first / "weights.bin").read_bytes()
+        assert blob == (second / "weights.bin").read_bytes()
         assert (first / "weights.json").read_text() == (second / "weights.json").read_text()
+        manifest = json.loads((first / "weights.json").read_text())
+        assert manifest["format_version"] == 1
+        assert manifest["weights_sha256"] == hashlib.sha256(blob).hexdigest()
 
     def test_loaded_values_are_the_float32_cast(self, tmp_path):
         model = EncoderModel(micro_config(), seed=20)
@@ -662,12 +732,39 @@ class TestArchiveValidation:
 
     @staticmethod
     def rewrite(directory, manifest=None, blob=None):
+        """Overwrite the manifest, the blob or both. A new blob's sha256 goes into
+        the manifest, so the checks after the hash see the blob."""
+        if blob is not None:
+            if manifest is None:
+                manifest = json.loads((directory / "weights.json").read_text())
+            manifest["weights_sha256"] = hashlib.sha256(blob).hexdigest()
+            (directory / "weights.bin").write_bytes(blob)
         if manifest is not None:
             (directory / "weights.json").write_text(json.dumps(manifest))
-        if blob is not None:
-            (directory / "weights.bin").write_bytes(blob)
 
-    @pytest.mark.parametrize("field,value", [("dtype", "float64"), ("byte_order", "big")])
+    def test_blob_of_another_model_of_the_same_size(self, saved, tmp_path):
+        # two heads instead of one: the same tensors and sizes, another model
+        directory, _ = saved
+        other = tmp_path / "other"
+        save_model(EncoderModel(replace(micro_config(), num_heads=2), seed=38), other)
+        blob = (other / "weights.bin").read_bytes()
+        assert len(blob) == len((directory / "weights.bin").read_bytes())
+        (directory / "weights.bin").write_bytes(blob)
+        with pytest.raises(ValueError, match="manifest weights_sha256"):
+            load_model(directory)
+
+    def test_flipped_bit(self, saved):
+        directory, _ = saved
+        blob = bytearray((directory / "weights.bin").read_bytes())
+        blob[len(blob) // 2] ^= 1  # a mantissa bit (bytes 0-2 of a float32), so the weight stays finite
+        (directory / "weights.bin").write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="manifest weights_sha256"):
+            load_model(directory)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("dtype", "float64"), ("byte_order", "big"), ("format_version", 2), ("format_version", True)],
+    )
     def test_foreign_encoding(self, saved, field, value):
         directory, manifest = saved
         manifest[field] = value
@@ -682,7 +779,7 @@ class TestArchiveValidation:
         with pytest.raises(ValueError, match="hiden"):
             load_model(directory)
 
-    @pytest.mark.parametrize("field", ["config", "tensors"])
+    @pytest.mark.parametrize("field", ["config", "tensors", "format_version", "weights_sha256"])
     def test_missing_manifest_field(self, saved, field):
         directory, manifest = saved
         del manifest[field]
