@@ -33,7 +33,6 @@ def _is_integer(value) -> bool:
 class Dataset:
     examples: list[tuple[str, int]]
     num_classes: int
-    split: str = ""
 
     def __post_init__(self):
         if not _is_integer(self.num_classes):
@@ -147,7 +146,7 @@ def encode_dataset(vocab: Vocab, dataset: Dataset, max_len: int = 128):
     return ids, mask, dataset.labels()
 
 
-def load_tsv(path, num_classes: int | None = None, split: str | None = None) -> Dataset:
+def load_tsv(path, num_classes: int | None = None) -> Dataset:
     """Parse a TSV dataset file; malformed lines raise with their line number.
 
     With ``num_classes`` given, labels are range-checked against it; otherwise
@@ -175,7 +174,7 @@ def load_tsv(path, num_classes: int | None = None, split: str | None = None) -> 
         raise ValueError(f"{path}: file contains no examples")
     if num_classes is None:
         num_classes = max(2, max(label for _, label in examples) + 1)
-    return Dataset(examples, num_classes, split if split is not None else path.stem)
+    return Dataset(examples, num_classes)
 
 
 def subsample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
@@ -206,7 +205,7 @@ def subsample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
         order = rng.permutation(len(by_class[c]))
         picked.extend(by_class[c][j] for j in order[: quotas[c]])
     picked = [picked[j] for j in rng.permutation(len(picked))]
-    return Dataset([dataset.examples[i] for i in picked], dataset.num_classes, dataset.split)
+    return Dataset([dataset.examples[i] for i in picked], dataset.num_classes)
 
 
 _SYLLABLES = ("ba", "de", "ki", "lo", "mu", "na", "po", "ra", "su", "ti", "ve", "zo", "fa", "gu")
@@ -227,7 +226,7 @@ def synth_keywords(num_classes: int) -> list[list[str]]:
     ]
 
 
-def synth_generate(num_examples: int, num_classes: int, seed: int, split: str = "synth") -> Dataset:
+def synth_generate(num_examples: int, num_classes: int, seed: int) -> Dataset:
     """Deterministic keyword-classification corpus, perfectly separable.
 
     Every text mixes shared noise words with one to three keywords drawn from
@@ -250,7 +249,7 @@ def synth_generate(num_examples: int, num_classes: int, seed: int, split: str = 
             words.insert(pos, keywords[label][rng.integers(KEYWORDS_PER_CLASS)])
         examples.append((" ".join(words), label))
     examples = [examples[j] for j in rng.permutation(num_examples)]
-    return Dataset(examples, num_classes, split)
+    return Dataset(examples, num_classes)
 
 
 def keyword_oracle_accuracy(dataset: Dataset) -> float:

@@ -10,8 +10,9 @@ maps the kind to. The quantum block maps each sample's classification row;
 every other row passes through it unchanged.
 
 Each sublayer sits inside the standard post-norm residual,
-``h <- LayerNorm(h + sublayer(h))``; the quantum block's internal residual
-exists in addition to that outer one.
+``h <- LayerNorm(h + sublayer(h))``, every layer norm adding BERT's 1e-12
+(``LAYER_NORM_EPS``, a constant) to the variance; the quantum block's internal
+residual exists in addition to that outer one.
 
 Rows are selected once per batch, as a ``RowSet``. The embedding gathers the
 unmasked tokens into an [N, H] matrix, and every layer reads that matrix.
@@ -92,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circuits import MAX_PQC_LAYERS, PqcConfig, pqc_param_count
+from .circuits import MAX_PQC_LAYERS, PqcConfig
 from .feedforward import (
     INIT_STD,
     QUANTUM_BLOCKS,
@@ -104,10 +105,11 @@ from .feedforward import (
     make_ffn_block,
     qffn_backward,
     qffn_forward,
+    quantum_ffn_param_count,
 )
 
 MASK_BIAS = -1e9
-PAPER_DEPTHS = (1, 2, 4, 8)
+LAYER_NORM_EPS = 1e-12
 
 
 class ModelConfigError(ValueError):
@@ -170,14 +172,6 @@ def check_fields(config, minimums: dict, maximums: dict | None = None) -> None:
             raise ModelConfigError(f.name, f"must hold distinct values, got {value}")
 
 
-def check_strict_depths(name: str, depths: list[int]) -> None:
-    """The strict-depth rule: raise ``ModelConfigError`` naming ``name`` unless
-    every circuit depth in ``depths`` is one of ``PAPER_DEPTHS``."""
-    off_grid = [d for d in depths if d not in PAPER_DEPTHS]
-    if off_grid:
-        raise ModelConfigError(name, f"must be in {PAPER_DEPTHS} in strict-depth mode, got {off_grid[0]}")
-
-
 @dataclass
 class ModelConfig:
     vocab_size: int
@@ -190,7 +184,6 @@ class ModelConfig:
     ffn_kind: FfnKind = FfnKind.CLASSICAL
     pqc_layers: int = 1
     dropout: float = 0.0
-    layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
         try:
@@ -200,14 +193,12 @@ class ModelConfig:
                 "ffn_kind", f"must be one of {[k.value for k in FfnKind]}, got {self.ffn_kind!r}"
             ) from None
 
-    def validate(self, strict_depths: bool = False) -> None:
+    def validate(self) -> None:
         check_fields(self, MODEL_MINIMUMS, MODEL_MAXIMUMS)
         if self.hidden % self.num_heads != 0:
             raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ModelConfigError("dropout", f"must be in [0, 1), got {self.dropout}")
-        if not self.layer_norm_eps > 0.0:
-            raise ModelConfigError("layer_norm_eps", f"must be > 0, got {self.layer_norm_eps}")
         # Bound the parameter count before anything is allocated. The field named is
         # the first, in declaration order, that takes the count past the bound while
         # every later size stays at its minimum.
@@ -217,8 +208,6 @@ class ModelConfig:
             count = model_param_count(replace(self, **sizes))
             if count > MAX_MODEL_PARAMS:
                 raise ModelConfigError(name, f"makes the model {count} parameters, more than {MAX_MODEL_PARAMS}")
-        if strict_depths and self.ffn_kind in QUANTUM_BLOCKS:
-            check_strict_depths("pqc_layers", [self.pqc_layers])
 
 
 @dataclass
@@ -288,9 +277,7 @@ def model_param_count(config: ModelConfig) -> int:
     if config.ffn_kind is FfnKind.CLASSICAL:
         ffn = classical_ffn_param_count(h, config.intermediate)
     else:
-        pqc = PqcConfig(QUANTUM_BLOCKS[config.ffn_kind][0], config.pqc_layers)
-        nq = pqc.num_qubits
-        ffn = (nq * h + nq) + (h * nq + h) + pqc_param_count(pqc)
+        ffn = quantum_ffn_param_count(h, PqcConfig(QUANTUM_BLOCKS[config.ffn_kind][0], config.pqc_layers))
     total += config.num_layers * (attn + norms + ffn)
     total += config.num_classes * h + config.num_classes
     return total
@@ -558,7 +545,7 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
         if attn_drop is not None:
             attn_out *= attn_drop
         attn_out += x
-        mid, lc["ln1"] = _layer_norm(attn_out, layer.ln1_g, layer.ln1_b, cfg.layer_norm_eps)
+        mid, lc["ln1"] = _layer_norm(attn_out, layer.ln1_g, layer.ln1_b, LAYER_NORM_EPS)
         lc["mid"] = mid
 
         if isinstance(layer.ffn, QffnBlock):
@@ -572,7 +559,7 @@ def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=No
         if ffn_drop is not None:
             ffn_out *= ffn_drop
         ffn_out += mid
-        h, lc["ln2"] = _layer_norm(ffn_out, layer.ln2_g, layer.ln2_b, cfg.layer_norm_eps)
+        h, lc["ln2"] = _layer_norm(ffn_out, layer.ln2_g, layer.ln2_b, LAYER_NORM_EPS)
         caches.append(lc)
     logits = h @ model.cls_w.T + model.cls_b
     cache = {"token_ids": token_ids, "tokens": tokens, "final": h[:, None], "layers": caches}
@@ -681,7 +668,7 @@ def model_backward(model: EncoderModel, token_ids, attention_mask, labels, rng=N
 WEIGHTS_BIN = "weights.bin"
 WEIGHTS_MANIFEST = "weights.json"
 # Version of the archive layout below; load_model reads no other.
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 
 def atomic_write(path: Path, data: bytes | str) -> None:

@@ -254,9 +254,13 @@ def qffn_backward(block: QffnBlock, row: np.ndarray, upstream: np.ndarray):
 
 def qffn_param_count(block: QffnBlock) -> int:
     """Projections plus circuit angles; 516 + 640 + 8L at hidden width 128."""
-    nq = block.pqc_config.num_qubits
-    h = block.hidden_dim
-    return (nq * h + nq) + (h * nq + h) + pqc_param_count(block.pqc_config)
+    return quantum_ffn_param_count(block.hidden_dim, block.pqc_config)
+
+
+def quantum_ffn_param_count(hidden: int, pqc_config: PqcConfig) -> int:
+    """Weight count of a quantum block of width ``hidden`` running ``pqc_config``."""
+    nq = pqc_config.num_qubits
+    return (nq * hidden + nq) + (hidden * nq + hidden) + pqc_param_count(pqc_config)
 
 
 def classical_ffn_param_count(hidden: int, intermediate: int) -> int:

@@ -42,10 +42,13 @@ fractions that name one cell twice are rejected, null counts as unset, and
 errors name ``<section>.<field>``. Everything is checked on load, before any
 output: the model section with stand-ins for the two fields the data fix
 (``vocab_size`` and ``num_classes``, never written in the config), and again,
-with the real values and the strict-depth rule, once the data are read. An
-``out_dir`` that is an existing file, or lies under one, is rejected on load;
-once the data are read, ``check_fraction`` rejects a ``train.fraction`` or
-``sweep.fractions`` entry that would select no training example.
+with the real values, once the data are read. An ``out_dir`` that is an
+existing file, or lies under one, is rejected on load; once the data are read,
+``check_fraction`` rejects a ``train.fraction`` or ``sweep.fractions`` entry
+that would select no training example. Strict-depth mode is run policy, which
+this module alone applies: it allows only ``PAPER_DEPTHS`` in ``sweep.depths``
+and ``probe.depths``, checked as each is built, and in a quantum model's
+``pqc_layers``, checked by ``RunConfig.model_config``.
 """
 from __future__ import annotations
 
@@ -57,8 +60,11 @@ from pathlib import Path
 from .circuits import MAX_PQC_LAYERS, Ansatz
 from .data import MAX_SYNTH_CLASSES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
 from .diagnostics import MAX_PROBE_SAMPLES, MIN_PROBE_SAMPLES
-from .encoder import MODEL_MINIMUMS, ModelConfig, ModelConfigError, PAPER_DEPTHS, check_fields, check_strict_depths
+from .encoder import MODEL_MINIMUMS, ModelConfig, ModelConfigError, check_fields
+from .feedforward import QUANTUM_BLOCKS
 from .training import TrainConfig
+
+PAPER_DEPTHS = (1, 2, 4, 8)  # the circuit depths of the paper's grid
 
 
 class ConfigError(ValueError):
@@ -92,9 +98,7 @@ class SynthTask:
     num_classes: int = 2
 
     def validate(self) -> None:
-        check_fields(self, {"num_train": 1, "num_val": 1, "num_classes": 2})
-        if self.num_classes > MAX_SYNTH_CLASSES:
-            raise ModelConfigError("num_classes", f"must be <= {MAX_SYNTH_CLASSES}, got {self.num_classes}")
+        check_fields(self, {"num_train": 1, "num_val": 1, "num_classes": 2}, {"num_classes": MAX_SYNTH_CLASSES})
 
 
 @dataclass
@@ -123,15 +127,13 @@ class SweepConfig:
     fractions: list[float]
     include_classical: bool = True
 
-    def validate(self, strict_depths: bool = False) -> None:
+    def validate(self) -> None:
         check_fields(self, {"depths": 1}, {"depths": MAX_PQC_LAYERS})
         if not all(0 < f <= 1 for f in self.fractions):
             raise ModelConfigError("fractions", f"items must be in (0, 1], got {self.fractions}")
         tags = [fraction_tag(f) for f in self.fractions]
         if len(set(tags)) < len(tags):
             raise ModelConfigError("fractions", f"must name distinct cells, got {self.fractions} as {tags}")
-        if strict_depths:
-            check_strict_depths("depths", self.depths)
 
 
 @dataclass
@@ -140,7 +142,7 @@ class ProbeConfig:
     depths: list[int] = field(default_factory=lambda: list(PAPER_DEPTHS))
     num_samples: int = 100
 
-    def validate(self, strict_depths: bool = False) -> None:
+    def validate(self) -> None:
         check_fields(
             self, {"depths": 1, "num_samples": MIN_PROBE_SAMPLES},
             {"depths": MAX_PQC_LAYERS, "num_samples": MAX_PROBE_SAMPLES},
@@ -149,27 +151,24 @@ class ProbeConfig:
             raise ModelConfigError(
                 "variants", f"must contain only {[a.value for a in Ansatz]}, got {self.variants}"
             )
-        if strict_depths:
-            check_strict_depths("depths", self.depths)
 
 
 def _without_nulls(section: dict | None) -> dict | None:
     return None if section is None else {k: v for k, v in section.items() if v is not None}
 
 
-_FIXED = {"layer_norm_eps"}  # a ModelConfig field that no config file sets
 # The ModelConfig fields the data fix, at their minimums: load checks every other model value with them.
 _DATA_STAND_INS = {name: MODEL_MINIMUMS[name] for name in ("vocab_size", "num_classes")}
 
 
-def _build(section: str, cls, values: dict, derived: dict | None = None, **validate_args):
+def _build(section: str, cls, values: dict, derived: dict | None = None):
     """``cls`` built from one config section, in which null counts as unset, and
     the fields the run derives, then validated. Errors name ``<section>.<field>``,
     or the bare field for a derived one or a top-level one (``section`` "")."""
     derived = derived or {}
     prefix = f"{section}." if section else ""
     values = _without_nulls(values)
-    settable = [f for f in fields(cls) if f.name not in derived and f.name not in _FIXED]
+    settable = [f for f in fields(cls) if f.name not in derived]
     unknown = sorted(set(values) - {f.name for f in settable})
     if unknown:
         reason = "all randomness flows from the top-level seed" if unknown[0] == "seed" else "unknown field"
@@ -179,10 +178,18 @@ def _build(section: str, cls, values: dict, derived: dict | None = None, **valid
             raise ConfigError(prefix + f.name, "required field is missing")
     try:
         config = cls(**values, **derived)
-        config.validate(**validate_args)
+        config.validate()
     except ModelConfigError as exc:
         raise ConfigError(exc.field if exc.field in derived else prefix + exc.field, str(exc)) from exc
     return config
+
+
+def _check_strict_depths(strict: bool, section: str, name: str, depths: list[int]) -> None:
+    """The strict-depth rule: when ``strict``, raise ``ConfigError`` at
+    ``<section>.<name>`` unless every circuit depth in ``depths`` is in ``PAPER_DEPTHS``."""
+    off = [d for d in depths if d not in PAPER_DEPTHS]
+    if strict and off:
+        raise ConfigError(f"{section}.{name}", f"{name} must be in {PAPER_DEPTHS} in strict-depth mode, got {off[0]}")
 
 
 @dataclass
@@ -202,10 +209,11 @@ class RunConfig:
         return _build("train", TrainConfig, {**self.train, **overrides}, {"seed": self.seed})
 
     def model_config(self, vocab_size: int, num_classes: int, **overrides) -> ModelConfig:
-        return _build(
-            "model", ModelConfig, {**self.model, **overrides},
-            {"vocab_size": vocab_size, "num_classes": num_classes}, strict_depths=self.strict_depths,
-        )
+        derived = {"vocab_size": vocab_size, "num_classes": num_classes}
+        config = _build("model", ModelConfig, {**self.model, **overrides}, derived)
+        strict = self.strict_depths and config.ffn_kind in QUANTUM_BLOCKS
+        _check_strict_depths(strict, "model", "pqc_layers", [config.pqc_layers])
+        return config
 
     def echo(self, **resolved) -> dict:
         return {
@@ -255,6 +263,12 @@ def load_run_config(
     task = _without_nulls(doc.task)
     model = _without_nulls(doc.model) or {}
     _build("model", ModelConfig, model, _DATA_STAND_INS)
+    task_config = None if task is None else _task_config(task)
+    sections = {}
+    for name, cls, values in (("sweep", SweepConfig, doc.sweep), ("probe", ProbeConfig, doc.probe)):
+        if values is not None:
+            sections[name] = _build(name, cls, values)
+            _check_strict_depths(doc.strict_depths, name, "depths", sections[name].depths)
     config = RunConfig(
         out_dir=out_dir,
         seed=doc.seed,
@@ -262,22 +276,18 @@ def load_run_config(
         task=task,
         model=model,
         train=_without_nulls(doc.train) or {},
-        task_config=None if task is None else _task_config(task),
-        sweep=None if doc.sweep is None else _build(
-            "sweep", SweepConfig, doc.sweep, strict_depths=doc.strict_depths
-        ),
-        probe=None if doc.probe is None else _build(
-            "probe", ProbeConfig, doc.probe, strict_depths=doc.strict_depths
-        ),
+        task_config=task_config,
+        sweep=sections.get("sweep"),
+        probe=sections.get("probe"),
         source_path=path,
     )
     config.train_config()  # rejects a bad train section or seed before any command starts
     return config
 
 
-def _read(field_path: str, load, *args, **kwargs):
+def _read(field_path: str, load, *args):
     try:
-        return load(*args, **kwargs)
+        return load(*args)
     except (OSError, ValueError) as exc:
         raise ConfigError(field_path, str(exc)) from exc
 
@@ -288,11 +298,11 @@ def build_task_data(config: RunConfig) -> tuple[Dataset, Dataset, Vocab]:
     if task is None:
         raise ConfigError("task", "required field is missing")
     if isinstance(task, SynthTask):
-        train_set = synth_generate(task.num_train, task.num_classes, seed=config.seed, split="train")
-        val_set = synth_generate(task.num_val, task.num_classes, seed=config.seed + 1, split="val")
+        train_set = synth_generate(task.num_train, task.num_classes, seed=config.seed)
+        val_set = synth_generate(task.num_val, task.num_classes, seed=config.seed + 1)
         return train_set, val_set, build_vocab(train_set)
-    train_set = _read("task.train_path", load_tsv, task.train_path, task.num_classes, split="train")
-    val_set = _read("task.val_path", load_tsv, task.val_path, train_set.num_classes, split="val")
+    train_set = _read("task.train_path", load_tsv, task.train_path, task.num_classes)
+    val_set = _read("task.val_path", load_tsv, task.val_path, train_set.num_classes)
     if task.vocab_path:
         return train_set, val_set, _read("task.vocab_path", Vocab.from_file, task.vocab_path)
     return train_set, val_set, build_vocab(train_set)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Vocab, build_vocab, encode_dataset, subsample
+from .data import Dataset, Vocab, encode_dataset, subsample
 from .encoder import (
     EncoderModel, ModelConfig, ModelConfigError, check_fields, log_softmax, model_backward, model_forward,
 )
@@ -76,10 +76,11 @@ class AdamOptimizer:
     parameter and allocated once, so a step allocates nothing of a parameter's
     size."""
 
-    def __init__(self, named_params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, named_params, learning_rate):
         self.params = list(named_params)
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = {name: np.zeros_like(p) for name, p in self.params}
         self.v = {name: np.zeros_like(p) for name, p in self.params}
         self.t = 0
@@ -87,25 +88,25 @@ class AdamOptimizer:
 
     def step(self, grads) -> None:
         self.t += 1
-        bias1 = 1.0 - self.beta1**self.t
-        bias2 = 1.0 - self.beta2**self.t
+        bias1 = 1.0 - self.BETA1**self.t
+        bias2 = 1.0 - self.BETA2**self.t
         for name, p in self.params:
             g = grads[name]
             m, v = self.m[name], self.v[name]
             update, denom = (s[: p.size].reshape(p.shape) for s in self._scratch)
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=update)
+            m *= self.BETA1
+            np.multiply(g, 1.0 - self.BETA1, out=update)
             m += update
-            v *= self.beta2
+            v *= self.BETA2
             np.multiply(g, g, out=update)
-            update *= 1.0 - self.beta2
+            update *= 1.0 - self.BETA2
             v += update
             # p -= lr * (m / bias1) / (sqrt(v / bias2) + eps)
             np.divide(m, bias1, out=update)
             update *= self.lr
             np.divide(v, bias2, out=denom)
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += self.EPS
             update /= denom
             p -= update
 
@@ -139,7 +140,7 @@ def train(
     train_config: TrainConfig,
     train_set: Dataset,
     val_set: Dataset,
-    vocab: Vocab | None = None,
+    vocab: Vocab,
 ):
     """Run the full fine-tuning loop; returns (model, MetricsReport).
 
@@ -148,14 +149,12 @@ def train(
     accuracy_per_param = val_acc / param_total.
     """
     train_config.validate()
-    if vocab is None:
-        vocab = build_vocab(train_set)
     if model_config.vocab_size != len(vocab):
         raise ValueError(
             f"model_config.vocab_size {model_config.vocab_size} != vocabulary size {len(vocab)}"
         )
     if max(train_set.num_classes, val_set.num_classes) > model_config.num_classes:
-        raise ValueError("dataset has more classes than the model")
+        raise ValueError(f"dataset has more classes than the model's num_classes {model_config.num_classes}")
 
     start_time = time.perf_counter()
     if train_config.fraction < 1.0:

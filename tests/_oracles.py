@@ -177,7 +177,7 @@ def full_row_logits(model, token_ids, mask):
     def layer_norm(x, g, b):
         centered = x - x.mean(axis=-1, keepdims=True)
         var = (centered**2).mean(axis=-1, keepdims=True)
-        return centered / np.sqrt(var + cfg.layer_norm_eps) * g + b
+        return centered / np.sqrt(var + 1e-12) * g + b
 
     def split(x):
         return x.reshape(batch, seq, heads, width).transpose(0, 2, 1, 3)

@@ -31,8 +31,8 @@ def _report(criterion: str, ok: bool, detail: str = ""):
 
 @pytest.fixture(scope="module")
 def synth_task():
-    train_set = synth_generate(400, 2, seed=42, split="train")
-    val_set = synth_generate(100, 2, seed=43, split="val")
+    train_set = synth_generate(400, 2, seed=42)
+    val_set = synth_generate(100, 2, seed=43)
     return train_set, val_set, build_vocab(train_set)
 
 

@@ -10,7 +10,10 @@ import pytest
 
 import qffn.cli as cli
 from qffn.cli import cmd_ablate, cmd_probe, cmd_sweep, cmd_train, main
-from qffn.training import TrainingDiverged
+from qffn.data import Vocab, build_vocab, load_tsv, synth_generate
+from qffn.encoder import load_model, save_model
+from qffn.runconfig import build_task_data, load_run_config
+from qffn.training import TrainingDiverged, train
 
 TINY_MODEL = {"hidden": 16, "num_layers": 1, "num_heads": 1,
               "intermediate": 32, "max_seq_len": 16}
@@ -187,6 +190,43 @@ class TestTrainCommand:
                   "val_path": str(val_file), "num_classes": 2},
         )
         assert cmd_train(config) == 0
+
+
+class TestVocabularyFile:
+    """``task.vocab_path``: a TSV task's token ids come from the file."""
+
+    @staticmethod
+    def write_task(tmp_path, vocab_path):
+        for name, (count, seed) in {"train": (24, 11), "val": (12, 12)}.items():
+            data = synth_generate(count, 2, seed=seed)
+            (tmp_path / f"{name}.tsv").write_text("".join(f"{t}\t{l}\n" for t, l in data.examples))
+        task = {"kind": "tsv", "train_path": str(tmp_path / "train.tsv"),
+                "val_path": str(tmp_path / "val.tsv"), "vocab_path": str(vocab_path)}
+        return write_config(tmp_path, task=task)[0]
+
+    def test_trains_with_the_ids_of_the_file(self, tmp_path):
+        config = self.write_task(tmp_path, tmp_path / "vocab.txt")
+        # not build_vocab's order, and one token that no split holds
+        built = build_vocab(load_tsv(tmp_path / "train.tsv")).tokens
+        tokens = built[:4] + built[:3:-1] + ["unused"]
+        (tmp_path / "vocab.txt").write_text("\n".join(tokens) + "\n")
+        assert cmd_train(config) == 0
+        rc = load_run_config(config)
+        train_set, val_set, vocab = build_task_data(rc)
+        assert vocab.tokens == tokens
+        model, _ = train(rc.model_config(len(tokens), 2), rc.train_config(), train_set, val_set, Vocab(tokens))
+        save_model(model, tmp_path / "direct")
+        out = tmp_path / "out"
+        assert load_model(out).config.vocab_size == len(tokens)
+        assert (out / "weights.bin").read_bytes() == (tmp_path / "direct" / "weights.bin").read_bytes()
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "no special tokens"])
+    def test_unreadable_file_is_a_config_error(self, tmp_path, capsys, kind):
+        path = {"missing": tmp_path / "none.txt", "directory": tmp_path, "no special tokens": tmp_path / "v.txt"}[kind]
+        (tmp_path / "v.txt").write_text("good\nbad\n")
+        assert cmd_train(self.write_task(tmp_path, path)) == 1
+        assert not (tmp_path / "out").exists()
+        assert "config error at task.vocab_path" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -64,6 +64,11 @@ class TestTokenize:
         ids, _ = tokenize(simple_vocab(), "zebra", max_len=4)
         assert ids[1] == UNK_ID
 
+    def test_word_over_100_characters_maps_to_unk(self):
+        v = simple_vocab(("x" * 100, "x" * 101))
+        ids, _ = tokenize(v, f"{'x' * 100} {'x' * 101}", max_len=4)
+        np.testing.assert_array_equal(ids, [CLS_ID, v.index["x" * 100], UNK_ID, SEP_ID])
+
     def test_truncation_keeps_separator(self):
         v = simple_vocab()
         ids, mask = tokenize(v, "good " * 50, max_len=8)
@@ -130,6 +135,12 @@ class TestLoadTsv:
         path = tmp_path / "d.tsv"
         path.write_text("good\tpositive\n")
         with pytest.raises(ValueError, match=":1"):
+            load_tsv(path)
+
+    def test_negative_label_reports_location(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_text("good\t1\nbad\t-1\n")
+        with pytest.raises(ValueError, match=":2: label must be non-negative"):
             load_tsv(path)
 
     def test_missing_file(self, tmp_path):
@@ -216,6 +227,11 @@ class TestSynthGenerate:
             synth_generate(10, 1, seed=0)
         with pytest.raises(ValueError):
             synth_generate(10, 15, seed=0)
+
+    @pytest.mark.parametrize("num_examples", [0, -1])
+    def test_no_examples_rejected(self, num_examples):
+        with pytest.raises(ValueError, match="num_examples must be >= 1"):
+            synth_generate(num_examples, 2, seed=0)
 
 
 class TestDataset:

@@ -1,10 +1,12 @@
-"""Run-config loading: the example files shipped in configs/, and null sections."""
+"""Run-config loading: the example files shipped in configs/, null sections,
+rejected documents and strict-depth mode."""
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from qffn.runconfig import load_run_config
+from qffn.runconfig import ConfigError, load_run_config
 from qffn.training import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -29,3 +31,52 @@ def test_null_counts_as_unset(tmp_path):
     assert (config.seed, config.strict_depths) == (42, False)
     assert config.task is config.sweep is config.probe is None
     assert config.train_config() == TrainConfig()
+
+
+def write(tmp_path, doc) -> Path:
+    path = tmp_path / "run.json"
+    path.write_text(doc if isinstance(doc, str) else json.dumps({"out_dir": "out", **doc}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "doc,field,message",
+    [
+        pytest.param({"task": {"kind": "synth", "num_train": 24, "num_val": 12, "num_classes": 15}}, "task.num_classes",
+                     "num_classes must be <= 14, got 15", id="synth-classes-above-14"),
+        pytest.param({"task": {"num_train": 24, "num_val": 12}}, "task.kind",
+                     "required field is missing", id="task-without-kind"),
+        pytest.param({"sweep": {"depths": [1], "fractions": [1.0, 0.0]}}, "sweep.fractions",
+                     "fractions items must be in (0, 1], got [1.0, 0.0]", id="fraction-zero"),
+        pytest.param({"sweep": {"depths": [1], "fractions": [1.5]}}, "sweep.fractions",
+                     "fractions items must be in (0, 1], got [1.5]", id="fraction-above-one"),
+        pytest.param({"probe": {"variants": ["optimized", "quantum"]}}, "probe.variants",
+                     "variants must contain only ['optimized', 'vanilla'], got ['optimized', 'quantum']",
+                     id="unknown-variant"),
+        pytest.param("{", "<config>", "invalid JSON in", id="invalid-json"),
+        pytest.param("[]", "<config>", "top level must be a JSON object", id="top-level-list"),
+        pytest.param("3", "<config>", "top level must be a JSON object", id="top-level-number"),
+    ],
+)
+def test_rejected_document_names_the_field(tmp_path, doc, field, message):
+    with pytest.raises(ConfigError, match=re.escape(f"config error at {field}: {message}")) as info:
+        load_run_config(write(tmp_path, doc))
+    assert info.value.field == field
+
+
+def test_strict_depths(tmp_path):
+    model = {"ffn_kind": "qffn", "pqc_layers": 3}
+    load_run_config(write(tmp_path, {"model": model})).model_config(10, 2)  # fine without strict mode
+    strict = load_run_config(write(tmp_path, {"strict_depths": True, "model": model}))
+    message = "config error at model.pqc_layers: pqc_layers must be in (1, 2, 4, 8) in strict-depth mode, got 3"
+    with pytest.raises(ConfigError, match=re.escape(message)) as info:
+        strict.model_config(10, 2)
+    assert info.value.field == "model.pqc_layers"
+    strict.model_config(10, 2, pqc_layers=4)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        strict.model_config(10, 2, ffn_kind="vanilla_qffn")
+
+
+def test_strict_depths_ignores_classical(tmp_path):
+    strict = load_run_config(write(tmp_path, {"strict_depths": True, "model": {"pqc_layers": 3}}))
+    assert strict.model_config(10, 2).pqc_layers == 3

@@ -22,8 +22,8 @@ TINY_MODEL = dict(num_classes=2, hidden=16, num_layers=1, num_heads=1,
 
 
 def tiny_task(n_train=60, n_val=20, num_classes=2, seed=5):
-    train_set = synth_generate(n_train, num_classes, seed=seed, split="train")
-    val_set = synth_generate(n_val, num_classes, seed=seed + 1, split="val")
+    train_set = synth_generate(n_train, num_classes, seed=seed)
+    val_set = synth_generate(n_val, num_classes, seed=seed + 1)
     vocab = build_vocab(train_set)
     return train_set, val_set, vocab
 
@@ -106,6 +106,15 @@ class TestReport:
         train_set, val_set, vocab = tiny_task()
         mc = ModelConfig(vocab_size=len(vocab) + 5, **TINY_MODEL)
         with pytest.raises(ValueError):
+            train(mc, TrainConfig(), train_set, val_set, vocab)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_more_dataset_classes_than_the_model_rejected(self, split):
+        train_set, val_set, vocab = tiny_task()
+        three = synth_generate(30, 3, seed=3)
+        train_set, val_set = (three, val_set) if split == "train" else (train_set, three)
+        mc = ModelConfig(vocab_size=len(vocab), **TINY_MODEL)
+        with pytest.raises(ValueError, match="more classes than the model's num_classes 2"):
             train(mc, TrainConfig(), train_set, val_set, vocab)
 
     def test_config_validation(self):
