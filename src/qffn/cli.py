@@ -14,10 +14,10 @@ absent. Every setting a command uses, each sweep cell's included, is validated
 before it trains or writes anything (floats must be finite), so a rejected
 config produces no output at all; an operating-system error while creating
 the output directory or writing an artifact exits 1 with an ``error:`` line.
-The source config file is copied verbatim into the output directory for
-provenance; resolved settings are echoed inside metrics.json. Measured
-wall-clock time is printed on stdout but stored as null in metrics.json so
-that identical configs produce byte-identical files.
+Every setting comes from the config file; ``--out`` may override its output
+directory, into which the file is copied verbatim, so rerunning the copy
+reproduces the run. Resolved settings are echoed in metrics.json; wall-clock
+time is printed, but stored as null so identical configs give identical files.
 """
 from __future__ import annotations
 
@@ -63,10 +63,10 @@ def _fail(exc: Exception) -> int:
     return 1
 
 
-def cmd_train(config_path, out=None, seed=None, strict_depths=None) -> int:
+def cmd_train(config_path, out=None) -> int:
     """Run one training job and write its artifacts; returns the exit code."""
     try:
-        rc = load_run_config(config_path, out, seed, strict_depths)
+        rc = load_run_config(config_path, out)
         train_set, val_set, vocab = build_task_data(rc)
         model_cfg = rc.model_config(len(vocab), train_set.num_classes)
         train_cfg = rc.train_config()
@@ -92,9 +92,9 @@ def _sweep_kind(rc: RunConfig, forced_kind: FfnKind | None) -> FfnKind:
     return kind
 
 
-def _run_sweep(config_path, out, seed, strict_depths, forced_kind: FfnKind | None) -> int:
+def _run_sweep(config_path, out, forced_kind: FfnKind | None) -> int:
     try:
-        rc = load_run_config(config_path, out, seed, strict_depths)
+        rc = load_run_config(config_path, out)
         if rc.sweep is None:
             raise ConfigError("sweep", "required field is missing")
         kind = _sweep_kind(rc, forced_kind)
@@ -150,20 +150,20 @@ def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
     return 1 if len(failures) > 1 else 0
 
 
-def cmd_sweep(config_path, out=None, seed=None, strict_depths=None) -> int:
+def cmd_sweep(config_path, out=None) -> int:
     """Depth x fraction grid plus classical baselines; one metrics set per cell."""
-    return _run_sweep(config_path, out, seed, strict_depths, forced_kind=None)
+    return _run_sweep(config_path, out, forced_kind=None)
 
 
-def cmd_ablate(config_path, out=None, seed=None, strict_depths=None) -> int:
+def cmd_ablate(config_path, out=None) -> int:
     """Sweep with the vanilla quantum block (no internal residual) forced on."""
-    return _run_sweep(config_path, out, seed, strict_depths, forced_kind=FfnKind.VANILLA_QFFN)
+    return _run_sweep(config_path, out, forced_kind=FfnKind.VANILLA_QFFN)
 
 
-def cmd_probe(config_path, out=None, seed=None, strict_depths=None) -> int:
+def cmd_probe(config_path, out=None) -> int:
     """Gradient-variance probe over depths and variants; writes probe.csv."""
     try:
-        rc = load_run_config(config_path, out, seed, strict_depths)
+        rc = load_run_config(config_path, out)
         if rc.probe is None:
             raise ConfigError("probe", "required field is missing")
         results = [
@@ -198,16 +198,8 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run config")
         p.add_argument("--out", default=None, help="output directory (overrides the config)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument(
-            "--strict-depths",
-            action="store_true",
-            default=None,
-            help="reject circuit depths outside the benchmark grid {1,2,4,8}",
-        )
     args = parser.parse_args(argv)
-    command, _ = commands[args.command]
-    return command(args.config, args.out, args.seed, args.strict_depths)
+    return commands[args.command][0](args.config, args.out)
 
 
 if __name__ == "__main__":

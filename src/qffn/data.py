@@ -64,6 +64,8 @@ class Vocab:
 
     def __init__(self, tokens):
         tokens = list(tokens)
+        if not all(isinstance(tok, str) for tok in tokens):
+            raise ValueError("vocabulary tokens must be str")
         if tuple(tokens[:4]) != SPECIAL_TOKENS:
             raise ValueError(f"vocabulary must start with {SPECIAL_TOKENS}")
         self.tokens = tokens
@@ -234,10 +236,10 @@ def synth_generate(num_examples: int, num_classes: int, seed: int) -> Dataset:
     the corpus with accuracy 1. Labels cycle through the classes for balanced
     counts, then example order is shuffled.
     """
-    if not 2 <= num_classes <= MAX_SYNTH_CLASSES:
-        raise ValueError(f"num_classes must be in 2..{MAX_SYNTH_CLASSES}, got {num_classes}")
-    if num_examples < 1:
-        raise ValueError("num_examples must be >= 1")
+    if not (_is_integer(num_classes) and 2 <= num_classes <= MAX_SYNTH_CLASSES):
+        raise ValueError(f"num_classes must be an integer in 2..{MAX_SYNTH_CLASSES}, got {num_classes!r}")
+    if not (_is_integer(num_examples) and num_examples >= 1):
+        raise ValueError(f"num_examples must be >= 1 and an integer, got {num_examples!r}")
     rng = np.random.default_rng(seed)
     keywords = synth_keywords(num_classes)
     examples = []

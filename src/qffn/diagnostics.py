@@ -9,6 +9,7 @@ reflects the circuit as deployed, not a fixed-input special case.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -65,8 +66,9 @@ def grad_variance_probe(
     shift, and records the population variance of those samples.
     """
     variant = Ansatz(variant)
-    if not MIN_PROBE_SAMPLES <= num_samples <= MAX_PROBE_SAMPLES:
-        raise ValueError(f"num_samples must be in {MIN_PROBE_SAMPLES}..{MAX_PROBE_SAMPLES}, got {num_samples}")
+    integer = isinstance(num_samples, numbers.Integral) and not isinstance(num_samples, bool)
+    if not (integer and MIN_PROBE_SAMPLES <= num_samples <= MAX_PROBE_SAMPLES):
+        raise ValueError(f"num_samples must be an integer in {MIN_PROBE_SAMPLES}..{MAX_PROBE_SAMPLES}, got {num_samples!r}")
     rng = np.random.default_rng(seed)
     entries = []
     for depth in depths:

@@ -518,15 +518,15 @@ class _Discard(dict):
         pass
 
 
-def _forward(model: EncoderModel, token_ids, attention_mask, train=False, rng=None, keep=True):
-    """Logits and, when ``keep``, the cache ``_backward`` reads; else None."""
+def _forward(model: EncoderModel, token_ids, attention_mask, rng=None, keep=True):
+    """Logits and, when ``keep`` (the training pass, the one with dropout), ``_backward``'s cache; else None."""
     token_ids, mask = _check_inputs(model, token_ids, attention_mask)
     cfg = model.config
     batch = token_ids.shape[0]
     tokens = RowSet(*np.nonzero(mask))
     h = model.tok_emb[token_ids[tokens.sample, tokens.position]] + model.pos_emb[tokens.position]
     key_bias = ((1.0 - mask[:, : tokens.width]) * MASK_BIAS)[:, None, None, :]
-    p = cfg.dropout if train else 0.0
+    p = cfg.dropout if keep else 0.0
     mask_shape = (batch, tokens.width, cfg.hidden)
     caches = []
     last = len(model.layers) - 1
@@ -645,9 +645,7 @@ def model_backward(model: EncoderModel, token_ids, attention_mask, labels, rng=N
     Returns ``(loss, grads)`` with ``grads`` keyed exactly like
     ``model.named_parameters()``.
     """
-    logits, cache = _forward(
-        model, token_ids, attention_mask, train=model.config.dropout > 0.0, rng=rng
-    )
+    logits, cache = _forward(model, token_ids, attention_mask, rng=rng)
     batch = logits.shape[0]
     labels = np.asarray(labels)
     if labels.shape != (batch,) or not np.issubdtype(labels.dtype, np.integer):

@@ -211,8 +211,8 @@ class QffnBlock(Module):
 
 
 def _check_row(block: QffnBlock, row: np.ndarray) -> None:
-    if row.shape != (block.hidden_dim,):
-        raise ValueError(f"row must be [{block.hidden_dim}], got shape {row.shape}")
+    if not isinstance(row, np.ndarray) or row.shape != (block.hidden_dim,):
+        raise ValueError(f"row must be a [{block.hidden_dim}] array, got {type(row).__name__} of shape {np.shape(row)}")
 
 
 def qffn_forward(block: QffnBlock, row: np.ndarray) -> np.ndarray:
@@ -234,6 +234,8 @@ def qffn_backward(block: QffnBlock, row: np.ndarray, upstream: np.ndarray):
     rule, so the only approximation anywhere is float rounding.
     """
     _check_row(block, row)
+    if not isinstance(upstream, np.ndarray):
+        raise ValueError(f"upstream must be an array, got {type(upstream).__name__}")
     if upstream.shape != row.shape:
         raise ValueError(f"upstream shape {upstream.shape} != row shape {row.shape}")
     encoded = block.w_in @ row + block.b_in

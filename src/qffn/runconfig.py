@@ -35,20 +35,20 @@ Schema (defaults in parentheses):
 Validation is strict, so a config file cannot silently drift from what
 actually ran. The top level and every section are dataclasses whose field
 defaults are the config's defaults (the task is a ``SynthTask`` or ``TsvTask``
-by ``kind``), all checked by ``encoder.check_fields``: numbers are never bools,
-floats are finite (JSON's NaN and Infinity are rejected), and lists are
-non-empty with distinct items. Unknown fields, per-section seeds and sweep
-fractions that name one cell twice are rejected, null counts as unset, and
-errors name ``<section>.<field>``. Everything is checked on load, before any
-output: the model section with stand-ins for the two fields the data fix
-(``vocab_size`` and ``num_classes``, never written in the config), and again,
-with the real values, once the data are read. An ``out_dir`` that is an
-existing file, or lies under one, is rejected on load; once the data are read,
-``check_fraction`` rejects a ``train.fraction`` or ``sweep.fractions`` entry
-that would select no training example. Strict-depth mode is run policy, which
-this module alone applies: it allows only ``PAPER_DEPTHS`` in ``sweep.depths``
-and ``probe.depths``, checked as each is built, and in a quantum model's
-``pqc_layers``, checked by ``RunConfig.model_config``.
+by ``kind``), all checked by ``encoder.check_fields``: numbers are never
+bools, floats are finite (JSON's NaN and Infinity are rejected), and lists are
+non-empty with distinct items. Keys repeated in one object, unknown fields,
+per-section seeds and sweep fractions that name one cell twice are rejected,
+null counts as unset, and errors name ``<section>.<field>``. Everything is
+checked on load, before any output: the model section with stand-ins for the
+two fields the data fix (``vocab_size`` and ``num_classes``, never written in
+the config), and again, with the real values, once the data are read. An
+``out_dir`` that is an existing file, or lies under one, is rejected on load;
+once the data are read, ``check_fraction`` rejects a ``train.fraction`` or
+``sweep.fractions`` entry that would select no training example. Strict-depth
+mode is run policy, which this module alone applies: it allows only
+``PAPER_DEPTHS`` in ``sweep.depths`` and ``probe.depths`` as each is built,
+and in a quantum model's ``pqc_layers`` in ``RunConfig.model_config``.
 """
 from __future__ import annotations
 
@@ -236,24 +236,27 @@ def _task_config(task: dict) -> SynthTask | TsvTask:
     return _build("task", _TASK_KINDS[kind], task)
 
 
-def load_run_config(
-    path,
-    out_override=None,
-    seed_override: int | None = None,
-    strict_override: bool | None = None,
-) -> RunConfig:
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a key written twice in it is an error, not a silent overwrite."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError("<config>", f"key {key!r} is repeated in one object")
+        doc[key] = value
+    return doc
+
+
+def load_run_config(path, out_override=None) -> RunConfig:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_object)
     except OSError as exc:
         raise ConfigError("<config>", f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("<config>", "top level must be a JSON object")
-    out_dir = None if out_override is None else str(out_override)
-    overrides = {"out_dir": out_dir, "seed": seed_override, "strict_depths": strict_override}
-    doc = _build("", _Document, {**raw, **{k: v for k, v in overrides.items() if v is not None}})
+    doc = _build("", _Document, raw if out_override is None else {**raw, "out_dir": str(out_override)})
     if doc.out_dir is None:
         raise ConfigError("out_dir", "required (set in the config or pass --out)")
     out_dir = Path(doc.out_dir)

@@ -2,6 +2,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -169,7 +170,8 @@ class TestTrainCommand:
         config, _ = write_config(tmp_path)
         assert cmd_train(config) == 0
         baseline = (tmp_path / "out" / "epochs.csv").read_bytes()
-        assert cmd_train(config, seed=7) == 0
+        config, _ = write_config(tmp_path, seed=7)
+        assert cmd_train(config) == 0
         assert (tmp_path / "out" / "epochs.csv").read_bytes() != baseline
 
     def test_out_override(self, tmp_path):
@@ -354,16 +356,10 @@ class TestProbeCommand:
         assert cmd_probe(config) == 1
         assert "probe" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("where", ["config", "flag"])
-    def test_strict_depths_cover_probe_depths(self, tmp_path, capsys, where):
+    def test_strict_depths_cover_probe_depths(self, tmp_path, capsys):
         probe = {"depths": [1, 3], "variants": ["optimized"], "num_samples": 30}
-        if where == "config":
-            config, _ = write_config(tmp_path, probe=probe, strict_depths=True)
-            argv = ["probe", "--config", str(config)]
-        else:
-            config, _ = write_config(tmp_path, probe=probe)
-            argv = ["probe", "--config", str(config), "--strict-depths"]
-        assert main(argv) == 1
+        config, _ = write_config(tmp_path, probe=probe, strict_depths=True)
+        assert main(["probe", "--config", str(config)]) == 1
         assert not (tmp_path / "out").exists()
         assert "config error at probe.depths: depths must be in (1, 2, 4, 8) in strict-depth mode, got 3" in (
             capsys.readouterr().err
@@ -455,10 +451,27 @@ class TestRejectedBeforeAnyOutput:
         assert "config error at task.num_classes:" in capsys.readouterr().err
 
     def test_negative_seed_override(self, tmp_path, capsys):
-        config, _ = write_config(tmp_path, probe={"depths": [1], "num_samples": 30})
-        assert main(["probe", "--config", str(config), "--seed", "-1"]) == 1
+        config, _ = write_config(tmp_path, seed=-1, probe={"depths": [1], "num_samples": 30})
+        assert main(["probe", "--config", str(config)]) == 1
         assert not (tmp_path / "out").exists()
         assert "config error at seed:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "written,repeated,key",
+        [
+            pytest.param('"seed": 42', '"seed": 42, "seed": 7', "seed", id="top-level"),
+            pytest.param('"max_epochs": 1', '"max_epochs": 1, "max_epochs": 2', "max_epochs", id="inside-train"),
+        ],
+    )
+    def test_repeated_key(self, tmp_path, capsys, monkeypatch, written, repeated, key):
+        monkeypatch.chdir(tmp_path)
+        config, _ = write_config(tmp_path)
+        text = config.read_text()
+        assert text.count(written) == 1
+        config.write_text(text.replace(written, repeated))
+        assert main(["train", "--config", str(config)]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == [config.name]
+        assert f"config error at <config>: key {key!r} is repeated in one object" in capsys.readouterr().err
 
     def test_overflowing_weights_fail_training_not_config(self, tmp_path, capsys):
         # one batch of 24, one step at lr 1e200: the weights overflow float32
@@ -551,20 +564,62 @@ class TestMain:
         assert main(["train", "--config", str(config)]) == 0
         assert main(["train", "--config", str(tmp_path / "missing.json")]) == 1
 
-    def test_strict_depth_flag(self, tmp_path):
-        config, _ = write_config(
-            tmp_path, model={"ffn_kind": "qffn", "pqc_layers": 3, **TINY_MODEL}
-        )
-        assert main(["train", "--config", str(config), "--strict-depths"]) == 1
+    @pytest.mark.parametrize("flag", [["--seed", "7"], ["--strict-depths"]], ids=["seed", "strict-depths"])
+    def test_settings_are_not_flags(self, tmp_path, capsys, flag):
+        config, _ = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(config), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "ablate", "probe"])
+    def test_help_lists_only_config_and_out(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) == {"--help", "--config", "--out"}
 
     def test_probe_via_main_with_overrides(self, tmp_path):
         config, _ = write_config(
-            tmp_path, probe={"depths": [1], "variants": ["optimized"], "num_samples": 30}
+            tmp_path, seed=3, probe={"depths": [1], "variants": ["optimized"], "num_samples": 30}
         )
         other = tmp_path / "probe_out"
-        assert main(["probe", "--config", str(config), "--out", str(other), "--seed", "3"]) == 0
+        assert main(["probe", "--config", str(config), "--out", str(other)]) == 0
         text = (other / "probe.csv").read_text()
         assert text.strip().split("\n")[1].endswith(",30,3")
+
+
+class TestConfigCopyReproducesTheRun:
+    """A run's ``config.json``, rerun with another ``out``, writes the same files:
+    byte for byte, but for the output directory echoed in ``metrics.json``."""
+
+    COMMANDS = {
+        "train": (cmd_train, {}, ["weights.bin", "epochs.csv"]),
+        "sweep": (cmd_sweep, {"sweep": {"depths": [1], "fractions": [1.0]}}, ["table.csv"]),
+        "probe": (cmd_probe, {"probe": {"depths": [1, 2], "num_samples": 30}}, ["probe.csv"]),
+    }
+
+    @staticmethod
+    def files(directory):
+        return sorted(p.relative_to(directory) for p in directory.rglob("*") if p.is_file())
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_rerun_writes_the_same_files(self, tmp_path, command):
+        run, sections, required = self.COMMANDS[command]
+        config, _ = write_config(tmp_path, seed=7, strict_depths=True, **sections)
+        first, second = tmp_path / "out", tmp_path / "copy"
+        assert run(config) == 0
+        assert run(first / "config.json", out=second) == 0
+        names = self.files(first)
+        assert set(required) <= {str(name) for name in names}
+        assert names == self.files(second)
+        for name in names:
+            a, b = (first / name).read_bytes(), (second / name).read_bytes()
+            if name.name == "metrics.json":
+                a, b = json.loads(a), json.loads(b)
+                assert a["config_echo"].pop("out_dir") == str(first)
+                assert b["config_echo"].pop("out_dir") == str(second)
+            assert a == b, name
 
 
 class TestOutputDirectoryErrors:

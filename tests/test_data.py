@@ -40,6 +40,10 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", "a"])
 
+    def test_rejects_a_non_string_token(self):
+        with pytest.raises(ValueError, match="vocabulary tokens must be str"):
+            Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", 5])
+
     def test_file_round_trip(self, tmp_path):
         v = simple_vocab()
         path = tmp_path / "vocab.txt"
@@ -232,6 +236,14 @@ class TestSynthGenerate:
     def test_no_examples_rejected(self, num_examples):
         with pytest.raises(ValueError, match="num_examples must be >= 1"):
             synth_generate(num_examples, 2, seed=0)
+
+    def test_float_example_count_rejected(self):
+        with pytest.raises(ValueError, match="num_examples must be >= 1 and an integer, got 10.0"):
+            synth_generate(10.0, 2, seed=0)
+
+    def test_float_class_count_rejected(self):
+        with pytest.raises(ValueError, match=r"num_classes must be an integer in 2\.\.\d+, got 2.0"):
+            synth_generate(10, 2.0, seed=0)
 
 
 class TestDataset:

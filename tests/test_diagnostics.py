@@ -65,6 +65,10 @@ class TestProbe:
         with pytest.raises(ValueError):
             grad_variance_probe("optimized", [1], num_samples=10, seed=0)
 
+    def test_float_sample_count_rejected(self):
+        with pytest.raises(ValueError, match="num_samples must be an integer in 30..1000000, got 30.0"):
+            grad_variance_probe("optimized", [1], num_samples=30.0, seed=0)
+
     def test_csv_rendering(self):
         result = grad_variance_probe("optimized", [1, 2], num_samples=30, seed=3)
         text = probe_csv(result)

@@ -141,6 +141,21 @@ class TestBackward:
         with pytest.raises(ValueError, match="^upstream shape"):
             qffn_backward(block, row, random_hidden(1))
 
+    def test_forward_rejects_a_list_row(self):
+        row = random_hidden(1)[0]
+        with pytest.raises(ValueError, match=r"^row must be a \[128\] array, got list of shape \(128,\)"):
+            qffn_forward(make_block(), row.tolist())
+
+    def test_backward_rejects_a_list_row(self):
+        row = random_hidden(1)[0]
+        with pytest.raises(ValueError, match=r"^row must be a \[128\] array, got list"):
+            qffn_backward(make_block(), row.tolist(), row)
+
+    def test_backward_rejects_a_list_upstream(self):
+        row = random_hidden(1)[0]
+        with pytest.raises(ValueError, match="^upstream must be an array, got list"):
+            qffn_backward(make_block(), row, row.tolist())
+
 
 class TestParamCount:
     @pytest.mark.parametrize("layers,expected", [(1, 1164), (2, 1172), (4, 1188), (8, 1220)])
