@@ -5,6 +5,10 @@ File formats:
   - vocabulary: UTF-8, one token per line, line number = token id; the first
     four lines must be [PAD], [UNK], [CLS], [SEP] in that order
 
+A line ends at a line feed alone, and one carriage return before it is
+dropped; the other characters ``str.splitlines`` breaks at (U+0085, U+2028,
+form feed, ...) are text, which tokenization reads as whitespace.
+
 Tokenization splits on whitespace and then greedily matches the longest
 vocabulary piece, with "##" marking word-internal continuation pieces; a word
 with no match becomes a single [UNK]. No lowercasing or other normalization
@@ -27,6 +31,21 @@ _MAX_WORD_CHARS = 100
 def _is_integer(value) -> bool:
     """A Python or numpy integer; a bool is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    """Raise ``ValueError`` naming ``seed`` unless it is a non-negative integer."""
+    if not (_is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _read_lines(path) -> list[str]:
+    """The lines of a UTF-8 file by the rule above; text after the last line
+    feed is one more line unless it is empty."""
+    lines = Path(path).read_bytes().decode("utf-8").split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return [line.removesuffix("\r") for line in lines]
 
 
 @dataclass
@@ -81,8 +100,7 @@ class Vocab:
 
     @classmethod
     def from_file(cls, path):
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        return cls(lines)
+        return cls(_read_lines(path))
 
     def save(self, path):
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
@@ -155,9 +173,8 @@ def load_tsv(path, num_classes: int | None = None) -> Dataset:
     the class count is inferred as ``max(label) + 1`` (minimum 2).
     """
     path = Path(path)
-    content = path.read_text(encoding="utf-8")
     examples = []
-    for lineno, line in enumerate(content.splitlines(), start=1):
+    for lineno, line in enumerate(_read_lines(path), start=1):
         text, sep, label_str = line.rpartition("\t")
         if not sep or not text:
             raise ValueError(f"{path}:{lineno}: expected 'text<TAB>label'")
@@ -188,6 +205,7 @@ def subsample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     target_total = int(np.floor(fraction * len(dataset)))
     by_class: dict[int, list[int]] = {}
@@ -240,6 +258,7 @@ def synth_generate(num_examples: int, num_classes: int, seed: int) -> Dataset:
         raise ValueError(f"num_classes must be an integer in 2..{MAX_SYNTH_CLASSES}, got {num_classes!r}")
     if not (_is_integer(num_examples) and num_examples >= 1):
         raise ValueError(f"num_examples must be >= 1 and an integer, got {num_examples!r}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     keywords = synth_keywords(num_classes)
     examples = []

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .circuits import SHIFT, Ansatz, PqcConfig, init_pqc_params, pqc_gradients
+from .data import check_seed
 from .statevector import apply_ry, expectation_z, zero_state
 
 MIN_PROBE_SAMPLES = 30
@@ -69,6 +70,7 @@ def grad_variance_probe(
     integer = isinstance(num_samples, numbers.Integral) and not isinstance(num_samples, bool)
     if not (integer and MIN_PROBE_SAMPLES <= num_samples <= MAX_PROBE_SAMPLES):
         raise ValueError(f"num_samples must be an integer in {MIN_PROBE_SAMPLES}..{MAX_PROBE_SAMPLES}, got {num_samples!r}")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     entries = []
     for depth in depths:

@@ -32,8 +32,8 @@ context is ``W_v (sum_j p_j h_j) + b_v``, with h read from one zero [B, W, H]
 grid of the layer input. Attention has no key bias: ``q . b_k`` would be one
 constant per query, which softmax cancels, so no layer's ``b_k`` could reach
 an output.
-The Q and output projections, both residual adds, both layer norms, dropout
-and the feedforward sublayer run on a layer's query rows only.
+The Q and output projections, both residual adds, both layer norms and the
+feedforward sublayer run on a layer's query rows only.
 
 Skipping masked rows cannot change the logits: a masked key's score carries
 the -1e9 bias, so its weight is exp(-1e9) = 0.0 exactly, and a masked row
@@ -48,19 +48,17 @@ is exactly zero. The embedding gradients add each row's gradient into its
 token's and its position's row by one weighted ``np.bincount`` per table over
 the flat (row, column) index. That adds each bin's terms in row order from
 +0.0, the order of ``np.add.at`` into zeros, so the bytes are the scatter's,
-in under a third of its time. Dropout masks are drawn at [B, W, H], W the row
-set's width, and then indexed, so the rng stream depends neither on the rows
-a layer computes nor on how many all-pad columns the batch carries.
+in under a third of its time.
 
 Caches. ``model_backward``'s forward keeps, per layer, what ``_backward``
-reads, each array once: the query row set; the attention's
-``(h, q, k, v, probs, ctx)`` (layer input, query/key/value grids, softmax,
-context) in a full layer, and ``(grid, q, q W_k, pooled, probs, ctx, x)``
-(input grid, per-head queries, folded queries, probability-weighted input,
-softmax [B, heads, 1, W], context, query rows) in the last; both dropout
-masks (None without dropout), each layer norm's ``(xhat, inv_std)``, the
-feedforward input ``mid``, and the classical MLP's ``(pre, cdf)``; the
-quantum block keeps nothing and re-runs its circuit. ``_backward`` pops each
+reads, each array once: where each sample's row 0 sits among the query rows;
+the attention's ``(h, q, k, v, probs, ctx)`` (layer input, query/key/value
+grids, softmax, context) in a full layer, and ``(grid, q, q W_k, pooled,
+probs, ctx, x)`` (input grid, per-head queries, folded queries,
+probability-weighted input, softmax [B, heads, 1, W], context, query rows) in
+the last; each layer norm's ``(xhat, inv_std)``, the feedforward input
+``mid``, and the classical MLP's ``(pre, cdf)``; the quantum block keeps
+nothing and re-runs its circuit. ``_backward`` pops each
 layer's cache once that layer's gradients exist. ``model_forward`` (every
 evaluation pass and finite-difference check) keeps no cache: a sublayer's
 intermediates are freed once the forward moves on.
@@ -77,9 +75,8 @@ float32 archive with a JSON manifest, which records the archive's format
 version and sha256.
 
 Initialization: weight matrices and embeddings N(0, 0.02), biases zero,
-layer-norm scale one / shift zero, circuit angles uniform(-pi, pi). Dropout
-(applied to each sublayer output before its residual) defaults to 0 so runs
-are exactly reproducible.
+layer-norm scale one / shift zero, circuit angles uniform(-pi, pi). No
+randomness enters a training step: it is a fixed function of weights and batch.
 """
 from __future__ import annotations
 
@@ -183,7 +180,6 @@ class ModelConfig:
     max_seq_len: int = 128
     ffn_kind: FfnKind = FfnKind.CLASSICAL
     pqc_layers: int = 1
-    dropout: float = 0.0
 
     def __post_init__(self):
         try:
@@ -197,8 +193,6 @@ class ModelConfig:
         check_fields(self, MODEL_MINIMUMS, MODEL_MAXIMUMS)
         if self.hidden % self.num_heads != 0:
             raise ModelConfigError("num_heads", f"must divide hidden {self.hidden}, got {self.num_heads}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ModelConfigError("dropout", f"must be in [0, 1), got {self.dropout}")
         # Bound the parameter count before anything is allocated. The field named is
         # the first, in declaration order, that takes the count past the bound while
         # every later size stays at its minimum.
@@ -476,16 +470,6 @@ def _cls_attention_backward(attn: AttentionWeights, d_out, cache, keys: RowSet, 
     return grads, d_h
 
 
-def _dropout_mask(shape, rows: RowSet, p, rng):
-    """Mask for ``rows``, drawn at ``shape`` [B, W, H] (W the row set's width)
-    so the rng stream depends on neither the layer's rows nor all-pad columns."""
-    if p <= 0.0:
-        return None
-    if rng is None:
-        raise ValueError("dropout > 0 requires an rng for the training pass")
-    return (rng.random(shape) >= p)[rows.sample, rows.position] / (1.0 - p)
-
-
 def _check_inputs(model: EncoderModel, token_ids, attention_mask):
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2 or token_ids.size == 0:
@@ -518,16 +502,14 @@ class _Discard(dict):
         pass
 
 
-def _forward(model: EncoderModel, token_ids, attention_mask, rng=None, keep=True):
-    """Logits and, when ``keep`` (the training pass, the one with dropout), ``_backward``'s cache; else None."""
+def _forward(model: EncoderModel, token_ids, attention_mask, keep=True):
+    """Logits and, when ``keep`` (the training pass), ``_backward``'s cache; else None."""
     token_ids, mask = _check_inputs(model, token_ids, attention_mask)
     cfg = model.config
     batch = token_ids.shape[0]
     tokens = RowSet(*np.nonzero(mask))
     h = model.tok_emb[token_ids[tokens.sample, tokens.position]] + model.pos_emb[tokens.position]
     key_bias = ((1.0 - mask[:, : tokens.width]) * MASK_BIAS)[:, None, None, :]
-    p = cfg.dropout if keep else 0.0
-    mask_shape = (batch, tokens.width, cfg.hidden)
     caches = []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
@@ -535,29 +517,22 @@ def _forward(model: EncoderModel, token_ids, attention_mask, rng=None, keep=True
         # alone, the only row that reaches the classifier.
         lc = {} if keep else _Discard()
         if i == last:
-            rows, x = RowSet(np.arange(batch), np.zeros(batch, dtype=np.intp)), h[tokens.cls]
+            cls, x = np.arange(batch), h[tokens.cls]
             attn_out, lc["attn"] = _cls_attention_forward(layer.attn, h, tokens, x, key_bias, cfg.num_heads)
         else:
-            rows, x = tokens, h
+            cls, x = tokens.cls, h
             attn_out, lc["attn"] = _attention_forward(layer.attn, h, tokens, key_bias, cfg.num_heads)
-        lc["rows"] = rows
-        lc["attn_drop"] = attn_drop = _dropout_mask(mask_shape, rows, p, rng)
-        if attn_drop is not None:
-            attn_out *= attn_drop
+        lc["cls"] = cls  # where each sample's row 0 sits among the query rows x
         attn_out += x
         mid, lc["ln1"] = _layer_norm(attn_out, layer.ln1_g, layer.ln1_b, LAYER_NORM_EPS)
         lc["mid"] = mid
 
         if isinstance(layer.ffn, QffnBlock):
             ffn_out = mid.copy()  # every row but row 0 passes through the block
-            for n in rows.cls:
+            for n in cls:
                 ffn_out[n] = qffn_forward(layer.ffn, mid[n])
         else:
             ffn_out, lc["ffn"] = layer.ffn.forward(mid)
-
-        lc["ffn_drop"] = ffn_drop = _dropout_mask(mask_shape, rows, p, rng)
-        if ffn_drop is not None:
-            ffn_out *= ffn_drop
         ffn_out += mid
         h, lc["ln2"] = _layer_norm(ffn_out, layer.ln2_g, layer.ln2_b, LAYER_NORM_EPS)
         caches.append(lc)
@@ -587,25 +562,23 @@ def _backward(model: EncoderModel, cache, d_logits):
     for i in reversed(range(len(model.layers))):
         layer = model.layers[i]
         lc = cache["layers"].pop()
-        rows = lc["rows"]
         prefix = f"layers.{i}."
 
         d_sum2, d_g2, d_b2 = _layer_norm_backward(d_h, lc["ln2"], layer.ln2_g)
         grads[prefix + "ln2_g"] = d_g2
         grads[prefix + "ln2_b"] = d_b2
-        d_ffn_out = d_sum2 if lc["ffn_drop"] is None else d_sum2 * lc["ffn_drop"]
 
         mid = lc["mid"]
         if isinstance(layer.ffn, QffnBlock):
-            d_mid = d_sum2 + d_ffn_out  # every row but row 0 passes through the block
+            d_mid = d_sum2 + d_sum2  # every row but row 0 passes through the block
             ffn_grads = {name: np.zeros_like(p) for name, p in layer.ffn.named_parameters()}
-            for n in rows.cls:
-                sample_grads, d_in = qffn_backward(layer.ffn, mid[n], d_ffn_out[n])
+            for n in lc["cls"]:
+                sample_grads, d_in = qffn_backward(layer.ffn, mid[n], d_sum2[n])
                 d_mid[n] = d_sum2[n] + d_in
                 for name, g in sample_grads.items():
                     ffn_grads[name] += g
         else:
-            ffn_grads, d_mid = layer.ffn.backward(mid, lc["ffn"], d_ffn_out)
+            ffn_grads, d_mid = layer.ffn.backward(mid, lc["ffn"], d_sum2)
             d_mid += d_sum2
         for name, g in ffn_grads.items():
             grads[prefix + "ffn." + name] = g
@@ -613,12 +586,11 @@ def _backward(model: EncoderModel, cache, d_logits):
         d_sum1, d_g1, d_b1 = _layer_norm_backward(d_mid, lc["ln1"], layer.ln1_g)
         grads[prefix + "ln1_g"] = d_g1
         grads[prefix + "ln1_b"] = d_b1
-        d_attn_out = d_sum1 if lc["attn_drop"] is None else d_sum1 * lc["attn_drop"]
         if i == last:
-            attn_grads, d_h = _cls_attention_backward(layer.attn, d_attn_out, lc["attn"], tokens, cfg.num_heads)
+            attn_grads, d_h = _cls_attention_backward(layer.attn, d_sum1, lc["attn"], tokens, cfg.num_heads)
             d_h[tokens.cls] += d_sum1  # the post-norm residual of the query rows
         else:
-            attn_grads, d_h = _attention_backward(layer.attn, d_attn_out, lc["attn"], tokens, cfg.num_heads)
+            attn_grads, d_h = _attention_backward(layer.attn, d_sum1, lc["attn"], tokens, cfg.num_heads)
             d_h += d_sum1
         for name, g in attn_grads.items():
             grads[prefix + "attn." + name] = g
@@ -639,13 +611,13 @@ def _row_sums(index, rows, count):
     return np.bincount(flat, weights=rows.ravel(), minlength=count * width).reshape(count, width)
 
 
-def model_backward(model: EncoderModel, token_ids, attention_mask, labels, rng=None):
+def model_backward(model: EncoderModel, token_ids, attention_mask, labels):
     """Mean cross-entropy loss and gradients for every trainable tensor.
 
     Returns ``(loss, grads)`` with ``grads`` keyed exactly like
     ``model.named_parameters()``.
     """
-    logits, cache = _forward(model, token_ids, attention_mask, rng=rng)
+    logits, cache = _forward(model, token_ids, attention_mask)
     batch = logits.shape[0]
     labels = np.asarray(labels)
     if labels.shape != (batch,) or not np.issubdtype(labels.dtype, np.integer):
@@ -666,7 +638,7 @@ def model_backward(model: EncoderModel, token_ids, attention_mask, labels, rng=N
 WEIGHTS_BIN = "weights.bin"
 WEIGHTS_MANIFEST = "weights.json"
 # Version of the archive layout below; load_model reads no other.
-ARCHIVE_VERSION = 2
+ARCHIVE_VERSION = 3
 
 
 def atomic_write(path: Path, data: bytes | str) -> None:

@@ -16,11 +16,11 @@ Schema (defaults in parentheses):
                                        # ffn_kind defaults to "classical", so sweep
                                        # configs must name a quantum kind
         "ffn_kind": "qffn", "pqc_layers": 1, "hidden": 128, "num_layers": 2,
-        "num_heads": 2, "intermediate": 512, "max_seq_len": 128, "dropout": 0.0
+        "num_heads": 2, "intermediate": 512, "max_seq_len": 128
       },
       "train": {                       # all optional, see TrainConfig defaults
         "learning_rate": 5e-4, "batch_size": 32, "max_epochs": 5,
-        "fraction": 1.0, "shuffle_seed": null
+        "fraction": 1.0
       },
       "sweep": {                       # required by the sweep and ablate commands
         "depths": [1, 2, 4, 8], "fractions": [1.0, 0.2, 0.1],

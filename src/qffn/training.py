@@ -3,9 +3,8 @@
 Plain Adam (beta1 0.9, beta2 0.999, eps 1e-8, no weight decay) on mean
 cross-entropy, fixed-seed shuffling every epoch, no scheduler, no early
 stopping, partial final batches included. All randomness (weight init,
-dropout, shuffling) derives from the single seed in TrainConfig, so two runs
-with identical inputs produce identical reports; an optional separate
-shuffle seed isolates the data-order stream for ablation of that choice.
+shuffling) derives from the single seed in TrainConfig, so two runs with
+identical inputs produce identical reports.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-_TRAIN_MINIMUMS = {"learning_rate": 0, "batch_size": 1, "max_epochs": 1, "seed": 0, "shuffle_seed": 0}
+_TRAIN_MINIMUMS = {"learning_rate": 0, "batch_size": 1, "max_epochs": 1, "seed": 0}
 
 
 @dataclass
@@ -34,7 +33,6 @@ class TrainConfig:
     max_epochs: int = 5
     seed: int = 42
     fraction: float = 1.0
-    shuffle_seed: int | None = None  # defaults to a stream derived from seed
 
     def validate(self) -> None:
         check_fields(self, _TRAIN_MINIMUMS)
@@ -126,10 +124,19 @@ def _eval_arrays(model, ids, mask, labels, batch_size=64):
     return total_nll / n, correct / n
 
 
+def _check_data(model_config: ModelConfig, vocab: Vocab, *datasets: Dataset) -> None:
+    """Reject a vocabulary or a dataset that a model of ``model_config`` cannot read."""
+    if model_config.vocab_size != len(vocab):
+        raise ValueError(
+            f"model_config.vocab_size {model_config.vocab_size} != vocabulary size {len(vocab)}"
+        )
+    if max(d.num_classes for d in datasets) > model_config.num_classes:
+        raise ValueError(f"dataset has more classes than the model's num_classes {model_config.num_classes}")
+
+
 def evaluate(model: EncoderModel, dataset: Dataset, vocab: Vocab) -> float:
     """Argmax accuracy on a dataset; no calibration or post-processing."""
-    if dataset.num_classes > model.config.num_classes:
-        raise ValueError("dataset has more classes than the model")
+    _check_data(model.config, vocab, dataset)
     ids, mask, labels = encode_dataset(vocab, dataset, model.config.max_seq_len)
     _, acc = _eval_arrays(model, ids, mask, labels)
     return acc
@@ -149,12 +156,7 @@ def train(
     accuracy_per_param = val_acc / param_total.
     """
     train_config.validate()
-    if model_config.vocab_size != len(vocab):
-        raise ValueError(
-            f"model_config.vocab_size {model_config.vocab_size} != vocabulary size {len(vocab)}"
-        )
-    if max(train_set.num_classes, val_set.num_classes) > model_config.num_classes:
-        raise ValueError(f"dataset has more classes than the model's num_classes {model_config.num_classes}")
+    _check_data(model_config, vocab, train_set, val_set)
 
     start_time = time.perf_counter()
     if train_config.fraction < 1.0:
@@ -164,12 +166,11 @@ def train(
     train_ids, train_mask, train_labels = encode_dataset(vocab, train_set, max_len)
     val_ids, val_mask, val_labels = encode_dataset(vocab, val_set, max_len)
 
-    init_ss, dropout_ss, shuffle_ss = np.random.SeedSequence(train_config.seed).spawn(3)
+    # The second child goes unused and shuffling takes the third, so every seed
+    # keeps the data order that earlier versions' runs were trained on.
+    init_ss, _, shuffle_ss = np.random.SeedSequence(train_config.seed).spawn(3)
     model = EncoderModel(model_config, np.random.default_rng(init_ss))
-    dropout_rng = np.random.default_rng(dropout_ss)
-    shuffle_rng = np.random.default_rng(
-        shuffle_ss if train_config.shuffle_seed is None else train_config.shuffle_seed
-    )
+    shuffle_rng = np.random.default_rng(shuffle_ss)
     optimizer = AdamOptimizer(model.named_parameters(), train_config.learning_rate)
 
     n = train_ids.shape[0]
@@ -179,9 +180,7 @@ def train(
         batch_losses = []
         for batch_start in range(0, n, train_config.batch_size):
             idx = order[batch_start : batch_start + train_config.batch_size]
-            loss, grads = model_backward(
-                model, train_ids[idx], train_mask[idx], train_labels[idx], rng=dropout_rng
-            )
+            loss, grads = model_backward(model, train_ids[idx], train_mask[idx], train_labels[idx])
             where = f"at epoch {epoch}, step {batch_start // train_config.batch_size}"
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} {where}")

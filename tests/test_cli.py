@@ -117,10 +117,10 @@ class TestTrainCommand:
         [
             ("model", "hidden", "abc"),
             ("model", "hidden", True),
-            ("model", "dropout", "x"),
             ("model", "num_heads", 0),
             ("model", "pqc_layers", 2.5),
-            ("train", "shuffle_seed", "abc"),
+            ("train", "learning_rate", "x"),
+            ("train", "max_epochs", "abc"),
         ],
     )
     def test_mistyped_value_named_in_error(self, tmp_path, capsys, section, field, value):
@@ -378,7 +378,7 @@ class TestRejectedBeforeAnyOutput:
             pytest.param("train", "learning_rate", 10**400, id="train-learning_rate-int-beyond-every-float"),
             ("train", "batch_size", 0),
             ("train", "max_epochs", 0),
-            ("model", "dropout", float("inf")),
+            ("model", "pqc_layers", 0),
         ],
     )
     def test_train_command(self, tmp_path, capsys, section, field, value):
@@ -388,6 +388,16 @@ class TestRejectedBeforeAnyOutput:
         assert main(["train", "--config", str(config)]) == 1
         assert not (tmp_path / "out").exists()
         assert f"config error at {section}.{field}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,field,value", [("model", "dropout", 0.0), ("train", "shuffle_seed", 3)])
+    def test_key_of_a_removed_setting(self, tmp_path, capsys, section, field, value):
+        # Neither the model nor the trainer has this setting, at any value.
+        doc = {"model": {"ffn_kind": "qffn", "pqc_layers": 1, **TINY_MODEL}, "train": dict(TINY_TRAIN)}
+        doc[section][field] = value
+        config, _ = write_config(tmp_path, **doc)
+        assert main(["train", "--config", str(config)]) == 1
+        assert not (tmp_path / "out").exists()
+        assert f"config error at {section}.{field}: unknown field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "ablate"])
     @pytest.mark.parametrize(
@@ -511,7 +521,7 @@ class TestModelSectionCheckedOnLoad:
         assert [p.name for p in tmp_path.iterdir()] == [config.name]
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [("hidden", 0), ("dropout", 5.0), ("num_heads", 3)])
+    @pytest.mark.parametrize("field,value", [("hidden", 0), ("pqc_layers", 0), ("num_heads", 3)])
     def test_probe_rejects_a_bad_model_value(self, tmp_path, capsys, field, value):
         config, _ = write_config(
             tmp_path, model={field: value}, probe={"depths": [1], "num_samples": 30}

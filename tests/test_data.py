@@ -1,4 +1,6 @@
 """Tokenizer, TSV ingestion, stratified subsampling, synthetic corpus."""
+import re
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,11 @@ from qffn.data import (
     synth_keywords,
     tokenize,
 )
+
+
+BAD_SEEDS = [1.5, True, -1]
+# The characters besides a line feed that str.splitlines breaks at; in a data file they are text.
+LINE_BREAK_TEXT = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def simple_vocab(extra=("movie", "good", "bad")):
@@ -50,6 +57,11 @@ class TestVocab:
         v.save(path)
         loaded = Vocab.from_file(path)
         assert loaded.tokens == v.tokens
+
+    def test_file_lines_end_at_line_feeds_only(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_bytes("[PAD]\r\n[UNK]\r\n[CLS]\r\n[SEP]\r\nmovie\x85good\r\nbad\n".encode())
+        assert Vocab.from_file(path).tokens == ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "movie\x85good", "bad"]
 
     def test_build_vocab_orders_by_frequency(self):
         ds = Dataset([("b a a", 0), ("a c", 1)], 2)
@@ -151,6 +163,24 @@ class TestLoadTsv:
         with pytest.raises(OSError):
             load_tsv(tmp_path / "nope.tsv")
 
+    @pytest.mark.parametrize("brk", LINE_BREAK_TEXT, ids=lambda c: f"U+{ord(c):04X}")
+    def test_other_line_breaks_are_text(self, tmp_path, brk):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(f"good{brk}movie\t1\nbad movie\t0\n".encode())
+        ds = load_tsv(path)
+        assert ds.examples == [(f"good{brk}movie", 1), ("bad movie", 0)]
+        vocab = simple_vocab()
+        np.testing.assert_array_equal(tokenize(vocab, ds.examples[0][0], 6)[0], tokenize(vocab, "good movie", 6)[0])
+        with path.open("ab") as f:
+            f.write(b"no label here\n")
+        with pytest.raises(ValueError, match=r"d\.tsv:3: expected 'text<TAB>label'"):
+            load_tsv(path)
+
+    def test_crlf_lines(self, tmp_path):
+        path = tmp_path / "d.tsv"
+        path.write_bytes(b"good movie\t1\r\nbad movie\t0\r\n")
+        assert load_tsv(path).examples == [("good movie", 1), ("bad movie", 0)]
+
     def test_text_may_contain_tabs(self, tmp_path):
         # the label is everything after the LAST tab
         path = tmp_path / "d.tsv"
@@ -198,6 +228,15 @@ class TestSubsample:
             with pytest.raises(ValueError):
                 subsample(self.balanced(), bad, seed=1)
 
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            subsample(self.balanced(), 0.5, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        ds = self.balanced()
+        assert subsample(ds, 0.2, seed=np.int64(7)).examples == subsample(ds, 0.2, seed=7).examples
+
     def test_fraction_rounding_to_empty_is_rejected(self):
         # floor(0.001 * 100) = 0 examples; an empty dataset is never returned
         with pytest.raises(ValueError):
@@ -240,6 +279,14 @@ class TestSynthGenerate:
     def test_float_example_count_rejected(self):
         with pytest.raises(ValueError, match="num_examples must be >= 1 and an integer, got 10.0"):
             synth_generate(10.0, 2, seed=0)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            synth_generate(10, 2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert synth_generate(10, 2, seed=np.uint8(5)).examples == synth_generate(10, 2, seed=5).examples
 
     def test_float_class_count_rejected(self):
         with pytest.raises(ValueError, match=r"num_classes must be an integer in 2\.\.\d+, got 2.0"):

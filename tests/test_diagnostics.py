@@ -1,4 +1,6 @@
 """Finite differences and the gradient-variance probe."""
+import re
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ class TestProbe:
     def test_float_sample_count_rejected(self):
         with pytest.raises(ValueError, match="num_samples must be an integer in 30..1000000, got 30.0"):
             grad_variance_probe("optimized", [1], num_samples=30.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.5, True, -1])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            grad_variance_probe("optimized", [1], num_samples=30, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        a = grad_variance_probe("optimized", [1], num_samples=30, seed=np.int32(3))
+        assert a.entries == grad_variance_probe("optimized", [1], num_samples=30, seed=3).entries
 
     def test_csv_rendering(self):
         result = grad_variance_probe("optimized", [1, 2], num_samples=30, seed=3)

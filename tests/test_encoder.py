@@ -289,35 +289,6 @@ class TestBackward:
         for name, _ in model.named_parameters():
             assert np.max(np.abs(grads[name])) > 1e-10 * largest, name
 
-    def test_dropout_training_path(self):
-        config = micro_config()
-        config.dropout = 0.3
-        model = EncoderModel(config, seed=23)
-        ids, mask, labels = micro_batch(seed=24)
-        loss_a, _ = model_backward(model, ids, mask, labels, rng=np.random.default_rng(1))
-        loss_b, _ = model_backward(model, ids, mask, labels, rng=np.random.default_rng(2))
-        assert loss_a != loss_b  # different masks, different losses
-        with pytest.raises(ValueError):
-            model_backward(model, ids, mask, labels)  # training pass needs an rng
-        # inference path applies no dropout
-        np.testing.assert_array_equal(
-            model_forward(model, ids, mask), model_forward(model, ids, mask)
-        )
-
-
-    @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_dropout_draws_full_shape_masks(self, num_layers):
-        # Two [B, S, H] masks per layer, also for the layer that keeps row 0
-        # only, so the rng stream does not depend on which rows are computed.
-        config = micro_config(num_layers=num_layers)
-        config.dropout = 0.2
-        model = EncoderModel(config, seed=29)
-        ids, mask, labels = micro_batch(seed=30, batch=3)
-        rng, reference = np.random.default_rng(9), np.random.default_rng(9)
-        model_backward(model, ids, mask, labels, rng=rng)
-        reference.random(2 * num_layers * ids.size * config.hidden)
-        assert rng.bit_generator.state == reference.bit_generator.state
-
 
 class TestLastLayerRows:
     @pytest.mark.parametrize("num_layers", [1, 2])
@@ -391,27 +362,19 @@ class TestRowSkip:
 
     @pytest.mark.parametrize("kind", list(FfnKind))
     def test_all_pad_columns_change_nothing(self, kind):
-        # Three more all-pad columns leave the row set, and so every grid and
-        # dropout mask, as they were: W = 4 for padded_batch either way.
+        # Three more all-pad columns leave the row set, and so every grid, as it
+        # was: W = 4 for padded_batch either way.
         config = replace(micro_config(kind, pqc_layers=2), max_seq_len=9)
         model = spread_model(config, seed=61)
         ids, mask, labels = padded_batch(seed=62)
         wide_ids = np.pad(ids, ((0, 0), (0, 3)))
         wide_mask = np.pad(mask, ((0, 0), (0, 3)))
         np.testing.assert_array_equal(model_forward(model, wide_ids, wide_mask), model_forward(model, ids, mask))
-        batch, width, hidden = ids.shape[0], 4, config.hidden
-        for dropout in (0.0, 0.2):
-            model.config.dropout = dropout
-            rng, wide_rng, want_rng = (np.random.default_rng(63) for _ in range(3))
-            loss, grads = model_backward(model, ids, mask, labels, rng=rng)
-            wide_loss, wide_grads = model_backward(model, wide_ids, wide_mask, labels, rng=wide_rng)
-            assert wide_loss == loss
-            for name in grads:
-                np.testing.assert_array_equal(wide_grads[name], grads[name], err_msg=name)
-            if dropout:
-                want_rng.random(2 * config.num_layers * batch * width * hidden)
-            assert rng.bit_generator.state == want_rng.bit_generator.state
-            assert wide_rng.bit_generator.state == want_rng.bit_generator.state
+        loss, grads = model_backward(model, ids, mask, labels)
+        wide_loss, wide_grads = model_backward(model, wide_ids, wide_mask, labels)
+        assert wide_loss == loss
+        for name in grads:
+            np.testing.assert_array_equal(wide_grads[name], grads[name], err_msg=name)
 
     def test_gradients_into_masked_rows_are_zero(self):
         model = spread_model(micro_config(num_layers=3), seed=47)
@@ -713,7 +676,7 @@ class TestWeightArchive:
         assert blob == (second / "weights.bin").read_bytes()
         assert (first / "weights.json").read_text() == (second / "weights.json").read_text()
         manifest = json.loads((first / "weights.json").read_text())
-        assert manifest["format_version"] == 2
+        assert manifest["format_version"] == 3
         assert manifest["weights_sha256"] == hashlib.sha256(blob).hexdigest()
 
     def test_loaded_values_are_the_float32_cast(self, tmp_path):
@@ -773,7 +736,10 @@ class TestArchiveValidation:
 
     @pytest.mark.parametrize(
         "field,value",
-        [("dtype", "float64"), ("byte_order", "big"), ("format_version", 1), ("format_version", True)],
+        [
+            ("dtype", "float64"), ("byte_order", "big"),
+            ("format_version", 1), ("format_version", 2), ("format_version", True),
+        ],
     )
     def test_foreign_encoding(self, saved, field, value):
         directory, manifest = saved

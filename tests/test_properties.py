@@ -187,8 +187,8 @@ SYNTH_DOC = {
     "out_dir": "out", "seed": 42, "strict_depths": False,
     "task": {"kind": "synth", "num_train": 24, "num_val": 12, "num_classes": 2},
     "model": {"ffn_kind": "qffn", "pqc_layers": 1, "hidden": 16, "num_layers": 1, "num_heads": 1,
-              "intermediate": 32, "max_seq_len": 16, "dropout": 0.0},
-    "train": {"learning_rate": 5e-4, "batch_size": 8, "max_epochs": 1, "fraction": 1.0, "shuffle_seed": 3},
+              "intermediate": 32, "max_seq_len": 16},
+    "train": {"learning_rate": 5e-4, "batch_size": 8, "max_epochs": 1, "fraction": 1.0},
     "sweep": {"depths": [1, 2], "fractions": [1.0, 0.5], "include_classical": True},
     "probe": {"variants": ["optimized", "vanilla"], "depths": [1, 2], "num_samples": 30},
 }
@@ -233,3 +233,13 @@ def test_config_loader_raises_only_config_errors(doc):
         assert isinstance(load_run_config(path), RunConfig)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("doc", [SYNTH_DOC, TSV_DOC], ids=["synth", "tsv"])
+def test_fuzzed_documents_load_unmutated(doc, tmp_path, monkeypatch):
+    # The fuzz above starts from these, so each must be a valid config as written.
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    config = load_run_config(path)
+    assert (config.model, config.train, config.task) == (doc["model"], doc["train"], doc["task"])

@@ -1,5 +1,4 @@
 """Training loop determinism, metric identities, Adam behaviour."""
-import dataclasses
 import re
 
 import numpy as np
@@ -7,7 +6,7 @@ import pytest
 
 import qffn.training as training
 from _oracles import adam_reference_steps
-from qffn.data import build_vocab, synth_generate
+from qffn.data import SPECIAL_TOKENS, Vocab, build_vocab, synth_generate
 from qffn.encoder import EncoderModel, FfnKind, ModelConfig, ModelConfigError
 from qffn.training import (
     AdamOptimizer,
@@ -56,13 +55,6 @@ class TestReport:
         model_b, _ = tiny_train(TrainConfig(max_epochs=1, seed=7))
         for (name, p), (_, q) in zip(model_a.named_parameters(), model_b.named_parameters()):
             np.testing.assert_array_equal(p, q, err_msg=name)
-
-    def test_shuffle_seed_isolation(self):
-        base = TrainConfig(max_epochs=2, seed=42)
-        reshuffled = dataclasses.replace(base, shuffle_seed=1234)
-        _, a = tiny_train(base)
-        _, b = tiny_train(reshuffled)
-        assert a.epochs != b.epochs  # only the data order stream changed
 
     def test_zero_learning_rate_freezes_metrics(self):
         _, report = tiny_train(TrainConfig(max_epochs=3, learning_rate=0.0))
@@ -137,8 +129,6 @@ class TestReport:
             ("fraction", float("nan")),
             ("batch_size", 2.0),
             ("max_epochs", True),
-            ("shuffle_seed", 1.5),
-            ("shuffle_seed", -1),
             ("seed", -1),
         ],
     )
@@ -148,8 +138,8 @@ class TestReport:
         assert info.value.field == field
 
     def test_annotated_types_accepted(self):
-        TrainConfig(learning_rate=1, fraction=1, shuffle_seed=None).validate()
-        TrainConfig(shuffle_seed=0).validate()
+        TrainConfig(learning_rate=1, fraction=1).validate()
+        TrainConfig(seed=0).validate()
 
     def test_weights_overflowing_float32_raise_naming_the_tensor(self):
         # one batch, one step: the loss stays finite, the weights reach ~1e200
@@ -182,7 +172,14 @@ class TestEvaluate:
         data = synth_generate(30, 3, seed=3)
         vocab = build_vocab(data)
         model = EncoderModel(ModelConfig(vocab_size=len(vocab), **TINY_MODEL), seed=0)
-        with pytest.raises(ValueError, match="dataset has more classes than the model"):
+        with pytest.raises(ValueError, match="dataset has more classes than the model's num_classes 2"):
+            evaluate(model, data, vocab)
+
+    def test_vocab_size_mismatch_rejected(self):
+        data = synth_generate(30, 2, seed=3)
+        model = EncoderModel(ModelConfig(vocab_size=32, **TINY_MODEL), seed=0)
+        vocab = Vocab(list(SPECIAL_TOKENS) + ["the", "and"])
+        with pytest.raises(ValueError, match=re.escape("model_config.vocab_size 32 != vocabulary size 6")):
             evaluate(model, data, vocab)
 
 
