@@ -25,7 +25,7 @@ from .data import (
     synth_generate,
     tokenize,
 )
-from .diagnostics import ProbeResult, finite_diff, grad_variance_probe, single_qubit_ry_variance
+from .diagnostics import ProbeResult, finite_diff, grad_variance_probe
 from .encoder import (
     EncoderModel,
     FfnKind,
@@ -36,16 +36,7 @@ from .encoder import (
     model_param_count,
     save_model,
 )
-from .feedforward import QffnBlock, qffn_backward, qffn_forward, qffn_param_count
-from .statevector import (
-    StateVector,
-    apply_cnot,
-    apply_cz,
-    apply_ry,
-    apply_rz,
-    expectation_z,
-    zero_state,
-)
+from .feedforward import QffnBlock, qffn_backward, qffn_forward
 from .training import AdamOptimizer, MetricsReport, TrainConfig, TrainingDiverged, evaluate, train
 
 __all__ = [
@@ -59,18 +50,12 @@ __all__ = [
     "PqcConfig",
     "ProbeResult",
     "QffnBlock",
-    "StateVector",
     "TrainConfig",
     "TrainingDiverged",
     "Vocab",
-    "apply_cnot",
-    "apply_cz",
-    "apply_ry",
-    "apply_rz",
     "build_vocab",
     "encode_dataset",
     "evaluate",
-    "expectation_z",
     "finite_diff",
     "grad_variance_probe",
     "init_pqc_params",
@@ -86,12 +71,9 @@ __all__ = [
     "pqc_value_and_gradients",
     "qffn_backward",
     "qffn_forward",
-    "qffn_param_count",
     "save_model",
-    "single_qubit_ry_variance",
     "subsample",
     "synth_generate",
     "tokenize",
     "train",
-    "zero_state",
 ]

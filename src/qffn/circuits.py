@@ -31,12 +31,12 @@ of one amplitude matrix. Per call it computes the trig of every row's angles
 at once, fuses each qubit's rotations between two entanglers into one 2x2 per
 row (RY @ RZ in the optimized ansatz), applies each layer's entangler as one compiled basis permutation or sign
 vector, and reads every <Z_q> out with one contraction. The gates are the
-rows-last primitives of ``statevector``, which the register simulator runs
-too, so its dense-matrix checks cover this kernel. Rows never interact, and
-the kernel relies on one condition: along the amplitude axis it uses only
-elementwise arithmetic, gathers and fixed-order sums, never BLAS or a matmul
-whose summation order may depend on the batch shape. So a row's result is
-bit-identical whether it is simulated alone or inside a batch of any size.
+rows-last primitives of ``statevector``, which the tests check against dense
+matrices. Rows never interact, and the kernel relies on one condition: along
+the amplitude axis it uses only elementwise arithmetic, gathers and
+fixed-order sums, never BLAS or a matmul whose summation order may depend on
+the batch shape. So a row's result is bit-identical whether it is simulated
+alone or inside a batch of any size.
 
 The optimized ansatz encodes x once, so its final state is U(theta) phi(x),
 with phi(x) the real product state of the encoding; and every sample of a
@@ -82,7 +82,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .statevector import StateVector, cnot_permutation, cz_signs, rotate_rows, z_readout, z_signs
+from .statevector import cnot_permutation, cz_signs, rotate_rows, z_readout, z_signs
 
 SHIFT = np.pi / 2.0
 # Eight times the paper's deepest circuit; a shifted batch then has 1 + 2 * 516 rows.
@@ -92,6 +92,10 @@ MAX_PQC_LAYERS = 64
 class Ansatz(str, Enum):
     OPTIMIZED = "optimized"
     VANILLA = "vanilla"
+
+    @classmethod
+    def _missing_(cls, value):
+        raise ValueError(f"variant must be one of {[a.value for a in cls]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -103,10 +107,7 @@ class PqcConfig:
     num_qubits: ClassVar[int] = 4
 
     def __post_init__(self):
-        try:  # the variant is tested by identity, which a str fails
-            object.__setattr__(self, "variant", Ansatz(self.variant))
-        except ValueError:
-            raise ValueError(f"variant must be one of {[a.value for a in Ansatz]}, got {self.variant!r}") from None
+        object.__setattr__(self, "variant", Ansatz(self.variant))  # the variant is tested by identity, which a str fails
         if isinstance(self.num_layers, bool) or not isinstance(self.num_layers, numbers.Integral):
             raise ValueError(f"num_layers must be an integer, got {self.num_layers!r}")
         if not 1 <= self.num_layers <= MAX_PQC_LAYERS:
@@ -342,10 +343,9 @@ def pqc_forward(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarr
     return _quadratic(_compiled_for(config, theta).forms, _product_states(x[None])[:, 0])
 
 
-def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> StateVector:
-    """Full statevector after the circuit: the batched kernel's single row."""
-    amps = _single_row(config, theta, x)
-    return StateVector(config.num_qubits, amps[:, 0].astype(np.complex128))
+def pqc_final_state(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The [2**nq] complex amplitudes after the circuit: the batched kernel's single row."""
+    return _single_row(config, theta, x)[:, 0].astype(np.complex128)
 
 
 @lru_cache(maxsize=None)

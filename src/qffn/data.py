@@ -28,14 +28,14 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 _MAX_WORD_CHARS = 100
 
 
-def _is_integer(value) -> bool:
+def is_integer(value) -> bool:
     """A Python or numpy integer; a bool is not one."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_seed(seed) -> None:
     """Raise ``ValueError`` naming ``seed`` unless it is a non-negative integer."""
-    if not (_is_integer(seed) and seed >= 0):
+    if not (is_integer(seed) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
@@ -54,7 +54,7 @@ class Dataset:
     num_classes: int
 
     def __post_init__(self):
-        if not _is_integer(self.num_classes):
+        if not is_integer(self.num_classes):
             raise ValueError(f"num_classes must be an integer, got {self.num_classes!r}")
         if not isinstance(self.examples, list):
             raise ValueError(f"examples must be a list, got {type(self.examples).__name__}")
@@ -66,7 +66,7 @@ class Dataset:
             text, label = example
             if not isinstance(text, str):
                 raise ValueError(f"examples[{i}] text must be a str, got {text!r}")
-            if not _is_integer(label):
+            if not is_integer(label):
                 raise ValueError(f"examples[{i}] label must be an integer, got {label!r}")
             if not 0 <= label < self.num_classes:
                 raise ValueError(f"examples[{i}] label {label} out of range for {self.num_classes} classes")
@@ -254,9 +254,9 @@ def synth_generate(num_examples: int, num_classes: int, seed: int) -> Dataset:
     the corpus with accuracy 1. Labels cycle through the classes for balanced
     counts, then example order is shuffled.
     """
-    if not (_is_integer(num_classes) and 2 <= num_classes <= MAX_SYNTH_CLASSES):
+    if not (is_integer(num_classes) and 2 <= num_classes <= MAX_SYNTH_CLASSES):
         raise ValueError(f"num_classes must be an integer in 2..{MAX_SYNTH_CLASSES}, got {num_classes!r}")
-    if not (_is_integer(num_examples) and num_examples >= 1):
+    if not (is_integer(num_examples) and num_examples >= 1):
         raise ValueError(f"num_examples must be >= 1 and an integer, got {num_examples!r}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -271,15 +271,3 @@ def synth_generate(num_examples: int, num_classes: int, seed: int) -> Dataset:
         examples.append((" ".join(words), label))
     examples = [examples[j] for j in rng.permutation(num_examples)]
     return Dataset(examples, num_classes)
-
-
-def keyword_oracle_accuracy(dataset: Dataset) -> float:
-    """Accuracy of classifying purely by keyword lookup (1.0 by construction)."""
-    keywords = synth_keywords(dataset.num_classes)
-    lookup = {w: c for c, ws in enumerate(keywords) for w in ws}
-    correct = 0
-    for text, label in dataset.examples:
-        votes = [lookup[w] for w in text.split() if w in lookup]
-        if votes and votes[0] == label:
-            correct += 1
-    return correct / len(dataset)

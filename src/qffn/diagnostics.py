@@ -6,18 +6,25 @@ standard signature of a flattening optimization landscape. The statistic is
 the variance of d<Z_0>/d(first trainable angle) with both the trainable
 angles and the encoded inputs drawn i.i.d. uniform on (-pi, pi), so the probe
 reflects the circuit as deployed, not a fixed-input special case.
+
+At depth 1 it has a closed form. After the encoding and the CNOT ring, qubit
+0 reads <X_0> = sin x0 sin x1 and <Z_0> = cos x1 cos x2 cos x3 (and <Y_0> = 0,
+the state being real). The optimized gradient, through the RZ angle a
+followed by the RY angle b, is then -sin a sin b <X_0>, of variance
+(1/2)^4 = 1/16; the vanilla gradient, through the RY angle t, is
+cos t <X_0> - sin t <Z_0>, of variance 1/16 + 1/8 = 3/16.
 """
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .circuits import SHIFT, Ansatz, PqcConfig, init_pqc_params, pqc_gradients
-from .data import check_seed
-from .statevector import apply_ry, expectation_z, zero_state
+from .circuits import MAX_PQC_LAYERS, Ansatz, PqcConfig, init_pqc_params, pqc_gradients
+from .data import check_seed, is_integer
 
 MIN_PROBE_SAMPLES = 30
 MAX_PROBE_SAMPLES = 10**6  # one float64 per sample is kept
@@ -39,6 +46,8 @@ class ProbeResult:
 
 def finite_diff(f: Callable[[np.ndarray], float], params: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of a scalar function, (f(p+h) - f(p-h)) / 2h."""
+    if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
+        raise ValueError(f"h must be a finite number > 0, got {h!r}")
     params = np.asarray(params, dtype=np.float64)
     grad = np.empty(params.shape)
     it = np.ndindex(params.shape)
@@ -56,7 +65,7 @@ def finite_diff(f: Callable[[np.ndarray], float], params: np.ndarray, h: float =
 
 def grad_variance_probe(
     variant: Ansatz | str,
-    depths: Sequence[int],
+    depths: list[int],
     num_samples: int,
     seed: int,
 ) -> ProbeResult:
@@ -64,11 +73,16 @@ def grad_variance_probe(
 
     For every depth L the probe draws ``num_samples`` independent (theta, x)
     pairs uniform on (-pi, pi), evaluates d<Z_0>/d(theta[0]) by parameter
-    shift, and records the population variance of those samples.
+    shift, and records the population variance of those samples. ``depths``
+    follows ``ProbeConfig``'s rule: a non-empty list of distinct integers in
+    1..MAX_PQC_LAYERS.
     """
     variant = Ansatz(variant)
-    integer = isinstance(num_samples, numbers.Integral) and not isinstance(num_samples, bool)
-    if not (integer and MIN_PROBE_SAMPLES <= num_samples <= MAX_PROBE_SAMPLES):
+    if not (isinstance(depths, list) and depths and all(is_integer(d) and 1 <= d <= MAX_PQC_LAYERS for d in depths)):
+        raise ValueError(f"depths must be a non-empty list of integers in 1..{MAX_PQC_LAYERS}, got {depths!r}")
+    if len(set(depths)) < len(depths):
+        raise ValueError(f"depths must hold distinct values, got {depths}")
+    if not (is_integer(num_samples) and MIN_PROBE_SAMPLES <= num_samples <= MAX_PROBE_SAMPLES):
         raise ValueError(f"num_samples must be an integer in {MIN_PROBE_SAMPLES}..{MAX_PROBE_SAMPLES}, got {num_samples!r}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -83,22 +97,6 @@ def grad_variance_probe(
             grads[i] = jac_theta[0, 0]
         entries.append(ProbeEntry(depth, variant.value, float(np.var(grads)), num_samples))
     return ProbeResult(entries, seed)
-
-
-def single_qubit_ry_variance(num_samples: int, seed: int) -> float:
-    """Reduced analytic probe case: one qubit, RY(t) only, gradient -sin(t).
-
-    Var over t ~ U(-pi, pi) of -sin(t) is exactly 1/2; this serves as a
-    closed-form calibration point for the probe machinery.
-    """
-    rng = np.random.default_rng(seed)
-    grads = np.empty(num_samples)
-    for i in range(num_samples):
-        t = rng.uniform(-np.pi, np.pi)
-        plus = expectation_z(apply_ry(zero_state(1), 0, t + SHIFT), 0)
-        minus = expectation_z(apply_ry(zero_state(1), 0, t - SHIFT), 0)
-        grads[i] = 0.5 * (plus - minus)
-    return float(np.var(grads))
 
 
 def probe_csv(*results: ProbeResult) -> str:

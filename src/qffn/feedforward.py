@@ -254,11 +254,6 @@ def qffn_backward(block: QffnBlock, row: np.ndarray, upstream: np.ndarray):
     return grads, upstream + branch_grad if block.residual else branch_grad
 
 
-def qffn_param_count(block: QffnBlock) -> int:
-    """Projections plus circuit angles; 516 + 640 + 8L at hidden width 128."""
-    return quantum_ffn_param_count(block.hidden_dim, block.pqc_config)
-
-
 def quantum_ffn_param_count(hidden: int, pqc_config: PqcConfig) -> int:
     """Weight count of a quantum block of width ``hidden`` running ``pqc_config``."""
     nq = pqc_config.num_qubits

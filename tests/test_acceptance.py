@@ -14,14 +14,14 @@ import pytest
 from qffn.circuits import Ansatz, PqcConfig, init_pqc_params, pqc_forward, pqc_gradients, pqc_param_count
 from qffn.cli import cmd_train
 from qffn.data import build_vocab, synth_generate
-from qffn.diagnostics import finite_diff, grad_variance_probe, single_qubit_ry_variance
+from qffn.diagnostics import finite_diff, grad_variance_probe
 from qffn.encoder import EncoderModel, FfnKind, ModelConfig, cross_entropy, model_forward, model_backward, model_param_count
-from qffn.feedforward import classical_ffn_param_count, qffn_param_count, QffnBlock
-from qffn.statevector import apply_cnot, apply_cz, apply_ry, apply_rz, expectation_z, zero_state
+from qffn.feedforward import classical_ffn_param_count, quantum_ffn_param_count, QffnBlock
+from qffn.statevector import z_readout
 from qffn.training import TrainConfig, train
 
-from _oracles import cnot_op, cz_op, one_qubit_op, random_state, ry_matrix, rz_matrix
-from test_statevector import make_state
+from _oracles import cnot_op, cz_op, one_qubit_op, random_state
+from test_statevector import GATES_1Q, column, entangle, rotate, zero
 
 
 def _report(criterion: str, ok: bool, detail: str = ""):
@@ -57,33 +57,31 @@ def test_criterion_1_statevector_matches_dense_oracle():
     worst = 0.0
     for _ in range(220):
         n = int(rng.integers(1, 5))
-        sv = make_state(random_state(n, rng))
+        amps = column(random_state(n, rng))
         kind = rng.choice(["ry", "rz", "cx", "cz"] if n > 1 else ["ry", "rz"])
-        if kind in ("ry", "rz"):
+        if kind in GATES_1Q:
             q = int(rng.integers(n))
             theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-            out = (apply_ry if kind == "ry" else apply_rz)(sv, q, theta)
-            dense = one_qubit_op(n, q, (ry_matrix if kind == "ry" else rz_matrix)(theta))
+            out = rotate(amps, kind, q, theta)
+            dense = one_qubit_op(n, q, GATES_1Q[kind](theta))
         else:
             a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
-            out = (apply_cnot if kind == "cx" else apply_cz)(sv, a, b)
+            out = entangle(amps, kind, a, b)
             dense = (cnot_op if kind == "cx" else cz_op)(n, a, b)
-        worst = max(worst, float(np.max(np.abs(out.amplitudes - dense @ sv.amplitudes))))
+        worst = max(worst, float(np.max(np.abs(out[:, 0] - dense @ amps[:, 0]))))
 
-    sv = zero_state(4)
+    amps = zero(4)
     for _ in range(1000):
         kind = rng.choice(["ry", "rz", "cx", "cz"])
-        if kind in ("ry", "rz"):
-            sv = (apply_ry if kind == "ry" else apply_rz)(
-                sv, int(rng.integers(4)), rng.uniform(-np.pi, np.pi)
-            )
+        if kind in GATES_1Q:
+            amps = rotate(amps, kind, int(rng.integers(4)), rng.uniform(-np.pi, np.pi))
         else:
             a, b = (int(v) for v in rng.choice(4, size=2, replace=False))
-            sv = (apply_cnot if kind == "cx" else apply_cz)(sv, a, b)
-    drift = abs(float(np.sum(np.abs(sv.amplitudes) ** 2)) - 1.0)
+            amps = entangle(amps, kind, a, b)
+    drift = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     elapsed = time.perf_counter() - started
     _report(
-        "criterion 1: statevector vs dense oracle",
+        "criterion 1: gate primitives vs dense oracle",
         worst <= 1e-12 and drift <= 1e-10 and elapsed < 10.0,
         f"max|diff|={worst:.2e}, norm drift={drift:.2e}, {elapsed:.1f}s",
     )
@@ -92,7 +90,7 @@ def test_criterion_1_statevector_matches_dense_oracle():
 def test_criterion_2_ry_expectation_is_cosine():
     worst = 0.0
     for theta in np.linspace(-2 * np.pi, 2 * np.pi, 1000):
-        got = expectation_z(apply_ry(zero_state(1), 0, theta), 0)
+        got = z_readout(rotate(zero(1), "ry", 0, theta), 1)[0, 0]
         worst = max(worst, abs(got - np.cos(theta)))
     _report("criterion 2: <Z> after RY equals cos", worst <= 1e-12, f"max err={worst:.2e}")
 
@@ -212,7 +210,8 @@ def test_criterion_8_vanilla_ablation_runs_and_is_structurally_distinct(trained)
         structural &= block.residual is False
         structural &= block.pqc_config.variant is Ansatz.VANILLA
         structural &= block.theta.shape == (4 * block.pqc_config.num_layers,)
-        structural &= qffn_param_count(block) == 516 + 640 + 4 * block.pqc_config.num_layers
+        count = quantum_ffn_param_count(block.hidden_dim, block.pqc_config)
+        structural &= count == 516 + 640 + 4 * block.pqc_config.num_layers
     completed = len(report.epochs) == 5 and np.isfinite(report.validation_accuracy)
     _report(
         "criterion 8: vanilla ablation completes with the right structure",
@@ -246,10 +245,21 @@ def test_criterion_9_command_level_determinism(tmp_path):
     _report("criterion 9: byte-identical reruns of the train command", ok)
 
 
+# Depth 1 in closed form (see ``qffn.diagnostics``): the gradient variance and
+# the gradient's fourth moment E g^4, which sets the estimator's standard error.
+DEPTH_ONE_MOMENTS = {Ansatz.OPTIMIZED: (1 / 16, 81 / 4096), Ansatz.VANILLA: (3 / 16, 345 / 4096)}
+
+
 def test_criterion_10_probe_sanity():
-    variance = single_qubit_ry_variance(1000, seed=10)
-    sigma = float(np.sqrt((3 / 8 - 1 / 4) / 1000))
-    reduced_ok = abs(variance - 0.5) <= 3 * sigma
+    exact_ok, exact = True, []
+    for variant, (variance, fourth) in DEPTH_ONE_MOMENTS.items():
+        (entry,) = grad_variance_probe(variant, [1], num_samples=1000, seed=10).entries
+        se = float(np.sqrt((fourth - variance**2) / 1000))
+        exact_ok &= abs(entry.variance - variance) <= 3 * se
+        exact.append(
+            f"{variant.value} var={entry.variance:.4f} "
+            f"(exact {variance:.4f}, {(entry.variance - variance) / se:+.1f} SE)"
+        )
 
     started = time.perf_counter()
     entries = []
@@ -260,7 +270,6 @@ def test_criterion_10_probe_sanity():
     grid_ok = all(np.isfinite(e.variance) and e.variance > 0 for e in entries)
     _report(
         "criterion 10: gradient-variance probe sanity",
-        reduced_ok and grid_ok and elapsed < 300.0,
-        f"reduced var={variance:.4f} (target 0.5 +/- {3 * sigma:.4f}), "
-        f"{len(entries)} grid entries in {elapsed:.0f}s",
+        exact_ok and grid_ok and elapsed < 300.0,
+        f"depth 1: {', '.join(exact)}; {len(entries)} grid entries in {elapsed:.0f}s",
     )

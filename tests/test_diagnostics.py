@@ -4,14 +4,10 @@ import re
 import numpy as np
 import pytest
 
+import qffn.circuits as circuits
 from qffn.circuits import Ansatz, PqcConfig, init_pqc_params, pqc_forward
-from qffn.diagnostics import (
-    ProbeEntry,
-    finite_diff,
-    grad_variance_probe,
-    probe_csv,
-    single_qubit_ry_variance,
-)
+from qffn.diagnostics import ProbeEntry, finite_diff, grad_variance_probe, probe_csv
+from qffn.statevector import z_readout
 
 
 class TestFiniteDiff:
@@ -37,14 +33,39 @@ class TestFiniteDiff:
         params = np.arange(6.0).reshape(2, 3)
         np.testing.assert_allclose(finite_diff(f, params), 2 * params, atol=1e-7)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf"), "1e-5"])
+    def test_step_must_be_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match=re.escape(f"h must be a finite number > 0, got {h!r}")):
+            finite_diff(lambda p: float(p[0]), np.zeros(1), h=h)
+
 
 class TestProbe:
-    def test_reduced_case_variance_is_half(self):
-        var = single_qubit_ry_variance(1000, seed=7)
-        # MC error of the variance estimator: sqrt((mu4 - mu2^2)/N) with
-        # mu2 = 1/2, mu4 = 3/8 for -sin(t), t ~ U(-pi, pi)
-        sigma = np.sqrt((3 / 8 - 1 / 4) / 1000)
-        assert abs(var - 0.5) <= 3 * sigma
+    def test_depth_one_readouts_after_the_cnot_ring(self):
+        # the closed forms behind the exact depth-1 variances of criterion 10
+        x = np.random.default_rng(8).uniform(-np.pi, np.pi, (200, 4))
+        amps = circuits._entangle(circuits._product_states(x), 4, 0)
+        s, c = np.sin(x.T), np.cos(x.T)
+        x_0 = 2 * np.sum(amps[0::2] * amps[1::2], axis=0)  # real amplitudes
+        assert np.max(np.abs(x_0 - s[0] * s[1])) <= 1e-15
+        assert np.max(np.abs(z_readout(amps, 4)[:, 0] - c[1] * c[2] * c[3])) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "variant,depths,message",
+        [
+            pytest.param("bogus", [1], "variant must be one of ['optimized', 'vanilla'], got 'bogus'", id="unknown-variant"),
+            pytest.param("optimized", [0], "depths must be a non-empty list of integers in 1..64, got [0]", id="depth-0"),
+            pytest.param("vanilla", [65], "depths must be a non-empty list of integers in 1..64, got [65]", id="depth-65"),
+            pytest.param("optimized", "12", "depths must be a non-empty list of integers in 1..64, got '12'", id="string"),
+            pytest.param("optimized", [], "depths must be a non-empty list of integers in 1..64, got []", id="empty"),
+            pytest.param("optimized", [1.0], "depths must be a non-empty list of integers in 1..64, got [1.0]", id="float"),
+            pytest.param("optimized", [True], "depths must be a non-empty list of integers in 1..64, got [True]", id="bool"),
+            pytest.param("optimized", [1, 1], "depths must hold distinct values, got [1, 1]", id="repeated"),
+        ],
+    )
+    def test_bad_variant_or_depths_named_before_any_draw(self, variant, depths, message, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match=re.escape(message)):
+            grad_variance_probe(variant, depths, num_samples=30, seed=0)
 
     def test_single_depth_entry_is_sane(self):
         result = grad_variance_probe("optimized", [1], num_samples=40, seed=1)

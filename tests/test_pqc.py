@@ -121,7 +121,8 @@ class TestForward:
             expected, psi = dense_ansatz_output(config.variant.value, config.num_layers, theta, x)
             assert np.max(np.abs(got - expected)) <= 1e-10
             state = pqc_final_state(config, theta, x)
-            assert np.max(np.abs(state.amplitudes - psi)) <= 1e-10
+            assert state.shape == (16,) and state.dtype == np.complex128
+            assert np.max(np.abs(state - psi)) <= 1e-10
 
     def test_outputs_bounded(self):
         rng = np.random.default_rng(23)
@@ -152,7 +153,7 @@ class TestForward:
         for _ in range(100):
             theta, x = random_angles(config, rng)
             state = pqc_final_state(config, theta, x)
-            purities = [reduced_purity(4, state.amplitudes, q) for q in range(4)]
+            purities = [reduced_purity(4, state, q) for q in range(4)]
             if min(purities) < 1.0 - 1e-9:
                 entangled += 1
         assert entangled >= 90
@@ -297,7 +298,7 @@ class TestCompiledCircuit:
             theta, x = random_angles(config, rng)
             value, jac_theta, jac_x = pqc_value_and_gradients(config, theta, x)
             kernel_theta, kernel_x = pqc_gradients(config, theta, x)
-            kernel_value = circuits._z_readout(pqc_final_state(config, theta, x).amplitudes[:, None], 4)[0]
+            kernel_value = circuits._z_readout(pqc_final_state(config, theta, x)[:, None], 4)[0]
             assert np.max(np.abs(value - kernel_value)) <= 1e-12
             assert np.max(np.abs(jac_theta - kernel_theta)) <= 1e-12
             assert np.max(np.abs(jac_x - kernel_x)) <= 1e-12

@@ -11,7 +11,7 @@ from qffn.feedforward import (
     make_ffn_block,
     qffn_backward,
     qffn_forward,
-    qffn_param_count,
+    quantum_ffn_param_count,
 )
 
 HIDDEN = 128
@@ -160,16 +160,16 @@ class TestBackward:
 class TestParamCount:
     @pytest.mark.parametrize("layers,expected", [(1, 1164), (2, 1172), (4, 1188), (8, 1220)])
     def test_optimized_counts_at_width_128(self, layers, expected):
-        assert qffn_param_count(make_block(layers=layers)) == expected
+        assert quantum_ffn_param_count(HIDDEN, PqcConfig(Ansatz.OPTIMIZED, layers)) == expected
 
     def test_count_matches_actual_arrays(self):
         for layers in (1, 2, 4, 8):
             block = make_block(layers=layers)
             actual = sum(p.size for _, p in block.named_parameters())
-            assert qffn_param_count(block) == actual
+            assert quantum_ffn_param_count(block.hidden_dim, block.pqc_config) == actual
 
     def test_replacement_ratio_below_one_percent(self):
-        quantum = qffn_param_count(make_block(layers=4))
+        quantum = quantum_ffn_param_count(HIDDEN, PqcConfig(Ansatz.OPTIMIZED, 4))
         classical = classical_ffn_param_count(128, 512)
         assert quantum == 1188
         assert classical == 131712

@@ -1,16 +1,13 @@
-"""Gate kernel correctness against dense-matrix references."""
-import numpy as np
-import pytest
+"""Gate primitives against dense-matrix references.
 
-from qffn.statevector import (
-    StateVector,
-    apply_cnot,
-    apply_cz,
-    apply_ry,
-    apply_rz,
-    expectation_z,
-    zero_state,
-)
+The helpers below apply each gate to rows-last amplitudes ``[2**n, rows]``
+the way ``circuits`` does: RY and RZ through ``rotate_rows`` with the
+oracles' 2x2 matrices, CNOT as a ``cnot_permutation`` gather, CZ as a
+``cz_signs`` multiply, and <Z> through ``z_readout``.
+"""
+import numpy as np
+
+from qffn.statevector import cnot_permutation, cz_signs, rotate_rows, z_readout
 
 from _oracles import (
     cnot_op,
@@ -22,122 +19,108 @@ from _oracles import (
     z_expectation,
 )
 
-
-def make_state(amps):
-    amps = np.asarray(amps, dtype=np.complex128)
-    return StateVector(int(np.log2(amps.size)), amps)
+GATES_1Q = {"ry": ry_matrix, "rz": rz_matrix}
 
 
-class TestZeroState:
-    def test_single_qubit(self):
-        sv = zero_state(1)
-        np.testing.assert_array_equal(sv.amplitudes, [1.0, 0.0])
+def column(amps):
+    """One state as a single-row amplitude matrix [2**n, 1]."""
+    return np.asarray(amps, dtype=np.complex128)[:, None]
 
-    def test_four_qubits(self):
-        sv = zero_state(4)
-        assert sv.amplitudes.shape == (16,)
-        assert sv.amplitudes[0] == 1.0
-        assert np.all(sv.amplitudes[1:] == 0.0)
 
-    @pytest.mark.parametrize("bad", [0, 13, -1])
-    def test_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            zero_state(bad)
+def num_qubits(amps):
+    return int(np.log2(len(amps)))
+
+
+def rotate(amps, kind, qubit, theta):
+    return rotate_rows(amps, qubit, GATES_1Q[kind](theta)[:, :, None])
+
+
+def entangle(amps, kind, a, b):
+    if kind == "cx":
+        return amps[cnot_permutation(num_qubits(amps), a, b)]
+    return amps * cz_signs(num_qubits(amps), a, b)[:, None]
+
+
+def expect_z(amps, qubit):
+    return z_readout(amps, num_qubits(amps))[0, qubit]
+
+
+def zero(n):
+    return column(np.eye(2**n)[0])
 
 
 class TestSingleQubitGates:
     def test_ry_pi_flips(self):
-        sv = apply_ry(zero_state(1), 0, np.pi)
-        np.testing.assert_allclose(sv.amplitudes, [0.0, 1.0], atol=1e-15)
+        out = rotate(zero(1), "ry", 0, np.pi)
+        np.testing.assert_allclose(out[:, 0], [0.0, 1.0], atol=1e-15)
 
     def test_ry_zero_is_identity(self):
-        sv = apply_ry(zero_state(1), 0, 0.0)
-        np.testing.assert_array_equal(sv.amplitudes, [1.0, 0.0])
+        out = rotate(zero(1), "ry", 0, 0.0)
+        np.testing.assert_array_equal(out[:, 0], [1.0, 0.0])
 
     def test_ry_half_pi(self):
-        sv = apply_ry(zero_state(1), 0, np.pi / 2)
-        np.testing.assert_allclose(sv.amplitudes, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
+        out = rotate(zero(1), "ry", 0, np.pi / 2)
+        np.testing.assert_allclose(out[:, 0], [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
     def test_rz_on_zero_state_keeps_z(self):
-        sv = apply_rz(zero_state(1), 0, 0.7)
-        assert abs(expectation_z(sv, 0) - 1.0) < 1e-12
+        out = rotate(zero(1), "rz", 0, 0.7)
+        assert abs(expect_z(out, 0) - 1.0) < 1e-12
         # only a phase: probability unchanged
-        np.testing.assert_allclose(np.abs(sv.amplitudes), [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(np.abs(out[:, 0]), [1.0, 0.0], atol=1e-15)
 
     def test_rz_zero_is_identity(self):
         rng = np.random.default_rng(3)
-        sv = make_state(random_state(2, rng))
-        out = apply_rz(sv, 1, 0.0)
-        np.testing.assert_allclose(out.amplitudes, sv.amplitudes, atol=1e-15)
+        amps = column(random_state(2, rng))
+        np.testing.assert_allclose(rotate(amps, "rz", 1, 0.0), amps, atol=1e-15)
 
     def test_rz_then_ry_changes_basis(self):
         # on |+>, RZ(pi) then RY(pi/2) lands somewhere else than RY(pi/2) alone
-        plus = make_state([1 / np.sqrt(2), 1 / np.sqrt(2)])
-        rotated = apply_ry(apply_rz(plus, 0, np.pi), 0, np.pi / 2)
-        baseline = apply_ry(plus, 0, np.pi / 2)
-        expected = one_qubit_op(1, 0, ry_matrix(np.pi / 2)) @ (
-            one_qubit_op(1, 0, rz_matrix(np.pi)) @ plus.amplitudes
-        )
-        np.testing.assert_allclose(rotated.amplitudes, expected, atol=1e-12)
-        assert np.max(np.abs(rotated.amplitudes - baseline.amplitudes)) > 0.5
+        plus = column([1 / np.sqrt(2), 1 / np.sqrt(2)])
+        rotated = rotate(rotate(plus, "rz", 0, np.pi), "ry", 0, np.pi / 2)
+        baseline = rotate(plus, "ry", 0, np.pi / 2)
+        expected = one_qubit_op(1, 0, ry_matrix(np.pi / 2)) @ (one_qubit_op(1, 0, rz_matrix(np.pi)) @ plus[:, 0])
+        np.testing.assert_allclose(rotated[:, 0], expected, atol=1e-12)
+        assert np.max(np.abs(rotated - baseline)) > 0.5
 
     def test_ry_angles_add(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            sv = make_state(random_state(3, rng))
+            amps = column(random_state(3, rng))
             t1, t2 = rng.uniform(-np.pi, np.pi, 2)
             q = int(rng.integers(3))
-            two_step = apply_ry(apply_ry(sv, q, t1), q, t2)
-            one_step = apply_ry(sv, q, t1 + t2)
-            np.testing.assert_allclose(two_step.amplitudes, one_step.amplitudes, atol=1e-12)
-
-    def test_qubit_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_ry(zero_state(2), 2, 0.1)
-        with pytest.raises(ValueError):
-            apply_rz(zero_state(2), -1, 0.1)
+            two_step = rotate(rotate(amps, "ry", q, t1), "ry", q, t2)
+            np.testing.assert_allclose(two_step, rotate(amps, "ry", q, t1 + t2), atol=1e-12)
 
 
 class TestTwoQubitGates:
     def test_cnot_flips_target(self):
         # |01> (q0=1) with control q0 -> |11>
-        sv = make_state([0, 1, 0, 0])
-        out = apply_cnot(sv, 0, 1)
-        np.testing.assert_array_equal(out.amplitudes, [0, 0, 0, 1])
+        out = entangle(column([0, 1, 0, 0]), "cx", 0, 1)
+        np.testing.assert_array_equal(out[:, 0], [0, 0, 0, 1])
 
     def test_cnot_idle_on_zero_control(self):
-        sv = zero_state(2)
-        out = apply_cnot(sv, 0, 1)
-        np.testing.assert_array_equal(out.amplitudes, sv.amplitudes)
+        np.testing.assert_array_equal(entangle(zero(2), "cx", 0, 1), zero(2))
 
     def test_cnot_builds_bell_state(self):
-        out = apply_cnot(apply_ry(zero_state(2), 0, np.pi / 2), 0, 1)
-        np.testing.assert_allclose(
-            out.amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15
-        )
+        out = entangle(rotate(zero(2), "ry", 0, np.pi / 2), "cx", 0, 1)
+        np.testing.assert_allclose(out[:, 0], [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)], atol=1e-15)
+
+    def test_cnot_is_an_involution(self):
+        amps = column(random_state(3, np.random.default_rng(9)))
+        for a, b in ((0, 1), (2, 0), (1, 2)):
+            np.testing.assert_array_equal(entangle(entangle(amps, "cx", a, b), "cx", a, b), amps)
 
     def test_cz_negates_11(self):
-        sv = make_state([0, 0, 0, 1])
-        out = apply_cz(sv, 0, 1)
-        np.testing.assert_array_equal(out.amplitudes, [0, 0, 0, -1])
+        out = entangle(column([0, 0, 0, 1]), "cz", 0, 1)
+        np.testing.assert_array_equal(out[:, 0], [0, 0, 0, -1])
 
     def test_cz_idle_elsewhere(self):
-        sv = make_state([0, 1, 0, 0])
-        out = apply_cz(sv, 0, 1)
-        np.testing.assert_array_equal(out.amplitudes, sv.amplitudes)
+        amps = column([0, 1, 0, 0])
+        np.testing.assert_array_equal(entangle(amps, "cz", 0, 1), amps)
 
     def test_cz_symmetric(self):
-        rng = np.random.default_rng(5)
-        sv = make_state(random_state(3, rng))
-        a = apply_cz(sv, 0, 2)
-        b = apply_cz(sv, 2, 0)
-        np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
-
-    def test_identical_indices_rejected(self):
-        with pytest.raises(ValueError):
-            apply_cnot(zero_state(2), 1, 1)
-        with pytest.raises(ValueError):
-            apply_cz(zero_state(2), 0, 0)
+        amps = column(random_state(3, np.random.default_rng(5)))
+        np.testing.assert_array_equal(entangle(amps, "cz", 0, 2), entangle(amps, "cz", 2, 0))
 
 
 class TestDenseOracleEquivalence:
@@ -145,64 +128,45 @@ class TestDenseOracleEquivalence:
         rng = np.random.default_rng(42)
         for _ in range(200):
             n = int(rng.integers(1, 5))
-            sv = make_state(random_state(n, rng))
+            amps = column(random_state(n, rng))
             kind = rng.choice(["ry", "rz", "cx", "cz"] if n > 1 else ["ry", "rz"])
-            if kind in ("ry", "rz"):
+            if kind in GATES_1Q:
                 q = int(rng.integers(n))
                 theta = rng.uniform(-2 * np.pi, 2 * np.pi)
-                if kind == "ry":
-                    out = apply_ry(sv, q, theta)
-                    dense = one_qubit_op(n, q, ry_matrix(theta))
-                else:
-                    out = apply_rz(sv, q, theta)
-                    dense = one_qubit_op(n, q, rz_matrix(theta))
+                out = rotate(amps, kind, q, theta)
+                dense = one_qubit_op(n, q, GATES_1Q[kind](theta))
             else:
-                a, b = rng.choice(n, size=2, replace=False)
-                if kind == "cx":
-                    out = apply_cnot(sv, int(a), int(b))
-                    dense = cnot_op(n, int(a), int(b))
-                else:
-                    out = apply_cz(sv, int(a), int(b))
-                    dense = cz_op(n, int(a), int(b))
-            expected = dense @ sv.amplitudes
-            assert np.max(np.abs(out.amplitudes - expected)) <= 1e-12
+                a, b = (int(v) for v in rng.choice(n, size=2, replace=False))
+                out = entangle(amps, kind, a, b)
+                dense = (cnot_op if kind == "cx" else cz_op)(n, a, b)
+            assert np.max(np.abs(out[:, 0] - dense @ amps[:, 0])) <= 1e-12
 
     def test_norm_preserved_over_long_random_sequence(self):
         rng = np.random.default_rng(7)
-        sv = zero_state(4)
+        amps = zero(4)
         for _ in range(1000):
             kind = rng.choice(["ry", "rz", "cx", "cz"])
-            if kind == "ry":
-                sv = apply_ry(sv, int(rng.integers(4)), rng.uniform(-np.pi, np.pi))
-            elif kind == "rz":
-                sv = apply_rz(sv, int(rng.integers(4)), rng.uniform(-np.pi, np.pi))
+            if kind in GATES_1Q:
+                amps = rotate(amps, kind, int(rng.integers(4)), rng.uniform(-np.pi, np.pi))
             else:
-                a, b = rng.choice(4, size=2, replace=False)
-                sv = apply_cnot(sv, int(a), int(b)) if kind == "cx" else apply_cz(sv, int(a), int(b))
-        norm_sq = float(np.sum(np.abs(sv.amplitudes) ** 2))
-        assert abs(norm_sq - 1.0) <= 1e-10
+                a, b = (int(v) for v in rng.choice(4, size=2, replace=False))
+                amps = entangle(amps, kind, a, b)
+        assert abs(float(np.sum(np.abs(amps) ** 2)) - 1.0) <= 1e-10
 
 
 class TestExpectationZ:
     def test_plus_one_on_zero_state(self):
-        assert expectation_z(zero_state(1), 0) == 1.0
+        np.testing.assert_array_equal(z_readout(zero(1), 1), [[1.0]])
 
     def test_cosine_law_under_ry(self):
         for theta in np.linspace(-2 * np.pi, 2 * np.pi, 41):
-            sv = apply_ry(zero_state(1), 0, theta)
-            assert abs(expectation_z(sv, 0) - np.cos(theta)) < 1e-12
+            assert abs(expect_z(rotate(zero(1), "ry", 0, theta), 0) - np.cos(theta)) < 1e-12
 
     def test_matches_dense_diagonal_operator(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
             amps = random_state(4, rng)
-            sv = make_state(amps)
+            got = z_readout(column(amps), 4)[0]
+            assert np.all(np.abs(got) <= 1.0)
             for q in range(4):
-                got = expectation_z(sv, q)
-                assert isinstance(got, float)
-                assert -1.0 <= got <= 1.0
-                assert abs(got - z_expectation(4, amps, q)) <= 1e-12
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            expectation_z(zero_state(2), 5)
+                assert abs(got[q] - z_expectation(4, amps, q)) <= 1e-12
