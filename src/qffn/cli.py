@@ -3,9 +3,10 @@
 Subcommands:
 
     train    one fine-tuning run  -> metrics.json, epochs.csv, weights archive
-    sweep    depth x fraction grid with classical baselines
-             -> per-cell metrics under cells/, table.csv rewritten per cell
-    ablate   sweep with the vanilla quantum block (no internal residual) forced
+    sweep    depth x fraction grid of the config's quantum kind, with
+             classical baselines -> per-cell metrics under cells/, table.csv
+             rewritten per cell (the paper's ablation is the same grid with
+             ``"ffn_kind": "vanilla_qffn"``, configs/synth_ablate.json)
     probe    gradient-variance probe across depths -> probe.csv
 
 Every artifact is written to a uniquely named temporary file and atomically
@@ -58,59 +59,56 @@ def _write_report(directory: Path, report: MetricsReport, echo: dict) -> None:
     atomic_write(directory / "epochs.csv", "\n".join(lines) + "\n")
 
 
-def _fail(exc: Exception) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return 1
+def _command(run):
+    """``run(config) -> exit code`` as a command ``(config_path, out=None) -> exit code``.
+    The one error boundary of every command: the config is loaded, then run, and
+    a config, training or operating-system error exits 1 with an ``error:`` line."""
+
+    def command(config_path, out=None) -> int:
+        try:
+            return run(load_run_config(config_path, out))
+        except (TrainingDiverged, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+
+    command.__name__, command.__doc__ = run.__name__, run.__doc__
+    return command
 
 
-def cmd_train(config_path, out=None) -> int:
+@_command
+def cmd_train(rc: RunConfig) -> int:
     """Run one training job and write its artifacts; returns the exit code."""
-    try:
-        rc = load_run_config(config_path, out)
-        train_set, val_set, vocab = build_task_data(rc)
-        model_cfg = rc.model_config(len(vocab), train_set.num_classes)
-        train_cfg = rc.train_config()
-        check_fraction("train.fraction", train_cfg.fraction, train_set)
-        model, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
-        out_dir = _create_out_dir(rc)
-        _write_report(out_dir, report, rc.echo(resolved_model=vars(model_cfg), train_fraction=train_cfg.fraction))
-        save_model(model, out_dir)
-    except (ConfigError, TrainingDiverged, ValueError, OSError) as exc:
-        return _fail(exc)
+    train_set, val_set, vocab = build_task_data(rc)
+    model_cfg = rc.model_config(len(vocab), train_set.num_classes)
+    train_cfg = rc.train_config()
+    check_fraction("train.fraction", train_cfg.fraction, train_set)
+    model, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
+    out_dir = _create_out_dir(rc)
+    _write_report(out_dir, report, rc.echo(resolved_model=vars(model_cfg), train_fraction=train_cfg.fraction))
+    save_model(model, out_dir)
     print(report.summary_line())
     return 0
 
 
-def _sweep_kind(rc: RunConfig, forced_kind: FfnKind | None) -> FfnKind:
-    if forced_kind is not None:
-        return forced_kind
+@_command
+def cmd_sweep(rc: RunConfig) -> int:
+    """Depth x fraction grid of ``model.ffn_kind`` plus classical baselines; one metrics set per cell."""
+    if rc.sweep is None:
+        raise ConfigError("sweep", "required field is missing")
     kind = FfnKind(rc.model.get("ffn_kind", ModelConfig.ffn_kind))
     if kind not in QUANTUM_BLOCKS:
-        raise ConfigError(
-            "model.ffn_kind", "depth sweeps need a quantum feedforward kind"
-        )
-    return kind
-
-
-def _run_sweep(config_path, out, forced_kind: FfnKind | None) -> int:
-    try:
-        rc = load_run_config(config_path, out)
-        if rc.sweep is None:
-            raise ConfigError("sweep", "required field is missing")
-        kind = _sweep_kind(rc, forced_kind)
-        train_set, val_set, vocab = build_task_data(rc)
-        for fraction in rc.sweep.fractions:
-            check_fraction("sweep.fractions", fraction, train_set)
-        grid = [(None, {"ffn_kind": FfnKind.CLASSICAL})] if rc.sweep.include_classical else []
-        grid += [(depth, {"ffn_kind": kind, "pqc_layers": depth}) for depth in rc.sweep.depths]
-        cells = [  # every cell's settings are checked here, before anything is written
-            (depth, rc.model_config(len(vocab), train_set.num_classes, **model), rc.train_config(fraction=f))
-            for depth, model in grid
-            for f in rc.sweep.fractions
-        ]
-        return _train_cells(rc, cells, train_set, val_set, vocab)
-    except (ConfigError, ValueError, OSError) as exc:
-        return _fail(exc)
+        raise ConfigError("model.ffn_kind", "depth sweeps need a quantum feedforward kind")
+    train_set, val_set, vocab = build_task_data(rc)
+    for fraction in rc.sweep.fractions:
+        check_fraction("sweep.fractions", fraction, train_set)
+    grid = [(None, {"ffn_kind": FfnKind.CLASSICAL})]
+    grid += [(depth, {"ffn_kind": kind, "pqc_layers": depth}) for depth in rc.sweep.depths]
+    cells = [  # every cell's settings are checked here, before anything is written
+        (depth, rc.model_config(len(vocab), train_set.num_classes, **model), rc.train_config(fraction=f))
+        for depth, model in grid
+        for f in rc.sweep.fractions
+    ]
+    return _train_cells(rc, cells, train_set, val_set, vocab)
 
 
 def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
@@ -150,29 +148,16 @@ def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
     return 1 if len(failures) > 1 else 0
 
 
-def cmd_sweep(config_path, out=None) -> int:
-    """Depth x fraction grid plus classical baselines; one metrics set per cell."""
-    return _run_sweep(config_path, out, forced_kind=None)
-
-
-def cmd_ablate(config_path, out=None) -> int:
-    """Sweep with the vanilla quantum block (no internal residual) forced on."""
-    return _run_sweep(config_path, out, forced_kind=FfnKind.VANILLA_QFFN)
-
-
-def cmd_probe(config_path, out=None) -> int:
+@_command
+def cmd_probe(rc: RunConfig) -> int:
     """Gradient-variance probe over depths and variants; writes probe.csv."""
-    try:
-        rc = load_run_config(config_path, out)
-        if rc.probe is None:
-            raise ConfigError("probe", "required field is missing")
-        results = [
-            grad_variance_probe(variant, rc.probe.depths, rc.probe.num_samples, rc.seed)
-            for variant in rc.probe.variants
-        ]
-        atomic_write(_create_out_dir(rc) / "probe.csv", probe_csv(*results))
-    except (ConfigError, ValueError, OSError) as exc:
-        return _fail(exc)
+    if rc.probe is None:
+        raise ConfigError("probe", "required field is missing")
+    results = [
+        grad_variance_probe(variant, rc.probe.depths, rc.probe.num_samples, rc.seed)
+        for variant in rc.probe.variants
+    ]
+    atomic_write(_create_out_dir(rc) / "probe.csv", probe_csv(*results))
     for result in results:
         for entry in result.entries:
             print(
@@ -191,7 +176,6 @@ def main(argv=None) -> int:
     commands = {
         "train": (cmd_train, "run one training job"),
         "sweep": (cmd_sweep, "run a depth x fraction grid with classical baselines"),
-        "ablate": (cmd_ablate, "run the sweep with the vanilla quantum block"),
         "probe": (cmd_probe, "measure gradient variance across circuit depths"),
     }
     for name, (_, help_text) in commands.items():

@@ -103,6 +103,12 @@ class Vocab:
         return cls(_read_lines(path))
 
     def save(self, path):
+        """One token per line, the format ``from_file`` reads: a token that would
+        not read back as itself, one holding a line feed or ending in a carriage
+        return, raises ``ValueError`` naming its id before anything is written."""
+        for i, tok in enumerate(self.tokens):
+            if "\n" in tok or tok.endswith("\r"):
+                raise ValueError(f"vocabulary token {i} ({tok!r}) holds a line feed or ends in a carriage return")
         Path(path).write_text("\n".join(self.tokens) + "\n", encoding="utf-8")
 
 

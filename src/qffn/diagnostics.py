@@ -45,17 +45,21 @@ class ProbeResult:
 
 
 def finite_diff(f: Callable[[np.ndarray], float], params: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, (f(p+h) - f(p-h)) / 2h."""
+    """Central-difference gradient of a scalar function, (f(p+h) - f(p-h)) / 2h.
+    ``h`` must move every parameter both ways: a step lost to rounding
+    (``p + h == p``) would read as a zero gradient, so it raises ``ValueError``."""
     if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
         raise ValueError(f"h must be a finite number > 0, got {h!r}")
     params = np.asarray(params, dtype=np.float64)
     grad = np.empty(params.shape)
-    it = np.ndindex(params.shape)
-    for idx in it:
+    for idx in np.ndindex(params.shape):
+        up, down = params[idx] + h, params[idx] - h
+        if up == params[idx] or down == params[idx]:
+            raise ValueError(f"h={h!r} does not change parameter index {idx}, whose value is {float(params[idx])!r}")
         stepped = params.copy()
-        stepped[idx] = params[idx] + h
+        stepped[idx] = up
         hi = f(stepped)
-        stepped[idx] = params[idx] - h
+        stepped[idx] = down
         lo = f(stepped)
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError(f"non-finite function value near parameter index {idx}")

@@ -5,7 +5,6 @@ Schema (defaults in parentheses):
     {
       "out_dir": "runs/demo",          # output directory, or pass --out
       "seed": 42,                      # the only randomness source of the run
-      "strict_depths": false,          # restrict model, sweep and probe depths to {1,2,4,8}
       "task": {
         "kind": "synth",               # or "tsv"
         "num_train": 400, "num_val": 100, "num_classes": 2        # synth
@@ -22,9 +21,9 @@ Schema (defaults in parentheses):
         "learning_rate": 5e-4, "batch_size": 32, "max_epochs": 5,
         "fraction": 1.0
       },
-      "sweep": {                       # required by the sweep and ablate commands
-        "depths": [1, 2, 4, 8], "fractions": [1.0, 0.2, 0.1],
-        "include_classical": true
+      "sweep": {                       # required by the sweep command, which
+                                       # also trains the classical baselines
+        "depths": [1, 2, 4, 8], "fractions": [1.0, 0.2, 0.1]
       },
       "probe": {                       # used by the probe command
         "variants": ["optimized", "vanilla"], "depths": [1, 2, 4, 8],
@@ -45,10 +44,7 @@ two fields the data fix (``vocab_size`` and ``num_classes``, never written in
 the config), and again, with the real values, once the data are read. An
 ``out_dir`` that is an existing file, or lies under one, is rejected on load;
 once the data are read, ``check_fraction`` rejects a ``train.fraction`` or
-``sweep.fractions`` entry that would select no training example. Strict-depth
-mode is run policy, which this module alone applies: it allows only
-``PAPER_DEPTHS`` in ``sweep.depths`` and ``probe.depths`` as each is built,
-and in a quantum model's ``pqc_layers`` in ``RunConfig.model_config``.
+``sweep.fractions`` entry that would select no training example.
 """
 from __future__ import annotations
 
@@ -61,7 +57,6 @@ from .circuits import MAX_PQC_LAYERS, Ansatz
 from .data import MAX_SYNTH_CLASSES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
 from .diagnostics import MAX_PROBE_SAMPLES, MIN_PROBE_SAMPLES
 from .encoder import MODEL_MINIMUMS, ModelConfig, ModelConfigError, check_fields
-from .feedforward import QUANTUM_BLOCKS
 from .training import TrainConfig
 
 PAPER_DEPTHS = (1, 2, 4, 8)  # the circuit depths of the paper's grid
@@ -79,7 +74,6 @@ class ConfigError(ValueError):
 class _Document:  # the top level of a config file
     out_dir: str | None = None
     seed: int = 42
-    strict_depths: bool = False
     task: dict | None = None
     model: dict | None = None
     train: dict | None = None
@@ -125,7 +119,6 @@ def fraction_tag(fraction: float) -> str:
 class SweepConfig:
     depths: list[int]
     fractions: list[float]
-    include_classical: bool = True
 
     def validate(self) -> None:
         check_fields(self, {"depths": 1}, {"depths": MAX_PQC_LAYERS})
@@ -184,19 +177,10 @@ def _build(section: str, cls, values: dict, derived: dict | None = None):
     return config
 
 
-def _check_strict_depths(strict: bool, section: str, name: str, depths: list[int]) -> None:
-    """The strict-depth rule: when ``strict``, raise ``ConfigError`` at
-    ``<section>.<name>`` unless every circuit depth in ``depths`` is in ``PAPER_DEPTHS``."""
-    off = [d for d in depths if d not in PAPER_DEPTHS]
-    if strict and off:
-        raise ConfigError(f"{section}.{name}", f"{name} must be in {PAPER_DEPTHS} in strict-depth mode, got {off[0]}")
-
-
 @dataclass
 class RunConfig:
     out_dir: Path
     seed: int
-    strict_depths: bool
     task: dict | None  # task, model and train: the sections as written, nulls dropped
     model: dict
     train: dict
@@ -210,16 +194,12 @@ class RunConfig:
 
     def model_config(self, vocab_size: int, num_classes: int, **overrides) -> ModelConfig:
         derived = {"vocab_size": vocab_size, "num_classes": num_classes}
-        config = _build("model", ModelConfig, {**self.model, **overrides}, derived)
-        strict = self.strict_depths and config.ffn_kind in QUANTUM_BLOCKS
-        _check_strict_depths(strict, "model", "pqc_layers", [config.pqc_layers])
-        return config
+        return _build("model", ModelConfig, {**self.model, **overrides}, derived)
 
     def echo(self, **resolved) -> dict:
         return {
             "out_dir": str(self.out_dir),
             "seed": self.seed,
-            "strict_depths": self.strict_depths,
             "task": self.task,
             "model": self.model,
             "train": self.train,
@@ -267,21 +247,15 @@ def load_run_config(path, out_override=None) -> RunConfig:
     model = _without_nulls(doc.model) or {}
     _build("model", ModelConfig, model, _DATA_STAND_INS)
     task_config = None if task is None else _task_config(task)
-    sections = {}
-    for name, cls, values in (("sweep", SweepConfig, doc.sweep), ("probe", ProbeConfig, doc.probe)):
-        if values is not None:
-            sections[name] = _build(name, cls, values)
-            _check_strict_depths(doc.strict_depths, name, "depths", sections[name].depths)
     config = RunConfig(
         out_dir=out_dir,
         seed=doc.seed,
-        strict_depths=doc.strict_depths,
         task=task,
         model=model,
         train=_without_nulls(doc.train) or {},
         task_config=task_config,
-        sweep=sections.get("sweep"),
-        probe=sections.get("probe"),
+        sweep=None if doc.sweep is None else _build("sweep", SweepConfig, doc.sweep),
+        probe=None if doc.probe is None else _build("probe", ProbeConfig, doc.probe),
         source_path=path,
     )
     config.train_config()  # rejects a bad train section or seed before any command starts

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import qffn.cli as cli
-from qffn.cli import cmd_ablate, cmd_probe, cmd_sweep, cmd_train, main
+from qffn.cli import cmd_probe, cmd_sweep, cmd_train, main
 from qffn.data import Vocab, build_vocab, load_tsv, synth_generate
 from qffn.encoder import load_model, save_model
 from qffn.runconfig import build_task_data, load_run_config
@@ -86,15 +86,6 @@ class TestTrainCommand:
                       for n in ("metrics.json", "epochs.csv", "weights.bin"))
             )
         assert blobs[0] == blobs[1]
-
-    def test_strict_depths_rejects_off_grid(self, tmp_path, capsys):
-        config, _ = write_config(
-            tmp_path, model={"ffn_kind": "qffn", "pqc_layers": 3, **TINY_MODEL},
-            strict_depths=True,
-        )
-        assert cmd_train(config) == 1
-        assert not (tmp_path / "out").exists()
-        assert "pqc_layers" in capsys.readouterr().err
 
     def test_off_grid_depth_allowed_without_strict_flag(self, tmp_path):
         config, _ = write_config(
@@ -320,12 +311,13 @@ class TestSweepCommand:
         assert cmd_sweep(config) == 1
         assert "ffn_kind" in capsys.readouterr().err
 
-    def test_ablate_forces_vanilla(self, tmp_path):
-        config, _ = self.sweep_config(tmp_path)
-        assert cmd_ablate(config) == 0
+    def test_vanilla_kind_sweeps_the_vanilla_block(self, tmp_path):
+        config, _ = self.sweep_config(tmp_path, model={"ffn_kind": "vanilla_qffn", **TINY_MODEL})
+        assert cmd_sweep(config) == 0
         table = (tmp_path / "out" / "table.csv").read_text()
         assert "vanilla_qffn,1," in table and "qffn,1," not in table.replace("vanilla_qffn", "")
-        assert (tmp_path / "out" / "cells" / "vanilla_qffn_L1_frac1" / "metrics.json").exists()
+        metrics = tmp_path / "out" / "cells" / "vanilla_qffn_L1_frac1" / "metrics.json"
+        assert json.loads(metrics.read_text())["config_echo"]["model"]["ffn_kind"] == "vanilla_qffn"
 
 
 class TestProbeCommand:
@@ -356,15 +348,6 @@ class TestProbeCommand:
         assert cmd_probe(config) == 1
         assert "probe" in capsys.readouterr().err
 
-    def test_strict_depths_cover_probe_depths(self, tmp_path, capsys):
-        probe = {"depths": [1, 3], "variants": ["optimized"], "num_samples": 30}
-        config, _ = write_config(tmp_path, probe=probe, strict_depths=True)
-        assert main(["probe", "--config", str(config)]) == 1
-        assert not (tmp_path / "out").exists()
-        assert "config error at probe.depths: depths must be in (1, 2, 4, 8) in strict-depth mode, got 3" in (
-            capsys.readouterr().err
-        )
-
 
 class TestRejectedBeforeAnyOutput:
     """Every setting is checked before a command trains or writes anything."""
@@ -389,17 +372,25 @@ class TestRejectedBeforeAnyOutput:
         assert not (tmp_path / "out").exists()
         assert f"config error at {section}.{field}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,field,value", [("model", "dropout", 0.0), ("train", "shuffle_seed", 3)])
-    def test_key_of_a_removed_setting(self, tmp_path, capsys, section, field, value):
-        # Neither the model nor the trainer has this setting, at any value.
-        doc = {"model": {"ffn_kind": "qffn", "pqc_layers": 1, **TINY_MODEL}, "train": dict(TINY_TRAIN)}
-        doc[section][field] = value
-        config, _ = write_config(tmp_path, **doc)
-        assert main(["train", "--config", str(config)]) == 1
+    @pytest.mark.parametrize(
+        "command,overrides,key",
+        [
+            pytest.param("train", {"model": {"ffn_kind": "qffn", **TINY_MODEL, "dropout": 0.0}}, "model.dropout",
+                         id="model-dropout-0.0"),
+            pytest.param("train", {"train": {**TINY_TRAIN, "shuffle_seed": 3}}, "train.shuffle_seed",
+                         id="train-shuffle_seed-3"),
+            pytest.param("train", {"strict_depths": True}, "strict_depths", id="strict_depths-True"),
+            pytest.param("sweep", {"sweep": {"depths": [1], "fractions": [1.0], "include_classical": True}},
+                         "sweep.include_classical", id="sweep-include_classical-True"),
+        ],
+    )
+    def test_key_of_a_removed_setting(self, tmp_path, capsys, command, overrides, key):
+        # No part of the program has this setting, at any value.
+        config, _ = write_config(tmp_path, **overrides)
+        assert main([command, "--config", str(config)]) == 1
         assert not (tmp_path / "out").exists()
-        assert f"config error at {section}.{field}: unknown field" in capsys.readouterr().err
+        assert f"config error at {key}: unknown field" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["sweep", "ablate"])
     @pytest.mark.parametrize(
         "section,field,value",
         [
@@ -408,12 +399,12 @@ class TestRejectedBeforeAnyOutput:
             ("model", "num_heads", 3),  # does not divide hidden 16
         ],
     )
-    def test_sweep_commands(self, tmp_path, capsys, monkeypatch, command, section, field, value):
+    def test_sweep_command(self, tmp_path, capsys, monkeypatch, section, field, value):
         monkeypatch.setattr(cli, "train", lambda *args, **kwargs: pytest.fail("trained"))
         doc = {"model": {"ffn_kind": "qffn", **TINY_MODEL}, "train": dict(TINY_TRAIN)}
         doc[section][field] = value
         config, _ = write_config(tmp_path, sweep={"depths": [1, 2], "fractions": [1.0, 0.5]}, **doc)
-        assert main([command, "--config", str(config)]) == 1
+        assert main(["sweep", "--config", str(config)]) == 1
         assert not (tmp_path / "out").exists()
         assert f"config error at {section}.{field}" in capsys.readouterr().err
 
@@ -424,7 +415,7 @@ class TestRejectedBeforeAnyOutput:
                          id="equal-fractions"),
             pytest.param("sweep", {"sweep": {"depths": [1], "fractions": [0.5, 0.5000001]}}, "sweep.fractions",
                          id="fractions-that-name-one-cell"),
-            pytest.param("ablate", {"sweep": {"depths": [1, 1], "fractions": [1.0]}}, "sweep.depths",
+            pytest.param("sweep", {"sweep": {"depths": [1, 1], "fractions": [1.0]}}, "sweep.depths",
                          id="repeated-depth"),
             pytest.param("probe", {"probe": {"variants": ["vanilla", "vanilla"], "num_samples": 30}},
                          "probe.variants", id="repeated-variant"),
@@ -496,7 +487,7 @@ class TestRejectedBeforeAnyOutput:
         config, _ = write_config(
             tmp_path,
             train={"learning_rate": 1e200, "max_epochs": 1, "batch_size": 32},
-            sweep={"depths": [1], "fractions": [1.0], "include_classical": False},
+            sweep={"depths": [1], "fractions": [1.0]},
         )
         with np.errstate(all="ignore"):
             assert main(["sweep", "--config", str(config)]) == 1
@@ -532,7 +523,7 @@ class TestModelSectionCheckedOnLoad:
         config, _ = write_config(
             tmp_path,
             model={"ffn_kind": "qffn", "pqc_layers": "x", **TINY_MODEL},
-            sweep={"depths": [1], "fractions": [1.0], "include_classical": False},
+            sweep={"depths": [1], "fractions": [1.0]},
         )
         self.assert_rejected(tmp_path, capsys, config, "sweep", "config error at model.pqc_layers")
 
@@ -583,7 +574,19 @@ class TestMain:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command", ["train", "sweep", "ablate", "probe"])
+    def test_commands_are_train_sweep_and_probe(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{train,sweep,probe}" in capsys.readouterr().out
+        config, _ = write_config(tmp_path, sweep={"depths": [1], "fractions": [1.0]})
+        with pytest.raises(SystemExit) as exc:
+            main(["ablate", "--config", str(config)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'ablate'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "sweep", "probe"])
     def test_help_lists_only_config_and_out(self, capsys, command):
         with pytest.raises(SystemExit):
             main([command, "--help"])
@@ -616,7 +619,7 @@ class TestConfigCopyReproducesTheRun:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_rerun_writes_the_same_files(self, tmp_path, command):
         run, sections, required = self.COMMANDS[command]
-        config, _ = write_config(tmp_path, seed=7, strict_depths=True, **sections)
+        config, _ = write_config(tmp_path, seed=7, **sections)
         first, second = tmp_path / "out", tmp_path / "copy"
         assert run(config) == 0
         assert run(first / "config.json", out=second) == 0
@@ -637,7 +640,7 @@ class TestOutputDirectoryErrors:
 
     COMMANDS = {
         "train": {},
-        "sweep": {"sweep": {"depths": [1], "fractions": [1.0], "include_classical": False}},
+        "sweep": {"sweep": {"depths": [1], "fractions": [1.0]}},
         "probe": {"probe": {"depths": [1], "variants": ["optimized"], "num_samples": 30}},
     }
 
@@ -690,11 +693,10 @@ class TestFractionSelectingNoExample:
         assert "config error at train.fraction:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == [config.name]
 
-    @pytest.mark.parametrize("command", ["sweep", "ablate"])
-    def test_sweep_fractions(self, tmp_path, capsys, command):
+    def test_sweep_fractions(self, tmp_path, capsys):
         config, _ = write_config(
             tmp_path, task=self.TASK, sweep={"depths": [1], "fractions": [1.0, 0.1]}
         )
-        assert main([command, "--config", str(config)]) == 1
+        assert main(["sweep", "--config", str(config)]) == 1
         assert "config error at sweep.fractions:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == [config.name]

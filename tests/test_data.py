@@ -69,6 +69,20 @@ class TestVocab:
         loaded = Vocab.from_file(path)
         assert loaded.tokens == v.tokens
 
+    @pytest.mark.parametrize("token", ["a\nb", "c\r"])
+    def test_token_that_would_not_read_back_is_not_saved(self, tmp_path, token):
+        path = tmp_path / "vocab.txt"
+        with pytest.raises(ValueError, match=re.escape(f"vocabulary token 5 ({token!r}) holds a line feed")):
+            simple_vocab(("x", token, "y")).save(path)
+        assert not path.exists()
+
+    def test_inner_carriage_return_reads_back(self, tmp_path):
+        # Only a carriage return before the line feed is stripped on reading.
+        path = tmp_path / "vocab.txt"
+        inner_return = simple_vocab(("x", "c\rd", "y"))
+        inner_return.save(path)
+        assert Vocab.from_file(path).tokens == inner_return.tokens
+
     def test_file_lines_end_at_line_feeds_only(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_bytes("[PAD]\r\n[UNK]\r\n[CLS]\r\n[SEP]\r\nmovie\x85good\r\nbad\n".encode())

@@ -38,6 +38,22 @@ class TestFiniteDiff:
         with pytest.raises(ValueError, match=re.escape(f"h must be a finite number > 0, got {h!r}")):
             finite_diff(lambda p: float(p[0]), np.zeros(1), h=h)
 
+    def test_step_lost_to_rounding_rejected(self):
+        # 3 + 1e-20 == 3, so both evaluations would see the same point and read a zero gradient.
+        with pytest.raises(ValueError, match=re.escape("h=1e-20 does not change parameter index (1,), whose value is 3.0")):
+            finite_diff(lambda p: float(p @ p), np.array([0.0, 3.0]), h=1e-20)
+
+    @pytest.mark.parametrize("value", [1.0, -1.0], ids=["lost-upward", "lost-downward"])
+    def test_step_lost_on_one_side_rejected(self, value):
+        # Floats are twice as dense just below 1 in magnitude as just above it, so
+        # 1e-16 survives the step toward zero and is lost on the step away from it.
+        with pytest.raises(ValueError, match=re.escape(f"h=1e-16 does not change parameter index (0,), whose value is {value}")):
+            finite_diff(lambda p: float(p[0]), np.array([value]), h=1e-16)
+
+    def test_tiny_step_at_zero_is_kept(self):
+        # The check is against the parameter's own value, not a fixed floor.
+        np.testing.assert_array_equal(finite_diff(lambda p: float(p[0]), np.zeros(1), h=1e-300), [1.0])
+
 
 class TestProbe:
     def test_depth_one_readouts_after_the_cnot_ring(self):

@@ -1,5 +1,5 @@
-"""Run-config loading: the example files shipped in configs/, null sections,
-rejected documents and strict-depth mode."""
+"""Run-config loading: the example files shipped in configs/, null sections
+and rejected documents."""
 import json
 import re
 from pathlib import Path
@@ -15,7 +15,12 @@ SHIPPED = sorted(CONFIG_DIR.glob("*.json"))
 
 def test_every_documented_config_is_shipped():
     names = {p.name for p in SHIPPED}
-    assert {"synth_train.json", "synth_sweep.json", "probe.json", "tsv_template.json"} <= names
+    assert {"synth_train.json", "synth_sweep.json", "synth_ablate.json", "probe.json", "tsv_template.json"} <= names
+    # The paper's ablation is its sweep with the vanilla block, and nothing else.
+    sweep, ablate = (json.loads((CONFIG_DIR / name).read_text()) for name in ("synth_sweep.json", "synth_ablate.json"))
+    assert (sweep["model"].pop("ffn_kind"), ablate["model"].pop("ffn_kind")) == ("qffn", "vanilla_qffn")
+    assert sweep.pop("out_dir") != ablate.pop("out_dir")
+    assert sweep == ablate
 
 
 @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
@@ -25,10 +30,10 @@ def test_shipped_config_loads(path):
 
 def test_null_counts_as_unset(tmp_path):
     path = tmp_path / "run.json"
-    sections = ("seed", "strict_depths", "task", "model", "train", "sweep", "probe")
+    sections = ("seed", "task", "model", "train", "sweep", "probe")
     path.write_text(json.dumps({"out_dir": "out", **dict.fromkeys(sections)}))
     config = load_run_config(path)
-    assert (config.seed, config.strict_depths) == (42, False)
+    assert config.seed == 42
     assert config.task is config.sweep is config.probe is None
     assert config.train_config() == TrainConfig()
 
@@ -62,21 +67,3 @@ def test_rejected_document_names_the_field(tmp_path, doc, field, message):
     with pytest.raises(ConfigError, match=re.escape(f"config error at {field}: {message}")) as info:
         load_run_config(write(tmp_path, doc))
     assert info.value.field == field
-
-
-def test_strict_depths(tmp_path):
-    model = {"ffn_kind": "qffn", "pqc_layers": 3}
-    load_run_config(write(tmp_path, {"model": model})).model_config(10, 2)  # fine without strict mode
-    strict = load_run_config(write(tmp_path, {"strict_depths": True, "model": model}))
-    message = "config error at model.pqc_layers: pqc_layers must be in (1, 2, 4, 8) in strict-depth mode, got 3"
-    with pytest.raises(ConfigError, match=re.escape(message)) as info:
-        strict.model_config(10, 2)
-    assert info.value.field == "model.pqc_layers"
-    strict.model_config(10, 2, pqc_layers=4)
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        strict.model_config(10, 2, ffn_kind="vanilla_qffn")
-
-
-def test_strict_depths_ignores_classical(tmp_path):
-    strict = load_run_config(write(tmp_path, {"strict_depths": True, "model": {"pqc_layers": 3}}))
-    assert strict.model_config(10, 2).pqc_layers == 3
