@@ -25,7 +25,7 @@ from .data import (
     synth_generate,
     tokenize,
 )
-from .diagnostics import ProbeResult, finite_diff, grad_variance_probe
+from .diagnostics import finite_diff, grad_variance_probe
 from .encoder import (
     EncoderModel,
     FfnKind,
@@ -48,7 +48,6 @@ __all__ = [
     "MetricsReport",
     "ModelConfig",
     "PqcConfig",
-    "ProbeResult",
     "QffnBlock",
     "TrainConfig",
     "TrainingDiverged",

@@ -10,15 +10,15 @@ Subcommands:
     probe    gradient-variance probe across depths -> probe.csv
 
 Every artifact is written to a uniquely named temporary file and atomically
-renamed (``encoder.atomic_write``), so output files are either complete or
+renamed (``data.atomic_write``), so output files are either complete or
 absent. Every setting a command uses, each sweep cell's included, is validated
 before it trains or writes anything (floats must be finite), so a rejected
 config produces no output at all; an operating-system error while creating
 the output directory or writing an artifact exits 1 with an ``error:`` line.
 Every setting comes from the config file; ``--out`` may override its output
-directory, into which the file is copied verbatim, so rerunning the copy
+directory, into which the file's bytes are copied, so rerunning the copy
 reproduces the run. Resolved settings are echoed in metrics.json; wall-clock
-time is printed, but stored as null so identical configs give identical files.
+time is printed, not stored, so identical configs give identical files.
 """
 from __future__ import annotations
 
@@ -28,11 +28,13 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, fields
+import time
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
-from .diagnostics import grad_variance_probe, probe_csv
-from .encoder import ModelConfig, atomic_write, save_model
+from .data import atomic_write, subsample
+from .diagnostics import grad_variance_probe
+from .encoder import ModelConfig, save_model
 from .feedforward import QUANTUM_BLOCKS, FfnKind
 from .runconfig import ConfigError, RunConfig, build_task_data, check_fraction, fraction_tag, load_run_config
 from .training import EpochStats, MetricsReport, TrainingDiverged, train
@@ -41,22 +43,26 @@ CONFIG_COPY = "config.json"
 
 
 def _create_out_dir(config: RunConfig) -> Path:
-    """The output directory, created, with the source config copied in verbatim."""
+    """The output directory, created, with the source config's bytes copied in."""
     config.out_dir.mkdir(parents=True, exist_ok=True)
     target = config.out_dir / CONFIG_COPY
     if not (target.exists() and os.path.samefile(config.source_path, target)):
-        atomic_write(target, config.source_path.read_text(encoding="utf-8"))
+        atomic_write(target, config.source_path.read_bytes())
     return config.out_dir
+
+
+def _write_csv(path: Path, rows) -> None:
+    """``rows`` as CSV records, one per line; a float renders as its ``repr``."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    atomic_write(path, text.getvalue())
 
 
 def _write_report(directory: Path, report: MetricsReport, echo: dict) -> None:
     """``metrics.json`` and ``epochs.csv``, each written from the report's fields."""
-    # measured time goes to stdout; files stay reproducible
-    doc = {**asdict(report), "wall_clock_s": None, "config_echo": echo}
+    doc = {**asdict(report), "config_echo": echo}
     atomic_write(directory / "metrics.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    names = [f.name for f in fields(EpochStats)]
-    lines = [",".join(names)] + [",".join(repr(getattr(e, n)) for n in names) for e in report.epochs]
-    atomic_write(directory / "epochs.csv", "\n".join(lines) + "\n")
+    _write_csv(directory / "epochs.csv", [[f.name for f in fields(EpochStats)], *map(astuple, report.epochs)])
 
 
 def _command(run):
@@ -80,19 +86,20 @@ def cmd_train(rc: RunConfig) -> int:
     """Run one training job and write its artifacts; returns the exit code."""
     train_set, val_set, vocab = build_task_data(rc)
     model_cfg = rc.model_config(len(vocab), train_set.num_classes)
-    train_cfg = rc.train_config()
-    check_fraction("train.fraction", train_cfg.fraction, train_set)
-    model, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
+    started = time.perf_counter()
+    model, report = train(model_cfg, rc.train_config(), train_set, val_set, vocab)
+    elapsed = time.perf_counter() - started
     out_dir = _create_out_dir(rc)
-    _write_report(out_dir, report, rc.echo(resolved_model=vars(model_cfg), train_fraction=train_cfg.fraction))
+    _write_report(out_dir, report, rc.echo(resolved_model=vars(model_cfg)))
     save_model(model, out_dir)
-    print(report.summary_line())
+    print(f"{report.summary_line()} wall_clock_s={elapsed:.1f}")
     return 0
 
 
 @_command
 def cmd_sweep(rc: RunConfig) -> int:
-    """Depth x fraction grid of ``model.ffn_kind`` plus classical baselines; one metrics set per cell."""
+    """Depth x fraction grid of ``model.ffn_kind`` plus classical baselines; one metrics set per cell.
+    All cells of a fraction below 1 train on one subsample of the split, drawn from the seed."""
     if rc.sweep is None:
         raise ConfigError("sweep", "required field is missing")
     kind = FfnKind(rc.model.get("ffn_kind", ModelConfig.ffn_kind))
@@ -103,37 +110,33 @@ def cmd_sweep(rc: RunConfig) -> int:
         check_fraction("sweep.fractions", fraction, train_set)
     grid = [(None, {"ffn_kind": FfnKind.CLASSICAL})]
     grid += [(depth, {"ffn_kind": kind, "pqc_layers": depth}) for depth in rc.sweep.depths]
-    cells = [  # every cell's settings are checked here, before anything is written
-        (depth, rc.model_config(len(vocab), train_set.num_classes, **model), rc.train_config(fraction=f))
-        for depth, model in grid
-        for f in rc.sweep.fractions
-    ]
-    return _train_cells(rc, cells, train_set, val_set, vocab)
+    # every cell's settings are checked here, before anything is written
+    models = [(depth, rc.model_config(len(vocab), train_set.num_classes, **model)) for depth, model in grid]
+    train_cfg = rc.train_config()
+    splits = {f: train_set if f == 1 else subsample(train_set, f, rc.seed) for f in rc.sweep.fractions}
+    cells = [(depth, model_cfg, f, split) for depth, model_cfg in models for f, split in splits.items()]
+    return _train_cells(rc, cells, train_cfg, val_set, vocab)
 
 
-def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
-    """Train every cell and write its report, rewriting ``table.csv`` (and any
-    ``failures.csv``) after each cell, so a grid cut short keeps the rows of its
-    finished cells; a cell that fails to train is recorded, not raised."""
+def _train_cells(rc: RunConfig, cells, train_cfg, val_set, vocab) -> int:
+    """Train every cell on its fraction's split and write its report, rewriting
+    ``table.csv`` (and any ``failures.csv``) after each cell, so a grid cut short
+    keeps its finished rows; a cell that fails to train is recorded, not raised."""
     out_dir = _create_out_dir(rc)
     table = [["model", "layers", "fraction", "val_acc", "train_acc", "gap", "acc_per_param"]]
     failures = [["cell", "error"]]
-
-    def save(name, rows):
-        text = io.StringIO()
-        csv.writer(text, lineterminator="\n").writerows(rows)
-        atomic_write(out_dir / name, text.getvalue())
-
-    save("table.csv", table)
-    for depth, model_cfg, train_cfg in cells:
-        fraction, cell_kind = train_cfg.fraction, model_cfg.ffn_kind
+    _write_csv(out_dir / "table.csv", table)
+    for depth, model_cfg, fraction, split in cells:
+        cell_kind = model_cfg.ffn_kind
         tag = f"frac{fraction_tag(fraction)}"
         name = f"classical_{tag}" if depth is None else f"{cell_kind.value}_L{depth}_{tag}"
+        started = time.perf_counter()
         try:
-            _, report = train(model_cfg, train_cfg, train_set, val_set, vocab)
+            _, report = train(model_cfg, train_cfg, split, val_set, vocab)
+            elapsed = time.perf_counter() - started
         except (TrainingDiverged, ValueError) as exc:
             failures.append([name, str(exc)])
-            save("failures.csv", failures)
+            _write_csv(out_dir / "failures.csv", failures)
             print(f"{name}: failed: {exc}", file=sys.stderr)
             continue
         cell_dir = out_dir / "cells" / name
@@ -143,8 +146,8 @@ def _train_cells(rc: RunConfig, cells, train_set, val_set, vocab) -> int:
             cell_kind.value, "-" if depth is None else depth, fraction, report.validation_accuracy,
             report.training_accuracy, report.gap, report.accuracy_per_param,
         ])
-        save("table.csv", table)
-        print(f"{name}: {report.summary_line()}")
+        _write_csv(out_dir / "table.csv", table)
+        print(f"{name}: {report.summary_line()} wall_clock_s={elapsed:.1f}")
     return 1 if len(failures) > 1 else 0
 
 
@@ -153,17 +156,15 @@ def cmd_probe(rc: RunConfig) -> int:
     """Gradient-variance probe over depths and variants; writes probe.csv."""
     if rc.probe is None:
         raise ConfigError("probe", "required field is missing")
-    results = [
-        grad_variance_probe(variant, rc.probe.depths, rc.probe.num_samples, rc.seed)
-        for variant in rc.probe.variants
+    probe = rc.probe
+    rows = [
+        [depth, variant, variance, probe.num_samples, rc.seed]
+        for variant in probe.variants
+        for depth, variance in zip(probe.depths, grad_variance_probe(variant, probe.depths, probe.num_samples, rc.seed))
     ]
-    atomic_write(_create_out_dir(rc) / "probe.csv", probe_csv(*results))
-    for result in results:
-        for entry in result.entries:
-            print(
-                f"variant={entry.variant} depth={entry.depth} "
-                f"variance={entry.variance:.6g} samples={entry.num_samples}"
-            )
+    _write_csv(_create_out_dir(rc) / "probe.csv", [["depth", "variant", "variance", "num_samples", "seed"], *rows])
+    for depth, variant, variance, num_samples, _ in rows:
+        print(f"variant={variant} depth={depth} variance={variance:.6g} samples={num_samples}")
     return 0
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -30,24 +29,11 @@ MIN_PROBE_SAMPLES = 30
 MAX_PROBE_SAMPLES = 10**6  # one float64 per sample is kept
 
 
-@dataclass(frozen=True)
-class ProbeEntry:
-    depth: int
-    variant: str
-    variance: float
-    num_samples: int
-
-
-@dataclass
-class ProbeResult:
-    entries: list[ProbeEntry]
-    seed: int
-
-
 def finite_diff(f: Callable[[np.ndarray], float], params: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, (f(p+h) - f(p-h)) / 2h.
-    ``h`` must move every parameter both ways: a step lost to rounding
-    (``p + h == p``) would read as a zero gradient, so it raises ``ValueError``."""
+    """Central-difference gradient of a scalar function, (f(p+h) - f(p-h)) / 2h, with
+    2h the step the floats took, ``(p + h) - (p - h)``. ``h`` must move every parameter
+    both ways: a step lost to rounding (``p + h == p``) would read as a zero
+    gradient, so it raises ``ValueError``."""
     if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
         raise ValueError(f"h must be a finite number > 0, got {h!r}")
     params = np.asarray(params, dtype=np.float64)
@@ -63,7 +49,7 @@ def finite_diff(f: Callable[[np.ndarray], float], params: np.ndarray, h: float =
         lo = f(stepped)
         if not (np.isfinite(hi) and np.isfinite(lo)):
             raise ValueError(f"non-finite function value near parameter index {idx}")
-        grad[idx] = (hi - lo) / (2.0 * h)
+        grad[idx] = (hi - lo) / (up - down)
     return grad
 
 
@@ -72,8 +58,9 @@ def grad_variance_probe(
     depths: list[int],
     num_samples: int,
     seed: int,
-) -> ProbeResult:
-    """Variance of the first-angle gradient at each depth, over random draws.
+) -> list[float]:
+    """Variance of the first-angle gradient at each depth, over random draws,
+    one per depth in ``depths`` order.
 
     For every depth L the probe draws ``num_samples`` independent (theta, x)
     pairs uniform on (-pi, pi), evaluates d<Z_0>/d(theta[0]) by parameter
@@ -90,7 +77,7 @@ def grad_variance_probe(
         raise ValueError(f"num_samples must be an integer in {MIN_PROBE_SAMPLES}..{MAX_PROBE_SAMPLES}, got {num_samples!r}")
     check_seed(seed)
     rng = np.random.default_rng(seed)
-    entries = []
+    variances = []
     for depth in depths:
         config = PqcConfig(variant, depth)
         grads = np.empty(num_samples)
@@ -99,14 +86,6 @@ def grad_variance_probe(
             x = rng.uniform(-np.pi, np.pi, config.num_qubits)
             jac_theta, _ = pqc_gradients(config, theta, x)
             grads[i] = jac_theta[0, 0]
-        entries.append(ProbeEntry(depth, variant.value, float(np.var(grads)), num_samples))
-    return ProbeResult(entries, seed)
+        variances.append(float(np.var(grads)))
+    return variances
 
-
-def probe_csv(*results: ProbeResult) -> str:
-    """Render probe results as CSV with columns depth,variant,variance,num_samples,seed."""
-    lines = ["depth,variant,variance,num_samples,seed"]
-    for result in results:
-        for e in result.entries:
-            lines.append(f"{e.depth},{e.variant},{e.variance!r},{e.num_samples},{result.seed}")
-    return "\n".join(lines) + "\n"

@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import json
 import numbers
-import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -91,6 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import MAX_PQC_LAYERS, PqcConfig
+from .data import atomic_write
 from .feedforward import (
     INIT_STD,
     QUANTUM_BLOCKS,
@@ -639,27 +639,6 @@ WEIGHTS_BIN = "weights.bin"
 WEIGHTS_MANIFEST = "weights.json"
 # Version of the archive layout below; load_model reads no other.
 ARCHIVE_VERSION = 3
-
-
-def atomic_write(path: Path, data: bytes | str) -> None:
-    """Write ``data`` (str as UTF-8) to ``path`` completely or not at all.
-
-    The bytes go to a uniquely named temporary file beside ``path``, which is
-    renamed over it, or removed if anything fails. Writers sharing a directory
-    never share a temporary name. The exclusive create keeps the umask-derived
-    mode that a plain write gives (``tempfile.mkstemp`` would force 0600).
-    """
-    if isinstance(data, str):
-        data = data.encode("utf-8")
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    stream = open(tmp, "xb")
-    try:
-        with stream:
-            stream.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _sha256(blob: bytes) -> str:

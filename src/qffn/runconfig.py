@@ -7,7 +7,7 @@ Schema (defaults in parentheses):
       "seed": 42,                      # the only randomness source of the run
       "task": {
         "kind": "synth",               # or "tsv"
-        "num_train": 400, "num_val": 100, "num_classes": 2        # synth
+        "num_train": 400, "num_val": 100, "num_classes": 2        # synth, splits <= 10**6
         # "train_path": ..., "val_path": ...,                     # tsv
         # "num_classes": ..., "vocab_path": ...                   # tsv, optional
       },
@@ -18,11 +18,11 @@ Schema (defaults in parentheses):
         "num_heads": 2, "intermediate": 512, "max_seq_len": 128
       },
       "train": {                       # all optional, see TrainConfig defaults
-        "learning_rate": 5e-4, "batch_size": 32, "max_epochs": 5,
-        "fraction": 1.0
+        "learning_rate": 5e-4, "batch_size": 32, "max_epochs": 5
       },
       "sweep": {                       # required by the sweep command, which
-                                       # also trains the classical baselines
+                                       # also trains the classical baselines; a
+                                       # fraction < 1 subsamples the train split
         "depths": [1, 2, 4, 8], "fractions": [1.0, 0.2, 0.1]
       },
       "probe": {                       # used by the probe command
@@ -43,8 +43,8 @@ checked on load, before any output: the model section with stand-ins for the
 two fields the data fix (``vocab_size`` and ``num_classes``, never written in
 the config), and again, with the real values, once the data are read. An
 ``out_dir`` that is an existing file, or lies under one, is rejected on load;
-once the data are read, ``check_fraction`` rejects a ``train.fraction`` or
-``sweep.fractions`` entry that would select no training example.
+once the data are read, ``check_fraction`` rejects a ``sweep.fractions``
+entry that would select no training example.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .circuits import MAX_PQC_LAYERS, Ansatz
-from .data import MAX_SYNTH_CLASSES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
+from .data import MAX_SYNTH_CLASSES, MAX_SYNTH_EXAMPLES, Dataset, Vocab, build_vocab, load_tsv, synth_generate
 from .diagnostics import MAX_PROBE_SAMPLES, MIN_PROBE_SAMPLES
 from .encoder import MODEL_MINIMUMS, ModelConfig, ModelConfigError, check_fields
 from .training import TrainConfig
@@ -92,7 +92,8 @@ class SynthTask:
     num_classes: int = 2
 
     def validate(self) -> None:
-        check_fields(self, {"num_train": 1, "num_val": 1, "num_classes": 2}, {"num_classes": MAX_SYNTH_CLASSES})
+        sizes = {"num_train": MAX_SYNTH_EXAMPLES, "num_val": MAX_SYNTH_EXAMPLES, "num_classes": MAX_SYNTH_CLASSES}
+        check_fields(self, {"num_train": 1, "num_val": 1, "num_classes": 2}, sizes)
 
 
 @dataclass
@@ -189,8 +190,8 @@ class RunConfig:
     probe: ProbeConfig | None
     source_path: Path
 
-    def train_config(self, **overrides) -> TrainConfig:
-        return _build("train", TrainConfig, {**self.train, **overrides}, {"seed": self.seed})
+    def train_config(self) -> TrainConfig:
+        return _build("train", TrainConfig, self.train, {"seed": self.seed})
 
     def model_config(self, vocab_size: int, num_classes: int, **overrides) -> ModelConfig:
         derived = {"vocab_size": vocab_size, "num_classes": num_classes}

@@ -3,19 +3,19 @@
 Plain Adam (beta1 0.9, beta2 0.999, eps 1e-8, no weight decay) on mean
 cross-entropy, fixed-seed shuffling every epoch, no scheduler, no early
 stopping, partial final batches included. All randomness (weight init,
-shuffling) derives from the single seed in TrainConfig, so two runs with
-identical inputs produce identical reports.
+shuffling) derives from the single seed in TrainConfig, and the report holds no
+clock reading, so two runs with identical inputs produce equal reports. ``train``
+trains on the split it is given; subsampling and timing are the caller's.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Vocab, encode_dataset, subsample
+from .data import Dataset, Vocab, encode_dataset
 from .encoder import (
-    EncoderModel, ModelConfig, ModelConfigError, check_fields, log_softmax, model_backward, model_forward,
+    EncoderModel, ModelConfig, check_fields, log_softmax, model_backward, model_forward,
 )
 
 
@@ -32,12 +32,9 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 5
     seed: int = 42
-    fraction: float = 1.0
 
     def validate(self) -> None:
         check_fields(self, _TRAIN_MINIMUMS)
-        if not 0.0 < self.fraction <= 1.0:
-            raise ModelConfigError("fraction", f"must be in (0, 1], got {self.fraction}")
 
 
 @dataclass
@@ -57,13 +54,12 @@ class MetricsReport:
     accuracy_per_param: float
     param_total: int
     epochs: list[EpochStats] = field(default_factory=list)
-    wall_clock_s: float = 0.0
 
     def summary_line(self) -> str:
         return (
             f"val_acc={self.validation_accuracy:.4f} train_acc={self.training_accuracy:.4f} "
             f"gap={self.gap:.4f} acc_per_param={self.accuracy_per_param:.3e} "
-            f"params={self.param_total} wall_clock_s={self.wall_clock_s:.1f}"
+            f"params={self.param_total}"
         )
 
 
@@ -158,10 +154,6 @@ def train(
     train_config.validate()
     _check_data(model_config, vocab, train_set, val_set)
 
-    start_time = time.perf_counter()
-    if train_config.fraction < 1.0:
-        train_set = subsample(train_set, train_config.fraction, train_config.seed)
-
     max_len = model_config.max_seq_len
     train_ids, train_mask, train_labels = encode_dataset(vocab, train_set, max_len)
     val_ids, val_mask, val_labels = encode_dataset(vocab, val_set, max_len)
@@ -209,6 +201,5 @@ def train(
         accuracy_per_param=final.val_acc / param_total,
         param_total=param_total,
         epochs=epochs,
-        wall_clock_s=time.perf_counter() - start_time,
     )
     return model, report

@@ -253,23 +253,22 @@ DEPTH_ONE_MOMENTS = {Ansatz.OPTIMIZED: (1 / 16, 81 / 4096), Ansatz.VANILLA: (3 /
 def test_criterion_10_probe_sanity():
     exact_ok, exact = True, []
     for variant, (variance, fourth) in DEPTH_ONE_MOMENTS.items():
-        (entry,) = grad_variance_probe(variant, [1], num_samples=1000, seed=10).entries
+        (probed,) = grad_variance_probe(variant, [1], num_samples=1000, seed=10)
         se = float(np.sqrt((fourth - variance**2) / 1000))
-        exact_ok &= abs(entry.variance - variance) <= 3 * se
+        exact_ok &= abs(probed - variance) <= 3 * se
         exact.append(
-            f"{variant.value} var={entry.variance:.4f} "
-            f"(exact {variance:.4f}, {(entry.variance - variance) / se:+.1f} SE)"
+            f"{variant.value} var={probed:.4f} "
+            f"(exact {variance:.4f}, {(probed - variance) / se:+.1f} SE)"
         )
 
     started = time.perf_counter()
-    entries = []
+    variances = []
     for variant in (Ansatz.OPTIMIZED, Ansatz.VANILLA):
-        result = grad_variance_probe(variant, [1, 2, 4, 8], num_samples=100, seed=11)
-        entries.extend(result.entries)
+        variances.extend(grad_variance_probe(variant, [1, 2, 4, 8], num_samples=100, seed=11))
     elapsed = time.perf_counter() - started
-    grid_ok = all(np.isfinite(e.variance) and e.variance > 0 for e in entries)
+    grid_ok = len(variances) == 8 and all(np.isfinite(v) and v > 0 for v in variances)
     _report(
         "criterion 10: gradient-variance probe sanity",
         exact_ok and grid_ok and elapsed < 300.0,
-        f"depth 1: {', '.join(exact)}; {len(entries)} grid entries in {elapsed:.0f}s",
+        f"depth 1: {', '.join(exact)}; {len(variances)} grid entries in {elapsed:.0f}s",
     )

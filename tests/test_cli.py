@@ -5,13 +5,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import qffn.cli as cli
 from qffn.cli import cmd_probe, cmd_sweep, cmd_train, main
-from qffn.data import Vocab, build_vocab, load_tsv, synth_generate
+from qffn.data import Vocab, build_vocab, load_tsv, subsample, synth_generate
+from qffn.diagnostics import grad_variance_probe
 from qffn.encoder import load_model, save_model
 from qffn.runconfig import build_task_data, load_run_config
 from qffn.training import TrainingDiverged, train
@@ -43,20 +45,21 @@ class TestTrainCommand:
         for name in ("metrics.json", "epochs.csv", "weights.bin", "weights.json", "config.json"):
             assert (out / name).exists(), name
         assert not list(out.glob("*.tmp"))
-        assert (out / "config.json").read_text() == config.read_text()
+        assert (out / "config.json").read_bytes() == config.read_bytes()
         summary = capsys.readouterr().out
         assert "val_acc=" in summary and "wall_clock_s=" in summary
 
-    def test_metrics_schema(self, tmp_path):
+    def test_metrics_schema(self, tmp_path, capsys):
         config, _ = write_config(tmp_path)
         assert cmd_train(config) == 0
         doc = json.loads((tmp_path / "out" / "metrics.json").read_text())
         assert set(doc) == {
             "validation_accuracy", "training_accuracy", "gap", "accuracy_per_param",
-            "param_total", "epochs", "wall_clock_s", "config_echo",
+            "param_total", "epochs", "config_echo",
         }
+        assert "wall_clock_s=" in capsys.readouterr().out  # measured time is printed, not stored
         assert doc["gap"] == doc["training_accuracy"] - doc["validation_accuracy"]
-        assert doc["wall_clock_s"] is None
+        assert "train_fraction" not in doc["config_echo"]
         assert set(doc["epochs"][0]) == {"epoch", "train_loss", "val_loss", "train_acc", "val_acc"}
         assert doc["config_echo"]["seed"] == 42
         header = (tmp_path / "out" / "epochs.csv").read_text().splitlines()[0]
@@ -276,10 +279,10 @@ class TestSweepCommand:
         real_train = cli.train
         message = "non-finite loss nan at epoch 1, step 0"
 
-        def diverging_train(model_cfg, train_cfg, *args, **kwargs):
-            if model_cfg.pqc_layers == 2 and train_cfg.fraction == 1.0:
+        def diverging_train(model_cfg, train_cfg, train_set, *args, **kwargs):
+            if model_cfg.pqc_layers == 2 and len(train_set) == 24:  # the whole split: fraction 1
                 raise TrainingDiverged(message)
-            return real_train(model_cfg, train_cfg, *args, **kwargs)
+            return real_train(model_cfg, train_cfg, train_set, *args, **kwargs)
 
         monkeypatch.setattr(cli, "train", diverging_train)
         assert cmd_sweep(config) == 1
@@ -303,6 +306,18 @@ class TestSweepCommand:
         lines = (tmp_path / "out" / "table.csv").read_text().strip().split("\n")
         assert lines[0] == "model,layers,fraction,val_acc,train_acc,gap,acc_per_param"
         assert [line.split(",")[:3] for line in lines[1:]] == [["classical", "-", "1.0"], ["classical", "-", "0.5"]]
+
+    def test_a_fraction_trains_on_the_subsample_drawn_from_the_seed(self, tmp_path):
+        config, _ = write_config(tmp_path, seed=3, sweep={"depths": [1], "fractions": [1.0, 0.5]})
+        assert cmd_sweep(config) == 0
+        rc = load_run_config(config)
+        train_set, val_set, vocab = build_task_data(rc)
+        model_cfg = rc.model_config(len(vocab), 2)
+        for tag, split in (("1", train_set), ("0.5", subsample(train_set, 0.5, 3))):
+            _, report = train(model_cfg, rc.train_config(), split, val_set, vocab)
+            doc = json.loads((tmp_path / "out" / "cells" / f"qffn_L1_frac{tag}" / "metrics.json").read_text())
+            assert doc["config_echo"].pop("train_fraction") == float(tag)
+            assert doc == json.loads(json.dumps({**asdict(report), "config_echo": rc.echo(resolved_model=vars(model_cfg))}))
 
     def test_classical_kind_rejected_for_sweep(self, tmp_path, capsys):
         config, _ = self.sweep_config(
@@ -343,6 +358,25 @@ class TestProbeCommand:
         assert not (tmp_path / "out").exists()
         assert "num_samples" in capsys.readouterr().err
 
+    def test_csv_lines_and_stdout(self, tmp_path, capsys):
+        config, _ = write_config(
+            tmp_path, seed=3, probe={"depths": [2, 1], "variants": ["vanilla", "optimized"], "num_samples": 30}
+        )
+        assert cmd_probe(config) == 0
+        rows = [
+            (depth, variant, variance)
+            for variant in ("vanilla", "optimized")
+            for depth, variance in zip([2, 1], grad_variance_probe(variant, [2, 1], 30, 3))
+        ]
+        assert (tmp_path / "out" / "probe.csv").read_text().split("\n") == [
+            "depth,variant,variance,num_samples,seed",
+            *(f"{depth},{variant},{variance!r},30,3" for depth, variant, variance in rows),
+            "",
+        ]
+        assert capsys.readouterr().out.splitlines() == [
+            f"variant={variant} depth={depth} variance={variance:.6g} samples=30" for depth, variant, variance in rows
+        ]
+
     def test_missing_probe_section(self, tmp_path, capsys):
         config, _ = write_config(tmp_path)
         assert cmd_probe(config) == 1
@@ -380,6 +414,8 @@ class TestRejectedBeforeAnyOutput:
             pytest.param("train", {"train": {**TINY_TRAIN, "shuffle_seed": 3}}, "train.shuffle_seed",
                          id="train-shuffle_seed-3"),
             pytest.param("train", {"strict_depths": True}, "strict_depths", id="strict_depths-True"),
+            pytest.param("train", {"train": {**TINY_TRAIN, "fraction": 0.5}}, "train.fraction",
+                         id="train-fraction-0.5"),
             pytest.param("sweep", {"sweep": {"depths": [1], "fractions": [1.0], "include_classical": True}},
                          "sweep.include_classical", id="sweep-include_classical-True"),
         ],
@@ -603,8 +639,9 @@ class TestMain:
 
 
 class TestConfigCopyReproducesTheRun:
-    """A run's ``config.json``, rerun with another ``out``, writes the same files:
-    byte for byte, but for the output directory echoed in ``metrics.json``."""
+    """A run's ``config.json`` holds its source's bytes and, rerun with another
+    ``out``, writes the same files: byte for byte, but for the output directory
+    echoed in ``metrics.json``."""
 
     COMMANDS = {
         "train": (cmd_train, {}, ["weights.bin", "epochs.csv"]),
@@ -620,8 +657,10 @@ class TestConfigCopyReproducesTheRun:
     def test_rerun_writes_the_same_files(self, tmp_path, command):
         run, sections, required = self.COMMANDS[command]
         config, _ = write_config(tmp_path, seed=7, **sections)
+        config.write_bytes(config.read_bytes().replace(b"\n", b"\r\n"))  # a text-mode copy would drop the CRs
         first, second = tmp_path / "out", tmp_path / "copy"
         assert run(config) == 0
+        assert (first / "config.json").read_bytes() == config.read_bytes()
         assert run(first / "config.json", out=second) == 0
         names = self.files(first)
         assert set(required) <= {str(name) for name in names}
@@ -677,7 +716,7 @@ class TestOutputDirectoryErrors:
 
 
 class TestFractionSelectingNoExample:
-    """A data fraction whose subsample would be empty is a config error, found
+    """A sweep fraction whose subsample would be empty is a config error, found
     before any training."""
 
     @pytest.fixture(autouse=True)
@@ -686,12 +725,6 @@ class TestFractionSelectingNoExample:
         monkeypatch.chdir(tmp_path)
 
     TASK = {"kind": "synth", "num_train": 8, "num_val": 4, "num_classes": 2}
-
-    def test_train_fraction(self, tmp_path, capsys):
-        config, _ = write_config(tmp_path, task=self.TASK, train={**TINY_TRAIN, "fraction": 0.1})
-        assert main(["train", "--config", str(config)]) == 1
-        assert "config error at train.fraction:" in capsys.readouterr().err
-        assert [p.name for p in tmp_path.iterdir()] == [config.name]
 
     def test_sweep_fractions(self, tmp_path, capsys):
         config, _ = write_config(

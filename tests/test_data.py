@@ -1,4 +1,5 @@
 """Tokenizer, TSV ingestion, stratified subsampling, synthetic corpus."""
+import os
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qffn.data import (
     CLS_ID,
+    MAX_SYNTH_EXAMPLES,
     PAD_ID,
     SEP_ID,
     UNK_ID,
@@ -75,6 +77,20 @@ class TestVocab:
         with pytest.raises(ValueError, match=re.escape(f"vocabulary token 5 ({token!r}) holds a line feed")):
             simple_vocab(("x", token, "y")).save(path)
         assert not path.exists()
+
+    def test_failed_save_leaves_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        simple_vocab().save(path)
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            simple_vocab(("x", "y")).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
     def test_inner_carriage_return_reads_back(self, tmp_path):
         # Only a carriage return before the line feed is stripped on reading.
@@ -300,6 +316,11 @@ class TestSynthGenerate:
     def test_no_examples_rejected(self, num_examples):
         with pytest.raises(ValueError, match="num_examples must be >= 1"):
             synth_generate(num_examples, 2, seed=0)
+
+    def test_example_count_above_the_bound_rejected_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(np.random, "default_rng", None)  # a draw would raise TypeError
+        with pytest.raises(ValueError, match=f"num_examples must be <= {MAX_SYNTH_EXAMPLES}, got {MAX_SYNTH_EXAMPLES + 1}"):
+            synth_generate(MAX_SYNTH_EXAMPLES + 1, 2, seed=0)
 
     def test_float_example_count_rejected(self):
         with pytest.raises(ValueError, match="num_examples must be >= 1 and an integer, got 10.0"):

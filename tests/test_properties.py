@@ -188,7 +188,7 @@ SYNTH_DOC = {
     "task": {"kind": "synth", "num_train": 24, "num_val": 12, "num_classes": 2},
     "model": {"ffn_kind": "qffn", "pqc_layers": 1, "hidden": 16, "num_layers": 1, "num_heads": 1,
               "intermediate": 32, "max_seq_len": 16},
-    "train": {"learning_rate": 5e-4, "batch_size": 8, "max_epochs": 1, "fraction": 1.0},
+    "train": {"learning_rate": 5e-4, "batch_size": 8, "max_epochs": 1},
     "sweep": {"depths": [1, 2], "fractions": [1.0, 0.5]},
     "probe": {"variants": ["optimized", "vanilla"], "depths": [1, 2], "num_samples": 30},
 }

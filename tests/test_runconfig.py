@@ -49,6 +49,10 @@ def write(tmp_path, doc) -> Path:
     [
         pytest.param({"task": {"kind": "synth", "num_train": 24, "num_val": 12, "num_classes": 15}}, "task.num_classes",
                      "num_classes must be <= 14, got 15", id="synth-classes-above-14"),
+        pytest.param({"task": {"kind": "synth", "num_train": 10**11, "num_val": 12}}, "task.num_train",
+                     "num_train must be <= 1000000, got 100000000000", id="synth-train-split-above-bound"),
+        pytest.param({"task": {"kind": "synth", "num_train": 24, "num_val": 10**6 + 1}}, "task.num_val",
+                     "num_val must be <= 1000000, got 1000001", id="synth-val-split-above-bound"),
         pytest.param({"task": {"num_train": 24, "num_val": 12}}, "task.kind",
                      "required field is missing", id="task-without-kind"),
         pytest.param({"sweep": {"depths": [1], "fractions": [1.0, 0.0]}}, "sweep.fractions",

@@ -40,15 +40,12 @@ class TestReport:
         assert report.gap == report.training_accuracy - report.validation_accuracy
         assert report.accuracy_per_param == report.validation_accuracy / report.param_total
         assert len(report.epochs) == 2
-        assert report.wall_clock_s > 0
 
-    def test_same_seed_reproduces_everything_but_timing(self):
+    def test_equal_inputs_give_equal_reports(self):
+        # The report is a function of the inputs alone: it holds no clock reading.
         _, a = tiny_train(TrainConfig(max_epochs=2, seed=42))
         _, b = tiny_train(TrainConfig(max_epochs=2, seed=42))
-        assert a.epochs == b.epochs
-        for name in ("validation_accuracy", "training_accuracy", "gap",
-                     "accuracy_per_param", "param_total"):
-            assert getattr(a, name) == getattr(b, name)
+        assert a == b
 
     def test_same_seed_reproduces_weights(self):
         model_a, _ = tiny_train(TrainConfig(max_epochs=1, seed=7))
@@ -60,11 +57,6 @@ class TestReport:
         _, report = tiny_train(TrainConfig(max_epochs=3, learning_rate=0.0))
         accs = [(e.train_acc, e.val_acc) for e in report.epochs]
         assert accs.count(accs[0]) == 3
-
-    def test_fraction_subsamples_training_data(self):
-        _, full = tiny_train(TrainConfig(max_epochs=1))
-        _, half = tiny_train(TrainConfig(max_epochs=1, fraction=0.5))
-        assert full.epochs != half.epochs
 
     def test_quantum_kind_trains(self):
         _, report = tiny_train(TrainConfig(max_epochs=1), ffn_kind=FfnKind.QFFN)
@@ -114,8 +106,6 @@ class TestReport:
             TrainConfig(learning_rate=-1.0),
             TrainConfig(batch_size=0),
             TrainConfig(max_epochs=0),
-            TrainConfig(fraction=0.0),
-            TrainConfig(fraction=1.2),
         ):
             with pytest.raises(ValueError):
                 bad.validate()
@@ -126,7 +116,6 @@ class TestReport:
             ("learning_rate", float("nan")),
             ("learning_rate", float("inf")),
             pytest.param("learning_rate", 10**400, id="learning_rate-int-beyond-every-float"),
-            ("fraction", float("nan")),
             ("batch_size", 2.0),
             ("max_epochs", True),
             ("seed", -1),
@@ -138,7 +127,7 @@ class TestReport:
         assert info.value.field == field
 
     def test_annotated_types_accepted(self):
-        TrainConfig(learning_rate=1, fraction=1).validate()
+        TrainConfig(learning_rate=1).validate()
         TrainConfig(seed=0).validate()
 
     def test_weights_overflowing_float32_raise_naming_the_tensor(self):
