@@ -12,7 +12,7 @@ form feed, ...) are text, which tokenization reads as whitespace.
 Tokenization splits on whitespace and then greedily matches the longest
 vocabulary piece, with "##" marking word-internal continuation pieces; a word
 with no match becomes a single [UNK]. No lowercasing or other normalization
-is applied.
+is applied. A special-token word reads as its special id, so [PAD] is padding.
 """
 from __future__ import annotations
 
@@ -112,8 +112,9 @@ class Vocab:
             raise ValueError(f"vocabulary must start with {SPECIAL_TOKENS}")
         self.tokens = tokens
         self.index = {tok: i for i, tok in enumerate(tokens)}
-        if len(self.index) != len(tokens):
-            raise ValueError("vocabulary tokens must be unique")
+        if len(self.index) != len(tokens):  # the index keeps a repeated token's last id
+            i, tok = next((i, tok) for i, tok in enumerate(tokens) if self.index[tok] != i)
+            raise ValueError(f"vocabulary token {tok!r} is at ids {i} and {self.index[tok]}")
 
     def __len__(self):
         return len(self.tokens)
@@ -136,12 +137,12 @@ class Vocab:
 
 
 def build_vocab(dataset: Dataset) -> Vocab:
-    """Whole-word vocabulary from a dataset, most frequent first."""
+    """Whole-word vocabulary from a dataset, most frequent first; a special-token word keeps its id."""
     counts: dict[str, int] = {}
     for text, _ in dataset.examples:
         for word in text.split():
             counts[word] = counts.get(word, 0) + 1
-    ordered = sorted(counts, key=lambda w: (-counts[w], w))
+    ordered = sorted(counts.keys() - set(SPECIAL_TOKENS), key=lambda w: (-counts[w], w))
     return Vocab(list(SPECIAL_TOKENS) + ordered)
 
 
@@ -169,8 +170,8 @@ def _word_ids(vocab: Vocab, word: str) -> list[int]:
     return ids
 
 
-def tokenize(vocab: Vocab, text: str, max_len: int = 128):
-    """ids and mask arrays of length ``max_len``: [CLS] pieces [SEP] [PAD]...
+def tokenize(vocab: Vocab, text: str, max_len: int = 128) -> np.ndarray:
+    """The ids array of length ``max_len``: [CLS] pieces [SEP] [PAD]...
 
     Pieces beyond ``max_len - 2`` are dropped so the separator always fits.
     """
@@ -180,19 +181,16 @@ def tokenize(vocab: Vocab, text: str, max_len: int = 128):
     for word in text.split():
         pieces.extend(_word_ids(vocab, word))
     ids = [CLS_ID] + pieces[: max_len - 2] + [SEP_ID]
-    mask = np.zeros(max_len, dtype=np.int64)
-    mask[: len(ids)] = 1
     ids = ids + [PAD_ID] * (max_len - len(ids))
-    return np.array(ids, dtype=np.int64), mask
+    return np.array(ids, dtype=np.int64)
 
 
 def encode_dataset(vocab: Vocab, dataset: Dataset, max_len: int = 128):
-    """Tokenize every example: (ids [N, max_len], mask [N, max_len], labels [N])."""
+    """Tokenize every example: (ids [N, max_len], labels [N])."""
     ids = np.empty((len(dataset), max_len), dtype=np.int64)
-    mask = np.empty((len(dataset), max_len), dtype=np.int64)
     for i, (text, _) in enumerate(dataset.examples):
-        ids[i], mask[i] = tokenize(vocab, text, max_len)
-    return ids, mask, dataset.labels()
+        ids[i] = tokenize(vocab, text, max_len)
+    return ids, dataset.labels()
 
 
 def load_tsv(path, num_classes: int | None = None) -> Dataset:
@@ -207,10 +205,9 @@ def load_tsv(path, num_classes: int | None = None) -> Dataset:
         text, sep, label_str = line.rpartition("\t")
         if not sep or not text:
             raise ValueError(f"{path}:{lineno}: expected 'text<TAB>label'")
-        try:
-            label = int(label_str)
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: label {label_str!r} is not an integer") from None
+        if not (label_str.isascii() and label_str.removeprefix("-").isdigit()):  # int() takes "+1", " 1", "1_0"
+            raise ValueError(f"{path}:{lineno}: label {label_str!r} is not an integer")
+        label = int(label_str)
         if label < 0:
             raise ValueError(f"{path}:{lineno}: label must be non-negative")
         if num_classes is not None and label >= num_classes:

@@ -14,15 +14,16 @@ Each sublayer sits inside the standard post-norm residual,
 (``LAYER_NORM_EPS``, a constant) to the variance; the quantum block's internal
 residual exists in addition to that outer one.
 
-Rows are selected once per batch, as a ``RowSet``. The embedding gathers the
-unmasked tokens into an [N, H] matrix, and every layer reads that matrix.
+Rows are selected once per batch, as a ``RowSet`` of the token rows: every
+[PAD] id is padding, wherever it stands. The embedding gathers those rows into
+an [N, H] matrix, and every layer reads that matrix.
 Every layer but the last is full self-attention over those N rows, so its
 output is the next layer's [N, H] input. For the score matmuls, rows are
 scattered into zero [B, heads, W, H / heads] grids, where W is one past the
 last position of the row set, so the scores are [B, heads, W, W]. A grid cell
 that is no row holds a zero query, key and value: its probability row is
 still a distribution that nothing reads, and a zero key carries the padding
-bias like any masked key.
+bias like any padding key.
 
 The last layer computes row 0 alone, the only row that reaches the
 classifier, and its [B, H] output is ``cache["final"]`` as [B, 1, H]. Its
@@ -35,20 +36,19 @@ an output.
 The Q and output projections, both residual adds, both layer norms and the
 feedforward sublayer run on a layer's query rows only.
 
-Skipping masked rows cannot change the logits: a masked key's score carries
-the -1e9 bias, so its weight is exp(-1e9) = 0.0 exactly, and a masked row
+Skipping padding rows cannot change the logits: a padding key's score carries
+the -1e9 bias, so its weight is exp(-1e9) = 0.0 exactly, and a padding row
 reaches later layers only as such a key. Its key and value are never read,
-so any finite value (zero here) gives bitwise the same logits. This needs an
-``attention_mask`` of 0s and 1s with a 1 at position 0, the classification
-token: a sample whose keys were all masked would spread its weight over the
-padding. ``_check_inputs`` rejects any other mask. Backward is the exact
-adjoint: query and residual gradients exist for the query rows only, key and
-value gradients for the unmasked rows, and every gradient into a masked row
-is exactly zero. The embedding gradients add each row's gradient into its
-token's and its position's row by one weighted ``np.bincount`` per table over
-the flat (row, column) index. That adds each bin's terms in row order from
-+0.0, the order of ``np.add.at`` into zeros, so the bytes are the scatter's,
-in under a third of its time.
+so any finite value (zero here) gives bitwise the same logits. This needs a
+token at position 0, the classification token: a sample whose keys were all
+padding would spread its weight over them, so ``_check_inputs`` rejects a
+[PAD] there. Backward is the exact adjoint: query and residual gradients
+exist for the query rows only, key and value gradients for the token rows,
+and every gradient into a padding row is exactly zero. The embedding
+gradients add each row's gradient into its token's and its position's row by
+one weighted ``np.bincount`` per table over the flat (row, column) index. That
+adds each bin's terms in row order from +0.0, the order of ``np.add.at`` into
+zeros, so the bytes are the scatter's, in under a third of its time.
 
 Caches. ``model_backward``'s forward keeps, per layer, what ``_backward``
 reads, each array once: where each sample's row 0 sits among the query rows;
@@ -64,7 +64,7 @@ evaluation pass and finite-difference check) keeps no cache: a sublayer's
 intermediates are freed once the forward moves on.
 
 Inputs: ``token_ids`` is a non-empty [batch, seq] array of an integer dtype
-(bool is not one) with ids in [0, vocab_size) and seq <= max_seq_len;
+(bool is not one), ids in [0, vocab_size), seq <= max_seq_len, no [PAD] at 0;
 ``labels`` is a [batch] array of an integer dtype with values in
 [0, num_classes). Anything else raises ``ValueError`` naming the argument.
 
@@ -90,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import MAX_PQC_LAYERS, PqcConfig
-from .data import atomic_write
+from .data import PAD_ID, atomic_write
 from .feedforward import (
     INIT_STD,
     QUANTUM_BLOCKS,
@@ -470,7 +470,7 @@ def _cls_attention_backward(attn: AttentionWeights, d_out, cache, keys: RowSet, 
     return grads, d_h
 
 
-def _check_inputs(model: EncoderModel, token_ids, attention_mask):
+def _check_inputs(model: EncoderModel, token_ids):
     token_ids = np.asarray(token_ids)
     if token_ids.ndim != 2 or token_ids.size == 0:
         raise ValueError(f"token_ids must be a non-empty [batch, seq] array, got shape {token_ids.shape}")
@@ -482,16 +482,9 @@ def _check_inputs(model: EncoderModel, token_ids, attention_mask):
         )
     if token_ids.min() < 0 or token_ids.max() >= model.config.vocab_size:
         raise ValueError("token id out of vocabulary range")
-    if attention_mask is None:
-        attention_mask = np.ones(token_ids.shape)
-    attention_mask = np.asarray(attention_mask, dtype=np.float64)
-    if attention_mask.shape != token_ids.shape:
-        raise ValueError("attention_mask shape must match token_ids")
-    if not np.all((attention_mask == 0.0) | (attention_mask == 1.0)):
-        raise ValueError("attention_mask entries must be 0 or 1")
-    if not np.all(attention_mask[:, 0] == 1.0):
-        raise ValueError("attention_mask must be 1 at position 0, the classification token")
-    return token_ids, attention_mask
+    if np.any(token_ids[:, 0] == PAD_ID):
+        raise ValueError("token_ids must not hold [PAD] at position 0, the classification token")
+    return token_ids
 
 
 class _Discard(dict):
@@ -502,18 +495,19 @@ class _Discard(dict):
         pass
 
 
-def _forward(model: EncoderModel, token_ids, attention_mask, keep=True):
+def _forward(model: EncoderModel, token_ids, keep=True):
     """Logits and, when ``keep`` (the training pass), ``_backward``'s cache; else None."""
-    token_ids, mask = _check_inputs(model, token_ids, attention_mask)
+    token_ids = _check_inputs(model, token_ids)
     cfg = model.config
     batch = token_ids.shape[0]
+    mask = token_ids != PAD_ID
     tokens = RowSet(*np.nonzero(mask))
     h = model.tok_emb[token_ids[tokens.sample, tokens.position]] + model.pos_emb[tokens.position]
-    key_bias = ((1.0 - mask[:, : tokens.width]) * MASK_BIAS)[:, None, None, :]
+    key_bias = (~mask[:, : tokens.width] * MASK_BIAS)[:, None, None, :]
     caches = []
     last = len(model.layers) - 1
     for i, layer in enumerate(model.layers):
-        # Every layer reads the unmasked rows; the last one computes row 0
+        # Every layer reads the token rows; the last one computes row 0
         # alone, the only row that reaches the classifier.
         lc = {} if keep else _Discard()
         if i == last:
@@ -541,9 +535,9 @@ def _forward(model: EncoderModel, token_ids, attention_mask, keep=True):
     return logits, cache if keep else None
 
 
-def model_forward(model: EncoderModel, token_ids, attention_mask=None) -> np.ndarray:
+def model_forward(model: EncoderModel, token_ids) -> np.ndarray:
     """Class logits, shape [batch, num_classes]; no cache is kept."""
-    logits, _ = _forward(model, token_ids, attention_mask, keep=False)
+    logits, _ = _forward(model, token_ids, keep=False)
     return logits
 
 
@@ -611,13 +605,13 @@ def _row_sums(index, rows, count):
     return np.bincount(flat, weights=rows.ravel(), minlength=count * width).reshape(count, width)
 
 
-def model_backward(model: EncoderModel, token_ids, attention_mask, labels):
+def model_backward(model: EncoderModel, token_ids, labels):
     """Mean cross-entropy loss and gradients for every trainable tensor.
 
     Returns ``(loss, grads)`` with ``grads`` keyed exactly like
     ``model.named_parameters()``.
     """
-    logits, cache = _forward(model, token_ids, attention_mask)
+    logits, cache = _forward(model, token_ids)
     batch = logits.shape[0]
     labels = np.asarray(labels)
     if labels.shape != (batch,) or not np.issubdtype(labels.dtype, np.integer):
@@ -665,27 +659,31 @@ def _manifest(model: EncoderModel) -> dict:
 
 def save_model(model: EncoderModel, directory) -> None:
     """Write the flat float32 tensor archive and its JSON manifest, which holds
-    the archive's sha256 besides its layout."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    the archive's sha256 besides its layout; both are rendered before either is written."""
     blob = b"".join(np.asarray(param, dtype="<f4").tobytes() for _, param in model.named_parameters())
     manifest = {**_manifest(model), "weights_sha256": _sha256(blob)}
+    text = json.dumps(manifest, indent=2, sort_keys=True, default=int)  # a numpy int config field too
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
     atomic_write(directory / WEIGHTS_BIN, blob)
-    atomic_write(directory / WEIGHTS_MANIFEST, json.dumps(manifest, indent=2, sort_keys=True))
+    atomic_write(directory / WEIGHTS_MANIFEST, text)
 
 
 def load_model(directory) -> EncoderModel:
     """Rebuild a model from ``save_model`` output; values are the stored float32s.
 
-    The manifest must be the one ``save_model`` writes for its config, field for
-    field (so an entry out of ``named_parameters`` order is rejected), of this
-    ``ARCHIVE_VERSION``, and the blob must hold exactly that config's tensors,
-    hash to the manifest's ``weights_sha256`` and hold finite weights only. The
-    version is checked first and the hash before the model is built. Anything
-    else raises ``ValueError`` naming the field or tensor.
+    The manifest must be UTF-8 JSON, the one ``save_model`` writes for its config,
+    field for field (so an entry out of ``named_parameters`` order, or a key it
+    never writes, is rejected), of this ``ARCHIVE_VERSION``, and the blob must hold
+    exactly that config's tensors, hash to the manifest's ``weights_sha256`` and
+    hold finite weights only. The version is checked first and the hash before
+    the model is built. Anything else raises ``ValueError`` naming the field or tensor.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / WEIGHTS_MANIFEST).read_text())
+    try:
+        manifest = json.loads((directory / WEIGHTS_MANIFEST).read_bytes().decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise ValueError(f"{WEIGHTS_MANIFEST} is not UTF-8 JSON: {err}") from None
     blob = (directory / WEIGHTS_BIN).read_bytes()
     if not isinstance(manifest, dict):
         raise ValueError(f"{WEIGHTS_MANIFEST} must hold a JSON object, got {type(manifest).__name__}")
@@ -709,6 +707,9 @@ def load_model(directory) -> EncoderModel:
         raise ValueError(f"manifest weights_sha256 {manifest['weights_sha256']!r} is not {WEIGHTS_BIN}'s {digest!r}")
     model = EncoderModel(config, seed=0)
     expected = _manifest(model)
+    extra = sorted(manifest.keys() - expected.keys() - {"weights_sha256"})
+    if extra:
+        raise ValueError(f"manifest {extra[0]} is not a field save_model writes")
     for field in ("dtype", "byte_order"):
         if json.dumps(manifest.get(field)) != json.dumps(expected[field]):
             raise ValueError(f"manifest {field} must be {expected[field]!r}, got {manifest.get(field)!r}")
@@ -722,6 +723,9 @@ def load_model(directory) -> EncoderModel:
                 raise ValueError(
                     f"tensor {entry['name']} {field} must be {value!r}, got {got!r} (manifest tensors[{i}].{field})"
                 )
+        extra = sorted(stored.keys() - entry.keys())
+        if extra:
+            raise ValueError(f"manifest tensors[{i}].{extra[0]} is not a field save_model writes")
     for (name, param), entry in zip(model.named_parameters(), expected["tensors"]):
         raw = np.frombuffer(blob, dtype="<f4", count=param.size, offset=entry["offset"])
         if not np.isfinite(raw).all():

@@ -105,13 +105,13 @@ class AdamOptimizer:
             p -= update
 
 
-def _eval_arrays(model, ids, mask, labels, batch_size=64):
+def _eval_arrays(model, ids, labels, batch_size=64):
     """Mean cross-entropy and argmax accuracy over pre-encoded arrays."""
     total_nll = 0.0
     correct = 0
     for start in range(0, ids.shape[0], batch_size):
         sl = slice(start, start + batch_size)
-        logits = model_forward(model, ids[sl], mask[sl])
+        logits = model_forward(model, ids[sl])
         logp = log_softmax(logits, axis=-1)
         batch_labels = labels[sl]
         total_nll -= float(np.sum(logp[np.arange(batch_labels.size), batch_labels]))
@@ -133,8 +133,7 @@ def _check_data(model_config: ModelConfig, vocab: Vocab, *datasets: Dataset) -> 
 def evaluate(model: EncoderModel, dataset: Dataset, vocab: Vocab) -> float:
     """Argmax accuracy on a dataset; no calibration or post-processing."""
     _check_data(model.config, vocab, dataset)
-    ids, mask, labels = encode_dataset(vocab, dataset, model.config.max_seq_len)
-    _, acc = _eval_arrays(model, ids, mask, labels)
+    _, acc = _eval_arrays(model, *encode_dataset(vocab, dataset, model.config.max_seq_len))
     return acc
 
 
@@ -155,8 +154,8 @@ def train(
     _check_data(model_config, vocab, train_set, val_set)
 
     max_len = model_config.max_seq_len
-    train_ids, train_mask, train_labels = encode_dataset(vocab, train_set, max_len)
-    val_ids, val_mask, val_labels = encode_dataset(vocab, val_set, max_len)
+    train_ids, train_labels = encode_dataset(vocab, train_set, max_len)
+    val_ids, val_labels = encode_dataset(vocab, val_set, max_len)
 
     # The second child goes unused and shuffling takes the third, so every seed
     # keeps the data order that earlier versions' runs were trained on.
@@ -172,7 +171,7 @@ def train(
         batch_losses = []
         for batch_start in range(0, n, train_config.batch_size):
             idx = order[batch_start : batch_start + train_config.batch_size]
-            loss, grads = model_backward(model, train_ids[idx], train_mask[idx], train_labels[idx])
+            loss, grads = model_backward(model, train_ids[idx], train_labels[idx])
             where = f"at epoch {epoch}, step {batch_start // train_config.batch_size}"
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"non-finite loss {loss} {where}")
@@ -181,8 +180,8 @@ def train(
                     raise TrainingDiverged(f"non-finite gradient of tensor {name} {where}")
             optimizer.step(grads)
             batch_losses.append(loss)
-        _, train_acc = _eval_arrays(model, train_ids, train_mask, train_labels)
-        val_loss, val_acc = _eval_arrays(model, val_ids, val_mask, val_labels)
+        _, train_acc = _eval_arrays(model, train_ids, train_labels)
+        val_loss, val_acc = _eval_arrays(model, val_ids, val_labels)
         epochs.append(
             EpochStats(epoch, float(np.mean(batch_losses)), val_loss, train_acc, val_acc)
         )

@@ -10,6 +10,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import erf
 
+from qffn.data import PAD_ID
+
 I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
@@ -160,19 +162,19 @@ def gelu_grad(x):
     return 0.5 * (1.0 + erf(x * _INV_SQRT2)) + x * np.exp(-0.5 * x * x) * _INV_SQRT_2PI
 
 
-def full_row_logits(model, token_ids, mask):
+def full_row_logits(model, token_ids):
     """Reference encoder forward: every layer over every row.
 
     Restates the documented post-norm encoder from the model's weights alone:
-    scaled dot-product attention with a -1e9 additive padding mask, layer
-    norm, the GELU MLP, and the quantum block on row 0 through
+    scaled dot-product attention with a -1e9 additive bias on every [PAD] key,
+    layer norm, the GELU MLP, and the quantum block on row 0 through
     ``dense_ansatz_output``. Nothing is skipped for rows the classifier never
     reads, so it checks the package's last-layer row pruning.
     """
     cfg = model.config
     batch, seq = token_ids.shape
     heads, width = cfg.num_heads, cfg.hidden // cfg.num_heads
-    mask = np.asarray(mask, dtype=np.float64)
+    mask = (token_ids != PAD_ID).astype(np.float64)
 
     def layer_norm(x, g, b):
         centered = x - x.mean(axis=-1, keepdims=True)

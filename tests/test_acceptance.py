@@ -13,7 +13,7 @@ import pytest
 
 from qffn.circuits import Ansatz, PqcConfig, init_pqc_params, pqc_forward, pqc_gradients, pqc_param_count
 from qffn.cli import cmd_train
-from qffn.data import build_vocab, synth_generate
+from qffn.data import PAD_ID, build_vocab, synth_generate
 from qffn.diagnostics import finite_diff, grad_variance_probe
 from qffn.encoder import EncoderModel, FfnKind, ModelConfig, cross_entropy, model_forward, model_backward, model_param_count
 from qffn.feedforward import classical_ffn_param_count, quantum_ffn_param_count, QffnBlock
@@ -133,16 +133,15 @@ def test_criterion_4_full_model_gradient_check():
         )
         model = EncoderModel(config, seed=4)
         rng = np.random.default_rng(44)
-        ids = rng.integers(0, 20, size=(2, 6))
-        mask = np.ones((2, 6), dtype=np.int64)
-        mask[0, -1] = 0
+        ids = rng.integers(PAD_ID + 1, 20, size=(2, 6))
+        ids[0, -1] = PAD_ID
         labels = rng.integers(0, 2, size=2)
-        _, grads = model_backward(model, ids, mask, labels)
+        _, grads = model_backward(model, ids, labels)
         for name, param in model.named_parameters():
             def loss_at(values, param=param):
                 saved = param.copy()
                 param[...] = values
-                loss = cross_entropy(model_forward(model, ids, mask), labels)
+                loss = cross_entropy(model_forward(model, ids), labels)
                 param[...] = saved
                 return loss
 

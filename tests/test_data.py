@@ -60,6 +60,10 @@ class TestVocab:
         with pytest.raises(ValueError):
             Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", "a"])
 
+    def test_duplicate_names_the_token_and_both_ids(self):
+        with pytest.raises(ValueError, match=re.escape("vocabulary token '[SEP]' is at ids 3 and 5")):
+            Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", "[SEP]", "b"])
+
     def test_rejects_a_non_string_token(self):
         with pytest.raises(ValueError, match="vocabulary tokens must be str"):
             Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "a", 5])
@@ -109,55 +113,60 @@ class TestVocab:
         v = build_vocab(ds)
         assert v.tokens[4:] == ["a", "b", "c"]
 
+    def test_build_vocab_does_not_count_special_token_words(self):
+        # They already hold ids 0-3, so such a word reads as its special id.
+        ds = Dataset([("good [SEP] movie [PAD]", 0), ("[SEP] bad [UNK] [CLS] movie", 1)], 2)
+        v = build_vocab(ds)
+        assert v.tokens == ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "movie", "bad", "good"]
+        np.testing.assert_array_equal(
+            tokenize(v, ds.examples[0][0], max_len=7), [CLS_ID, 6, SEP_ID, 4, PAD_ID, SEP_ID, PAD_ID]
+        )
+
 
 class TestTokenize:
     def test_known_word(self):
         v = simple_vocab()
-        ids, mask = tokenize(v, "movie", max_len=6)
+        ids = tokenize(v, "movie", max_len=6)
         np.testing.assert_array_equal(ids, [CLS_ID, v.index["movie"], SEP_ID, PAD_ID, PAD_ID, PAD_ID])
-        np.testing.assert_array_equal(mask, [1, 1, 1, 0, 0, 0])
 
     def test_unknown_word_maps_to_unk(self):
-        ids, _ = tokenize(simple_vocab(), "zebra", max_len=4)
+        ids = tokenize(simple_vocab(), "zebra", max_len=4)
         assert ids[1] == UNK_ID
 
     def test_word_over_100_characters_maps_to_unk(self):
         v = simple_vocab(("x" * 100, "x" * 101))
-        ids, _ = tokenize(v, f"{'x' * 100} {'x' * 101}", max_len=4)
+        ids = tokenize(v, f"{'x' * 100} {'x' * 101}", max_len=4)
         np.testing.assert_array_equal(ids, [CLS_ID, v.index["x" * 100], UNK_ID, SEP_ID])
 
     def test_truncation_keeps_separator(self):
         v = simple_vocab()
-        ids, mask = tokenize(v, "good " * 50, max_len=8)
+        ids = tokenize(v, "good " * 50, max_len=8)
         assert ids.shape == (8,)
         assert ids[0] == CLS_ID and ids[-1] == SEP_ID
-        assert mask.sum() == 8
+        assert np.all(ids != PAD_ID)
 
     def test_wordpiece_longest_match(self):
         v = Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "play", "##ing", "##in"])
-        ids, _ = tokenize(v, "playing", max_len=6)
+        ids = tokenize(v, "playing", max_len=6)
         np.testing.assert_array_equal(ids[:4], [CLS_ID, v.index["play"], v.index["##ing"], SEP_ID])
 
     def test_deterministic(self):
         v = simple_vocab()
-        a = tokenize(v, "good bad movie", max_len=10)
-        b = tokenize(v, "good bad movie", max_len=10)
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
+        np.testing.assert_array_equal(tokenize(v, "good bad movie", max_len=10), tokenize(v, "good bad movie", max_len=10))
 
     def test_max_len_too_small(self):
         with pytest.raises(ValueError):
             tokenize(simple_vocab(), "movie", max_len=1)
 
     def test_empty_text(self):
-        ids, mask = tokenize(simple_vocab(), "", max_len=4)
+        ids = tokenize(simple_vocab(), "", max_len=4)
         np.testing.assert_array_equal(ids, [CLS_ID, SEP_ID, PAD_ID, PAD_ID])
-        np.testing.assert_array_equal(mask, [1, 1, 0, 0])
 
     def test_encode_dataset_shapes(self):
         ds = Dataset([("good movie", 1), ("bad movie", 0)], 2)
-        ids, mask, labels = encode_dataset(simple_vocab(), ds, max_len=8)
-        assert ids.shape == (2, 8) and mask.shape == (2, 8)
+        ids, labels = encode_dataset(simple_vocab(), ds, max_len=8)
+        assert ids.shape == (2, 8)
+        np.testing.assert_array_equal(ids[0], tokenize(simple_vocab(), "good movie", max_len=8))
         np.testing.assert_array_equal(labels, [1, 0])
 
 
@@ -194,6 +203,13 @@ class TestLoadTsv:
         with pytest.raises(ValueError, match=":1"):
             load_tsv(path)
 
+    @pytest.mark.parametrize("label", ["1_0", "\u0661", "+1", " 1", "1 "], ids=["underscore", "arabic-indic-one", "plus", "leading-space", "trailing-space"])
+    def test_label_not_ascii_digits_is_rejected(self, tmp_path, label):
+        path = tmp_path / "d.tsv"
+        path.write_text(f"good\t{label}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f":1: label {label!r} is not an integer")):
+            load_tsv(path)
+
     def test_negative_label_reports_location(self, tmp_path):
         path = tmp_path / "d.tsv"
         path.write_text("good\t1\nbad\t-1\n")
@@ -211,7 +227,7 @@ class TestLoadTsv:
         ds = load_tsv(path)
         assert ds.examples == [(f"good{brk}movie", 1), ("bad movie", 0)]
         vocab = simple_vocab()
-        np.testing.assert_array_equal(tokenize(vocab, ds.examples[0][0], 6)[0], tokenize(vocab, "good movie", 6)[0])
+        np.testing.assert_array_equal(tokenize(vocab, ds.examples[0][0], 6), tokenize(vocab, "good movie", 6))
         with path.open("ab") as f:
             f.write(b"no label here\n")
         with pytest.raises(ValueError, match=r"d\.tsv:3: expected 'text<TAB>label'"):

@@ -40,6 +40,7 @@ from qffn.encoder import (
     save_model,
     softmax,
 )
+from qffn.data import PAD_ID, Dataset, Vocab, encode_dataset
 from qffn.diagnostics import finite_diff
 from qffn.feedforward import _ERF_CHUNK, ClassicalFeedForward, _erf
 from qffn.training import AdamOptimizer, _eval_arrays
@@ -66,8 +67,8 @@ def spread_model(config, seed):
 FD_RTOL, FD_ATOL = 1e-4, 1e-7
 
 
-def assert_matches_finite_differences(model, ids, mask, labels, names):
-    _, grads = model_backward(model, ids, mask, labels)
+def assert_matches_finite_differences(model, ids, labels, names):
+    _, grads = model_backward(model, ids, labels)
     named = dict(model.named_parameters())
     for name in names:
         # a gradient inside atol passes whatever the analytic value is
@@ -77,7 +78,7 @@ def assert_matches_finite_differences(model, ids, mask, labels, names):
         def loss_at(values, param=param):
             saved = param.copy()
             param[...] = values
-            loss = cross_entropy(model_forward(model, ids, mask), labels)
+            loss = cross_entropy(model_forward(model, ids), labels)
             param[...] = saved
             return loss
 
@@ -86,12 +87,13 @@ def assert_matches_finite_differences(model, ids, mask, labels, names):
 
 
 def micro_batch(seed=0, batch=2, seq=6):
+    """Random token ids with [PAD] in the last two positions of sample 0 and
+    nowhere else, and random labels."""
     rng = np.random.default_rng(seed)
-    ids = rng.integers(0, 20, size=(batch, seq))
-    mask = np.ones((batch, seq), dtype=np.int64)
-    mask[0, -2:] = 0  # exercise padding
+    ids = rng.integers(PAD_ID + 1, 20, size=(batch, seq))
+    ids[0, -2:] = PAD_ID  # exercise padding
     labels = rng.integers(0, 2, size=batch)
-    return ids, mask, labels
+    return ids, labels
 
 
 def owned_nbytes(obj, owners=None) -> int:
@@ -118,16 +120,15 @@ class TestForward:
 
     def test_equal_rows_give_equal_logits(self):
         model = EncoderModel(micro_config(), seed=2)
-        ids, mask, _ = micro_batch()
+        ids, _ = micro_batch()
         ids[1] = ids[0]
-        mask[1] = mask[0]
-        logits = model_forward(model, ids, mask)
+        logits = model_forward(model, ids)
         np.testing.assert_array_equal(logits[0], logits[1])
 
     def test_softmax_rows_normalized(self):
         model = EncoderModel(micro_config(), seed=3)
-        ids, mask, _ = micro_batch(seed=4, batch=5)
-        probs = softmax(model_forward(model, ids, mask))
+        ids, _ = micro_batch(seed=4, batch=5)
+        probs = softmax(model_forward(model, ids))
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
         assert np.all(probs >= 0)
 
@@ -153,7 +154,7 @@ class TestForward:
         with pytest.raises(ValueError, match="token_ids"):
             model_forward(model, ids)
         with pytest.raises(ValueError, match="token_ids"):
-            model_backward(model, ids, None, np.zeros(len(ids), dtype=np.int64))
+            model_backward(model, ids, np.zeros(len(ids), dtype=np.int64))
 
     @pytest.mark.parametrize(
         "labels",
@@ -168,42 +169,32 @@ class TestForward:
     )
     def test_labels_of_wrong_dtype_or_shape_rejected(self, labels):
         model = EncoderModel(micro_config(), seed=5)
-        ids, mask, _ = micro_batch()
+        ids, _ = micro_batch()
         with pytest.raises(ValueError, match="labels"):
-            model_backward(model, ids, mask, labels)
-
-    @pytest.mark.parametrize("shape", ["one position short", "one sample short", "flat"])
-    def test_attention_mask_of_another_shape_rejected(self, shape):
-        model = EncoderModel(micro_config(), seed=5)
-        ids, mask, labels = micro_batch()
-        mask = {"one position short": mask[:, :-1], "one sample short": mask[:-1], "flat": mask.ravel()}[shape]
-        with pytest.raises(ValueError, match="attention_mask shape must match token_ids"):
-            model_forward(model, ids, mask)
-        with pytest.raises(ValueError, match="attention_mask shape must match token_ids"):
-            model_backward(model, ids, mask, labels)
+            model_backward(model, ids, labels)
 
     def test_attention_rows_are_distributions_and_respect_mask(self):
         model = EncoderModel(micro_config(), seed=6)
-        ids, mask, _ = micro_batch(seed=7)
-        _, cache = _forward(model, ids, mask)
+        ids, _ = micro_batch(seed=7)
+        _, cache = _forward(model, ids)
         for layer_cache in cache["layers"]:
             probs = layer_cache["attn"][4]  # [batch, heads, seq, seq]
             assert np.all(probs >= 0)
             np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-10)
-            masked_cols = probs[0, :, :, mask[0] == 0]
+            masked_cols = probs[0, :, :, ids[0] == PAD_ID]
             assert np.max(masked_cols) <= 1e-12
 
     def test_evaluation_peaks_below_the_caches_a_training_pass_keeps(self):
         model = EncoderModel(ModelConfig(vocab_size=30, num_classes=2), seed=45)
         rng = np.random.default_rng(46)
-        ids, mask = rng.integers(0, 30, (64, 16)), np.ones((64, 16))
-        mask[1::2, 9:] = 0
-        kept = owned_nbytes(_forward(model, ids, mask)[1]["layers"])
+        ids = rng.integers(PAD_ID + 1, 30, (64, 16))
+        ids[1::2, 9:] = PAD_ID
+        kept = owned_nbytes(_forward(model, ids)[1]["layers"])
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            model_forward(model, ids, mask)
+            model_forward(model, ids)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -221,32 +212,31 @@ class TestBackward:
     @pytest.mark.parametrize("kind", list(FfnKind))
     def test_gradients_match_finite_differences_on_sample_tensors(self, kind):
         model = spread_model(micro_config(kind), seed=11)
-        ids, mask, labels = micro_batch(seed=12)
+        ids, labels = micro_batch(seed=12)
 
         ffn_tensor = "layers.0.ffn.w1" if kind is FfnKind.CLASSICAL else "layers.0.ffn.theta"
         check = ["tok_emb", "layers.0.attn.wq", "layers.1.ln2_g", "cls_w", ffn_tensor]
         if kind is not FfnKind.CLASSICAL:
             check.append("layers.1.ffn.w_in")
-        assert_matches_finite_differences(model, ids, mask, labels, check)
+        assert_matches_finite_differences(model, ids, labels, check)
 
     @pytest.mark.parametrize("kind", list(FfnKind))
     def test_single_layer_gradients_match_finite_differences(self, kind):
         # With one layer, the layer that computes only row 0 is also the one
         # whose input gradient reaches the embeddings.
         model = spread_model(micro_config(kind, num_layers=1), seed=27)
-        ids, mask, labels = micro_batch(seed=28)
+        ids, labels = micro_batch(seed=28)
         ffn = ["ffn.w1", "ffn.b2"] if kind is FfnKind.CLASSICAL else ["ffn.w_in", "ffn.theta"]
         check = ["tok_emb", "pos_emb", "cls_w"] + [
             "layers.0." + n for n in ["attn.wq", "attn.bq", "attn.wk", "attn.wv", "attn.wo",
                                       "ln1_g", "ln2_b", *ffn]
         ]
-        assert_matches_finite_differences(model, ids, mask, labels, check)
+        assert_matches_finite_differences(model, ids, labels, check)
 
     def test_gradient_keys_match_parameters(self):
         for kind in FfnKind:
             model = EncoderModel(micro_config(kind), seed=13)
-            ids, mask, labels = micro_batch(seed=14)
-            _, grads = model_backward(model, ids, mask, labels)
+            _, grads = model_backward(model, *micro_batch(seed=14))
             names = [n for n, _ in model.named_parameters()]
             assert sorted(grads) == sorted(names)
             for name, p in model.named_parameters():
@@ -256,24 +246,23 @@ class TestBackward:
         model = EncoderModel(micro_config(), seed=15)
         model.cls_w[...] = 0.0
         model.cls_b[:] = [60.0, -60.0]  # saturated towards class 0
-        ids, mask, _ = micro_batch(seed=16)
+        ids, _ = micro_batch(seed=16)
         labels = np.zeros(ids.shape[0], dtype=np.int64)
-        loss, grads = model_backward(model, ids, mask, labels)
+        loss, grads = model_backward(model, ids, labels)
         assert loss < 1e-12
         assert max(np.max(np.abs(g)) for g in grads.values()) < 1e-12
 
     def test_label_range_checked(self):
         model = EncoderModel(micro_config(), seed=17)
-        ids, mask, _ = micro_batch()
+        ids, _ = micro_batch()
         with pytest.raises(ValueError):
-            model_backward(model, ids, mask, np.array([0, 5]))
+            model_backward(model, ids, np.array([0, 5]))
 
     def test_gradient_set_size_tracks_kind(self):
         sizes = {}
         for kind in FfnKind:
             model = EncoderModel(micro_config(kind), seed=18)
-            ids, mask, labels = micro_batch(seed=19)
-            _, grads = model_backward(model, ids, mask, labels)
+            _, grads = model_backward(model, *micro_batch(seed=19))
             sizes[kind] = sum(g.size for g in grads.values())
             assert sizes[kind] == model_param_count(micro_config(kind))
         # classical MLP (1072) vs quantum block (156) per layer, two layers
@@ -295,28 +284,28 @@ class TestLastLayerRows:
     @pytest.mark.parametrize("kind", list(FfnKind))
     def test_logits_match_full_row_oracle(self, kind, num_layers):
         model = spread_model(micro_config(kind, pqc_layers=2, num_layers=num_layers), seed=33)
-        ids, mask, _ = micro_batch(seed=34, batch=3)
-        mask[2, 1:] = 0  # only the classification token attends
-        logits, cache = _forward(model, ids, mask)
+        ids, _ = micro_batch(seed=34, batch=3)
+        ids[2, 1:] = PAD_ID  # only the classification token attends
+        logits, cache = _forward(model, ids)
         assert cache["final"].shape == (3, 1, model.config.hidden)
-        want = full_row_logits(model, ids, mask)
+        want = full_row_logits(model, ids)
         assert np.max(np.abs(want)) > 0.1
         np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
 
 
 def padded_batch(seed, batch=4, seq=6):
-    """About half of the positions masked, and one sample of the classification
+    """About half of the positions [PAD], and one sample of the classification
     token alone."""
-    ids, mask, labels = micro_batch(seed=seed, batch=batch, seq=seq)
-    mask[0, 4:] = 0
-    mask[1, 1:] = 0
-    mask[2, 2:] = 0
-    mask[3, 3:] = 0
-    return ids, mask, labels
+    ids, labels = micro_batch(seed=seed, batch=batch, seq=seq)
+    ids[0, 4:] = PAD_ID
+    ids[1, 1:] = PAD_ID
+    ids[2, 2:] = PAD_ID
+    ids[3, 3:] = PAD_ID
+    return ids, labels
 
 
 class TestRowSkip:
-    """Every layer computes only the unmasked rows, the last one row 0 alone."""
+    """Every layer computes only the non-[PAD] rows, the last one row 0 alone."""
 
     @pytest.mark.parametrize("num_heads", [1, 2, 4])
     @pytest.mark.parametrize("num_layers", [1, 2, 3])
@@ -324,27 +313,13 @@ class TestRowSkip:
     def test_logits_match_full_row_oracle(self, kind, num_layers, num_heads):
         config = replace(micro_config(kind, pqc_layers=2, num_layers=num_layers), num_heads=num_heads)
         model = spread_model(config, seed=41)
-        ids, mask, _ = padded_batch(seed=42)
-        assert 0.4 <= 1.0 - mask.mean() <= 0.6
-        want = full_row_logits(model, ids, mask)
+        ids, _ = padded_batch(seed=42)
+        assert 0.4 <= np.mean(ids == PAD_ID) <= 0.6
+        want = full_row_logits(model, ids)
         assert np.max(np.abs(want)) > 0.1
-        logits = model_forward(model, ids, mask)
+        logits = model_forward(model, ids)
         np.testing.assert_allclose(logits, want, rtol=0, atol=1e-12)
-        np.testing.assert_array_equal(logits, _forward(model, ids, mask)[0])  # the caching pass
-
-    @pytest.mark.parametrize("kind", list(FfnKind))
-    def test_masked_rows_are_inert(self, kind):
-        model = spread_model(micro_config(kind, num_layers=3), seed=43)
-        ids, mask, labels = padded_batch(seed=44)
-        other = ids.copy()
-        other[mask == 0] = (ids[mask == 0] + 7) % model.config.vocab_size
-        assert np.all(other[mask == 0] != ids[mask == 0])
-        np.testing.assert_array_equal(model_forward(model, ids, mask), model_forward(model, other, mask))
-        loss, grads = model_backward(model, ids, mask, labels)
-        other_loss, other_grads = model_backward(model, other, mask, labels)
-        assert loss == other_loss
-        for name in grads:
-            np.testing.assert_array_equal(grads[name], other_grads[name], err_msg=name)
+        np.testing.assert_array_equal(logits, _forward(model, ids)[0])  # the caching pass
 
     @pytest.mark.parametrize("num_heads", [1, 2, 4])
     @pytest.mark.parametrize("kind", list(FfnKind))
@@ -353,58 +328,57 @@ class TestRowSkip:
         # in turn for the last.
         config = replace(micro_config(kind, pqc_layers=2, num_layers=3), num_heads=num_heads)
         model = spread_model(config, seed=45)
-        ids, mask, labels = padded_batch(seed=46)
+        ids, labels = padded_batch(seed=46)
         ffn = ["ffn.w1", "ffn.b1"] if kind is FfnKind.CLASSICAL else ["ffn.w_in", "ffn.theta"]
         check = ["tok_emb", "pos_emb"] + [
             "layers.1." + n for n in ["attn.wq", "attn.wk", "attn.wv", "attn.bo", "ln1_b", "ln2_g", *ffn]
         ]
-        assert_matches_finite_differences(model, ids, mask, labels, check)
+        assert_matches_finite_differences(model, ids, labels, check)
 
     @pytest.mark.parametrize("kind", list(FfnKind))
     def test_all_pad_columns_change_nothing(self, kind):
-        # Three more all-pad columns leave the row set, and so every grid, as it
-        # was: W = 4 for padded_batch either way.
+        # Three more [PAD] columns, and no mask passed, leave the row set, and so
+        # every grid, as it was: W = 4 for padded_batch either way.
         config = replace(micro_config(kind, pqc_layers=2), max_seq_len=9)
         model = spread_model(config, seed=61)
-        ids, mask, labels = padded_batch(seed=62)
-        wide_ids = np.pad(ids, ((0, 0), (0, 3)))
-        wide_mask = np.pad(mask, ((0, 0), (0, 3)))
-        np.testing.assert_array_equal(model_forward(model, wide_ids, wide_mask), model_forward(model, ids, mask))
-        loss, grads = model_backward(model, ids, mask, labels)
-        wide_loss, wide_grads = model_backward(model, wide_ids, wide_mask, labels)
+        ids, labels = padded_batch(seed=62)
+        wide_ids = np.pad(ids, ((0, 0), (0, 3)), constant_values=PAD_ID)
+        np.testing.assert_array_equal(model_forward(model, wide_ids), model_forward(model, ids))
+        loss, grads = model_backward(model, ids, labels)
+        wide_loss, wide_grads = model_backward(model, wide_ids, labels)
         assert wide_loss == loss
         for name in grads:
             np.testing.assert_array_equal(wide_grads[name], grads[name], err_msg=name)
 
     def test_gradients_into_masked_rows_are_zero(self):
         model = spread_model(micro_config(num_layers=3), seed=47)
-        ids, mask, labels = padded_batch(seed=48)
-        ids[mask == 0] = 0  # the only uses of token 0 are masked rows
-        ids[mask == 1] = np.maximum(ids[mask == 1], 1)
-        _, grads = model_backward(model, ids, mask, labels)
-        assert np.all(grads["tok_emb"][0] == 0.0)
-        assert np.all(grads["pos_emb"][4:] == 0.0)  # positions 4 and 5 are masked in every sample
+        _, grads = model_backward(model, *padded_batch(seed=48))
+        assert np.all(grads["tok_emb"][PAD_ID] == 0.0)
+        assert np.all(grads["pos_emb"][4:] == 0.0)  # positions 4 and 5 are [PAD] in every sample
+
+    def test_a_pad_word_in_a_vocabulary_file_text_is_padding(self, tmp_path):
+        # A text's literal [PAD] word reads as PAD_ID, so its row is skipped like
+        # any padding row and the [PAD] embedding gets no gradient.
+        Vocab(["[PAD]", "[UNK]", "[CLS]", "[SEP]", "good", "bad", "movie"]).save(tmp_path / "vocab.txt")
+        vocab = Vocab.from_file(tmp_path / "vocab.txt")
+        data = Dataset([("good [PAD] movie", 1), ("bad [PAD] [PAD] movie", 0)], 2)
+        ids, labels = encode_dataset(vocab, data, max_len=8)
+        assert ids[0, 2] == ids[1, 2] == ids[1, 3] == PAD_ID
+        model = spread_model(replace(micro_config(), vocab_size=len(vocab), max_seq_len=8), seed=53)
+        _, grads = model_backward(model, ids, labels)
+        assert np.all(grads["tok_emb"][PAD_ID] == 0.0)
+        assert np.max(np.abs(grads["tok_emb"][vocab.index["movie"]])) > 1e-6
 
     @pytest.mark.parametrize("command", ["forward", "backward"])
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            pytest.param({(0, 2): 0.5}, id="fractional-entry"),
-            pytest.param({(1, 3): 2}, id="entry-above-one"),
-            pytest.param({(1, 0): 0}, id="masked-classification-token"),
-        ],
-    )
-    def test_masks_the_skip_cannot_honour_are_rejected(self, command, bad):
+    def test_pad_at_the_classification_token_is_rejected(self, command):
         model = EncoderModel(micro_config(), seed=49)
-        ids, mask, labels = micro_batch(seed=50)
-        mask = mask.astype(np.float64)
-        for index, value in bad.items():
-            mask[index] = value
-        with pytest.raises(ValueError, match="attention_mask"):
+        ids, labels = micro_batch(seed=50)
+        ids[1, 0] = PAD_ID
+        with pytest.raises(ValueError, match="token_ids must not hold \\[PAD\\] at position 0"):
             if command == "forward":
-                model_forward(model, ids, mask)
+                model_forward(model, ids)
             else:
-                model_backward(model, ids, mask, labels)
+                model_backward(model, ids, labels)
 
 
 class TestClassificationRowAttention:
@@ -415,9 +389,9 @@ class TestClassificationRowAttention:
     def test_matches_full_self_attention_and_its_adjoint(self, num_heads):
         config = replace(micro_config(), num_heads=num_heads)
         attn = spread_model(config, seed=71).layers[0].attn
-        _, mask, _ = padded_batch(seed=72)
+        mask = padded_batch(seed=72)[0] != PAD_ID
         keys = RowSet(*np.nonzero(mask))
-        key_bias = ((1.0 - mask[:, : keys.width]) * MASK_BIAS)[:, None, None, :]
+        key_bias = (~mask[:, : keys.width] * MASK_BIAS)[:, None, None, :]
         rng = np.random.default_rng(73)
         h = rng.normal(0.0, 1.0, (len(keys.sample), config.hidden))
         full, full_cache = _attention_forward(attn, h, keys, key_bias, num_heads)
@@ -457,22 +431,22 @@ class TestEmbeddingGradients:
         # and positions repeat and most embedding rows receive nothing.
         config = micro_config(kind, pqc_layers=2, num_layers=num_layers)
         model = spread_model(config, seed=91)
-        ids, mask, labels = padded_batch(seed=92)
-        ids = np.random.default_rng(93).choice([5, 9, config.vocab_size - 1], ids.shape)
-        loss, grads = model_backward(model, ids, mask, labels)
+        ids, labels = padded_batch(seed=92)
+        sample, position = np.nonzero(ids != PAD_ID)
+        ids[sample, position] = np.random.default_rng(93).choice([5, 9, config.vocab_size - 1], len(sample))
+        loss, grads = model_backward(model, ids, labels)
 
-        # Each embedding row's gradient, read from a twin whose every unmasked
+        # Each embedding row's gradient, read from a twin whose every non-[PAD]
         # row has a token of its own holding the same vector: the twin's forward
         # is bitwise the same, and each of its token rows sums a single term.
-        sample, position = np.nonzero(mask)
         twin = EncoderModel(replace(config, vocab_size=len(sample) + 1), seed=0)
         for (name, p), (_, q) in zip(twin.named_parameters(), model.named_parameters()):
             if name != "tok_emb":
                 p[...] = q
         twin.tok_emb[1:] = model.tok_emb[ids[sample, position]]
-        twin_ids = np.zeros_like(ids)
+        twin_ids = np.full_like(ids, PAD_ID)
         twin_ids[sample, position] = np.arange(1, len(sample) + 1)
-        twin_loss, twin_grads = model_backward(twin, twin_ids, mask, labels)
+        twin_loss, twin_grads = model_backward(twin, twin_ids, labels)
         assert twin_loss == loss
         d_h = twin_grads["tok_emb"][1:]
         assert np.max(np.abs(d_h)) > 1e-3
@@ -509,18 +483,18 @@ class TestCompileCount:
 
     def test_a_step_and_the_evaluation_after_it(self, compiles):
         model = EncoderModel(micro_config(FfnKind.QFFN), seed=81)
-        ids, mask, labels = padded_batch(seed=82)
-        _, grads = model_backward(model, ids, mask, labels)
+        ids, labels = padded_batch(seed=82)
+        _, grads = model_backward(model, ids, labels)
         assert len(compiles) == 2
-        model_forward(model, ids, mask)
+        model_forward(model, ids)
         assert len(compiles) == 2
         AdamOptimizer(model.named_parameters(), 1e-3).step(grads)
-        _eval_arrays(model, ids, mask, labels, batch_size=1)  # 4 batches
+        _eval_arrays(model, ids, labels, batch_size=1)  # 4 batches
         assert len(compiles) == 4
 
     def test_every_layer_compiles_its_own_theta(self, compiles):
         model = EncoderModel(micro_config(FfnKind.QFFN, num_layers=3), seed=83)
-        model_forward(model, *padded_batch(seed=84)[:2])
+        model_forward(model, padded_batch(seed=84)[0])
         assert len(compiles) == 3
 
 
@@ -691,8 +665,27 @@ class TestWeightArchive:
         save_model(model, tmp_path)
         a = load_model(tmp_path)
         b = load_model(tmp_path)
-        ids, mask, _ = micro_batch(seed=22)
-        np.testing.assert_array_equal(model_forward(a, ids, mask), model_forward(b, ids, mask))
+        ids, _ = micro_batch(seed=22)
+        np.testing.assert_array_equal(model_forward(a, ids), model_forward(b, ids))
+
+    def test_numpy_integer_config_saves_as_its_python_ints(self, tmp_path):
+        ints = {name: np.int64(value) for name, value in MICRO.items()}
+        save_model(EncoderModel(ModelConfig(**ints, ffn_kind=FfnKind.QFFN), seed=23), tmp_path / "numpy")
+        save_model(EncoderModel(micro_config(FfnKind.QFFN), seed=23), tmp_path / "python")
+        for name in ("weights.json", "weights.bin"):
+            assert (tmp_path / "numpy" / name).read_bytes() == (tmp_path / "python" / name).read_bytes(), name
+        config = load_model(tmp_path / "numpy").config
+        assert config == micro_config(FfnKind.QFFN)
+        assert all(type(getattr(config, name)) is int for name in MICRO)
+
+    def test_manifest_that_cannot_render_writes_neither_file(self, tmp_path, monkeypatch):
+        def failing_dumps(*args, **kwargs):
+            raise TypeError("cannot render")
+
+        monkeypatch.setattr(json, "dumps", failing_dumps)
+        with pytest.raises(TypeError, match="cannot render"):
+            save_model(EncoderModel(micro_config(), seed=24), tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestArchiveValidation:
@@ -768,6 +761,29 @@ class TestArchiveValidation:
         del manifest["tensors"][3]["offset"]
         self.rewrite(directory, manifest)
         with pytest.raises(ValueError, match=re.escape("tensors[3].offset")):
+            load_model(directory)
+
+    @pytest.mark.parametrize(
+        "where,edit",
+        [
+            ("extra", lambda m: m.update(extra=1)),
+            ("tensors[0].dtype", lambda m: m["tensors"][0].update(dtype="float64")),
+            ("tensors[2].note", lambda m: m["tensors"][2].update(note="x")),
+        ],
+        ids=["top-level", "tensor-dtype", "tensor-note"],
+    )
+    def test_key_save_model_never_writes(self, saved, where, edit):
+        directory, manifest = saved
+        edit(manifest)
+        self.rewrite(directory, manifest)
+        with pytest.raises(ValueError, match=re.escape(f"manifest {where} is not a field save_model writes")):
+            load_model(directory)
+
+    @pytest.mark.parametrize("text", [b"{'format_version': 3}", b"\xff{}"], ids=["not-json", "not-utf8"])
+    def test_manifest_that_is_not_utf8_json(self, saved, text):
+        directory, _ = saved
+        (directory / "weights.json").write_bytes(text)
+        with pytest.raises(ValueError, match="weights.json is not UTF-8 JSON"):
             load_model(directory)
 
     def test_manifest_is_not_an_object(self, saved):

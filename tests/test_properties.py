@@ -120,13 +120,13 @@ def labelled_texts(draw):
 
 
 def check_encoding(vocab, text, max_len):
-    """The tokenize layout: [CLS] pieces [SEP] then padding, the mask covering
-    exactly the unpadded prefix, every id a vocabulary id; returns the pieces."""
-    ids, mask = tokenize(vocab, text, max_len)
-    assert ids.shape == mask.shape == (max_len,)
-    length = int(mask.sum())
+    """The tokenize layout: [CLS] pieces [SEP] then padding, [PAD] exactly
+    after the unpadded prefix, every id a vocabulary id; returns the pieces."""
+    ids = tokenize(vocab, text, max_len)
+    assert ids.shape == (max_len,)
+    length = int(np.sum(ids != PAD_ID))
     assert 2 <= length <= max_len
-    assert mask.tolist() == [1] * length + [0] * (max_len - length)
+    assert np.all(ids[:length] != PAD_ID)
     assert ids[0] == CLS_ID and ids[length - 1] == SEP_ID
     assert np.all(ids[length:] == PAD_ID)
     assert np.all((ids >= 0) & (ids < len(vocab)))
