@@ -114,17 +114,18 @@ class PqcConfig:
             raise ValueError(f"num_layers must be in 1..{MAX_PQC_LAYERS}, got {self.num_layers}")
 
 
-def layer_entangler(layer_index: int, num_qubits: int = 4) -> list[tuple[str, int, int]]:
+def layer_entangler(layer_index: int) -> list[tuple[str, int, int]]:
     """Two-qubit gate pattern for one layer, as ("cx"|"cz", first, second) tuples.
 
-    Even layers (0-indexed) use the circular CNOT chain q0->q1->...->q0; odd
-    layers use CZ on next-nearest-neighbour pairs, (0,2) and (1,3) at width 4.
+    Even layers (0-indexed) use the circular CNOT chain q0->q1->q2->q3->q0; odd
+    layers use CZ on the next-nearest-neighbour pairs (0,2) and (1,3).
     """
     if layer_index < 0:
         raise ValueError(f"layer_index must be >= 0, got {layer_index}")
+    nq = PqcConfig.num_qubits
     if layer_index % 2 == 0:
-        return [("cx", q, (q + 1) % num_qubits) for q in range(num_qubits)]
-    return [("cz", q, q + 2) for q in range(max(0, num_qubits - 2))]
+        return [("cx", q, (q + 1) % nq) for q in range(nq)]
+    return [("cz", q, q + 2) for q in range(nq - 2)]
 
 
 def pqc_param_count(config: PqcConfig) -> int:
@@ -142,20 +143,21 @@ def init_pqc_params(config: PqcConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _compiled_entangler(num_qubits: int, layer_index: int):
+def _compiled_entangler(layer_index: int):
     """One layer's entangler as a signed basis permutation, new[j] = sign[j] * old[perm[j]].
 
     Returns ``(perm, sign)``; ``perm`` is None for the CZ pairs and ``sign`` is
     None for the CNOT ring, so each layer costs one gather or one multiply.
     """
-    idx = np.arange(2**num_qubits)
-    perm, sign = idx, np.ones(2**num_qubits)
-    for kind, a, b in layer_entangler(layer_index, num_qubits):
+    nq = PqcConfig.num_qubits
+    idx = np.arange(2**nq)
+    perm, sign = idx, np.ones(2**nq)
+    for kind, a, b in layer_entangler(layer_index):
         if kind == "cx":
-            step = cnot_permutation(num_qubits, a, b)
+            step = cnot_permutation(nq, a, b)
             perm, sign = perm[step], sign[step]
         else:
-            sign = sign * cz_signs(num_qubits, a, b)
+            sign = sign * cz_signs(nq, a, b)
     return (
         None if np.array_equal(perm, idx) else perm,
         None if np.all(sign == 1.0) else sign,
@@ -204,9 +206,9 @@ def _product_states(angles: np.ndarray) -> np.ndarray:
     return amps
 
 
-def _entangle(amps: np.ndarray, num_qubits: int, layer_index: int) -> np.ndarray:
+def _entangle(amps: np.ndarray, layer_index: int) -> np.ndarray:
     """Apply one layer's ``_compiled_entangler`` to rows-last amplitudes [2**nq, C]."""
-    perm, sign = _compiled_entangler(num_qubits, layer_index)
+    perm, sign = _compiled_entangler(layer_index)
     amps = amps if perm is None else amps[perm]
     return amps if sign is None else amps * sign[:, None]
 
@@ -220,7 +222,7 @@ def _run_batch(config: PqcConfig, angles: np.ndarray, x: np.ndarray) -> np.ndarr
     """
     nq, gates, amps = config.num_qubits, _layer_rotations(config, angles), _product_states(x)
     for layer in range(config.num_layers):
-        amps = _entangle(amps, nq, layer if config.variant is Ansatz.OPTIMIZED else 0)
+        amps = _entangle(amps, layer if config.variant is Ansatz.OPTIMIZED else 0)
         for q in range(nq):
             amps = rotate_rows(amps, q, gates[:, :, layer, q])
     return amps
@@ -249,11 +251,12 @@ def _single_row(config: PqcConfig, theta: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 @lru_cache(maxsize=None)
-def _y_gather(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+def _y_gather() -> tuple[np.ndarray, np.ndarray]:
     """Y on each qubit as a signed basis gather, (Y_q B)[b] = phase[b, q] * B[flip[b, q]]:
     ``(flip, phase)``, [2**nq, nq] each, read-only."""
-    flip = np.arange(2**num_qubits)[:, None] ^ (1 << np.arange(num_qubits))
-    phase = 1j * np.take_along_axis(z_signs(num_qubits), flip, axis=0)
+    nq = PqcConfig.num_qubits
+    flip = np.arange(2**nq)[:, None] ^ (1 << np.arange(nq))
+    phase = 1j * np.take_along_axis(z_signs(nq), flip, axis=0)
     flip.setflags(write=False)
     phase.setflags(write=False)
     return flip, phase
@@ -283,7 +286,7 @@ class _Compiled:
         gates = _layer_rotations(config, theta[None])[..., 0]  # [2, 2, L, nq]
         unitary, self._kept = np.eye(dim, dtype=np.complex128), []
         for layer in range(config.num_layers):  # the kernel's layer walk, on the whole register
-            entangled, rotation = _entangle(unitary, nq, layer), gates[:, :, layer, 0]
+            entangled, rotation = _entangle(unitary, layer), gates[:, :, layer, 0]
             for q in range(1, nq):  # the Kronecker product of every qubit's 2x2, qubit 0 least significant
                 rotation = (gates[:, None, :, None, layer, q] * rotation[None, :, None, :]).reshape(2 << q, 2 << q)
             unitary = rotation @ entangled
@@ -295,7 +298,7 @@ class _Compiled:
     def slopes(self) -> np.ndarray:
         if self._slopes is None:
             nq, layers, dim = self.config.num_qubits, self.config.num_layers, 2**self.config.num_qubits
-            flip, phase = _y_gather(nq)
+            flip, phase = _y_gather()
             # Per layer, the state after its entangler is B_k of its RZ angles, and after its rotations of its RY angles
             kept = np.array(self._kept)  # [L, 2, 2**nq, 2**nq]
             paulied = (z_signs(nq)[:, :, None] * kept[:, 0, :, None], phase[:, :, None] * kept[:, 1][:, flip])
@@ -362,10 +365,11 @@ def _shift_table(config: PqcConfig) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _input_shifts(num_qubits: int) -> np.ndarray:
+def _input_shifts() -> np.ndarray:
     """[1 + nq, nq]: no shift, then pi on each input angle in turn, since
     d phi / dx_j = phi(x + pi e_j) / 2."""
-    shifts = np.concatenate((np.zeros((1, num_qubits)), np.pi * np.eye(num_qubits)))
+    nq = PqcConfig.num_qubits
+    shifts = np.concatenate((np.zeros((1, nq)), np.pi * np.eye(nq)))
     shifts.setflags(write=False)
     return shifts
 
@@ -399,7 +403,7 @@ def pqc_value_and_gradients(
     if config.variant is Ansatz.VANILLA:
         return _shift_gradients(config, theta, x)
     nq, compiled = config.num_qubits, _compiled_for(config, theta)
-    states = _product_states(x + _input_shifts(nq))  # phi(x), then phi(x + pi e_j) per input j
+    states = _product_states(x + _input_shifts())  # phi(x), then phi(x + pi e_j) per input j
     phi = np.ascontiguousarray(states[:, 0])
     formed = (compiled.forms @ phi).reshape(len(phi), -1)  # ``_quadratic``'s product: the value is bitwise pqc_forward's
     jac_theta = _quadratic(compiled.slopes(), phi).reshape(nq, -1)

@@ -16,9 +16,11 @@ before it trains or writes anything (floats must be finite), so a rejected
 config produces no output at all; an operating-system error while creating
 the output directory or writing an artifact exits 1 with an ``error:`` line.
 Every setting comes from the config file; ``--out`` may override its output
-directory, into which the file's bytes are copied, so rerunning the copy
-reproduces the run. Resolved settings are echoed in metrics.json; wall-clock
-time is printed, not stored, so identical configs give identical files.
+directory, into which the file's bytes are copied. metrics.json's
+``config_echo`` holds only what that copy does not fix: the model and train
+settings trained, with the defaults, the seed and the data-fixed sizes filled
+in. Wall-clock time is printed, not stored, and no file records the output
+directory, so the copy rerun into any directory writes every file byte for byte.
 """
 from __future__ import annotations
 
@@ -36,8 +38,8 @@ from .data import atomic_write, subsample
 from .diagnostics import grad_variance_probe
 from .encoder import ModelConfig, save_model
 from .feedforward import QUANTUM_BLOCKS, FfnKind
-from .runconfig import ConfigError, RunConfig, build_task_data, check_fraction, fraction_tag, load_run_config
-from .training import EpochStats, MetricsReport, TrainingDiverged, train
+from .runconfig import ConfigError, RunConfig, build_task_data, fraction_tag, load_run_config
+from .training import EpochStats, MetricsReport, TrainConfig, TrainingDiverged, train
 
 CONFIG_COPY = "config.json"
 
@@ -58,9 +60,10 @@ def _write_csv(path: Path, rows) -> None:
     atomic_write(path, text.getvalue())
 
 
-def _write_report(directory: Path, report: MetricsReport, echo: dict) -> None:
-    """``metrics.json`` and ``epochs.csv``, each written from the report's fields."""
-    doc = {**asdict(report), "config_echo": echo}
+def _write_report(directory: Path, report: MetricsReport, model_cfg: ModelConfig, train_cfg: TrainConfig, **cell):
+    """``metrics.json`` and ``epochs.csv``, each written from the report's fields;
+    ``config_echo`` holds the model and train settings trained, and ``cell``."""
+    doc = {**asdict(report), "config_echo": {"model": vars(model_cfg), "train": asdict(train_cfg), **cell}}
     atomic_write(directory / "metrics.json", json.dumps(doc, indent=2, sort_keys=True) + "\n")
     _write_csv(directory / "epochs.csv", [[f.name for f in fields(EpochStats)], *map(astuple, report.epochs)])
 
@@ -87,10 +90,10 @@ def cmd_train(rc: RunConfig) -> int:
     train_set, val_set, vocab = build_task_data(rc)
     model_cfg = rc.model_config(len(vocab), train_set.num_classes)
     started = time.perf_counter()
-    model, report = train(model_cfg, rc.train_config(), train_set, val_set, vocab)
+    model, report = train(model_cfg, rc.train, train_set, val_set, vocab)
     elapsed = time.perf_counter() - started
     out_dir = _create_out_dir(rc)
-    _write_report(out_dir, report, rc.echo(resolved_model=vars(model_cfg)))
+    _write_report(out_dir, report, model_cfg, rc.train)
     save_model(model, out_dir)
     print(f"{report.summary_line()} wall_clock_s={elapsed:.1f}")
     return 0
@@ -106,19 +109,19 @@ def cmd_sweep(rc: RunConfig) -> int:
     if kind not in QUANTUM_BLOCKS:
         raise ConfigError("model.ffn_kind", "depth sweeps need a quantum feedforward kind")
     train_set, val_set, vocab = build_task_data(rc)
-    for fraction in rc.sweep.fractions:
-        check_fraction("sweep.fractions", fraction, train_set)
+    try:
+        splits = {f: train_set if f == 1 else subsample(train_set, f, rc.seed) for f in rc.sweep.fractions}
+    except ValueError as exc:  # a fraction that selects no example
+        raise ConfigError("sweep.fractions", str(exc)) from exc
     grid = [(None, {"ffn_kind": FfnKind.CLASSICAL})]
     grid += [(depth, {"ffn_kind": kind, "pqc_layers": depth}) for depth in rc.sweep.depths]
     # every cell's settings are checked here, before anything is written
     models = [(depth, rc.model_config(len(vocab), train_set.num_classes, **model)) for depth, model in grid]
-    train_cfg = rc.train_config()
-    splits = {f: train_set if f == 1 else subsample(train_set, f, rc.seed) for f in rc.sweep.fractions}
     cells = [(depth, model_cfg, f, split) for depth, model_cfg in models for f, split in splits.items()]
-    return _train_cells(rc, cells, train_cfg, val_set, vocab)
+    return _train_cells(rc, cells, val_set, vocab)
 
 
-def _train_cells(rc: RunConfig, cells, train_cfg, val_set, vocab) -> int:
+def _train_cells(rc: RunConfig, cells, val_set, vocab) -> int:
     """Train every cell on its fraction's split and write its report, rewriting
     ``table.csv`` (and any ``failures.csv``) after each cell, so a grid cut short
     keeps its finished rows; a cell that fails to train is recorded, not raised."""
@@ -132,7 +135,7 @@ def _train_cells(rc: RunConfig, cells, train_cfg, val_set, vocab) -> int:
         name = f"classical_{tag}" if depth is None else f"{cell_kind.value}_L{depth}_{tag}"
         started = time.perf_counter()
         try:
-            _, report = train(model_cfg, train_cfg, split, val_set, vocab)
+            _, report = train(model_cfg, rc.train, split, val_set, vocab)
             elapsed = time.perf_counter() - started
         except (TrainingDiverged, ValueError) as exc:
             failures.append([name, str(exc)])
@@ -141,7 +144,7 @@ def _train_cells(rc: RunConfig, cells, train_cfg, val_set, vocab) -> int:
             continue
         cell_dir = out_dir / "cells" / name
         cell_dir.mkdir(parents=True, exist_ok=True)
-        _write_report(cell_dir, report, rc.echo(resolved_model=vars(model_cfg), train_fraction=fraction))
+        _write_report(cell_dir, report, model_cfg, rc.train, train_fraction=fraction)
         table.append([
             cell_kind.value, "-" if depth is None else depth, fraction, report.validation_accuracy,
             report.training_accuracy, report.gap, report.accuracy_per_param,

@@ -170,13 +170,17 @@ def _word_ids(vocab: Vocab, word: str) -> list[int]:
     return ids
 
 
+def _check_max_len(max_len) -> None:
+    if not (is_integer(max_len) and max_len >= 2):
+        raise ValueError(f"max_len must be an integer >= 2, got {max_len!r}")
+
+
 def tokenize(vocab: Vocab, text: str, max_len: int = 128) -> np.ndarray:
     """The ids array of length ``max_len``: [CLS] pieces [SEP] [PAD]...
 
     Pieces beyond ``max_len - 2`` are dropped so the separator always fits.
     """
-    if max_len < 2:
-        raise ValueError(f"max_len must be >= 2, got {max_len}")
+    _check_max_len(max_len)
     pieces: list[int] = []
     for word in text.split():
         pieces.extend(_word_ids(vocab, word))
@@ -187,6 +191,7 @@ def tokenize(vocab: Vocab, text: str, max_len: int = 128) -> np.ndarray:
 
 def encode_dataset(vocab: Vocab, dataset: Dataset, max_len: int = 128):
     """Tokenize every example: (ids [N, max_len], labels [N])."""
+    _check_max_len(max_len)
     ids = np.empty((len(dataset), max_len), dtype=np.int64)
     for i, (text, _) in enumerate(dataset.examples):
         ids[i] = tokenize(vocab, text, max_len)
@@ -227,13 +232,16 @@ def subsample(dataset: Dataset, fraction: float, seed: int) -> Dataset:
 
     Per-class quotas start at floor(fraction * n_c); the remainder up to the
     total is assigned to the classes with the largest fractional parts, so no
-    class deviates from its parent proportion by more than one example.
+    class deviates from its parent proportion by more than one example. A
+    fraction that selects no example raises ``ValueError``.
     """
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    if isinstance(fraction, bool) or not (isinstance(fraction, numbers.Real) and 0.0 < fraction <= 1.0):
+        raise ValueError(f"fraction must be in (0, 1], got {fraction!r}")
     check_seed(seed)
-    rng = np.random.default_rng(seed)
     target_total = int(np.floor(fraction * len(dataset)))
+    if target_total == 0:
+        raise ValueError(f"fraction {fraction} of {len(dataset)} examples selects none")
+    rng = np.random.default_rng(seed)
     by_class: dict[int, list[int]] = {}
     for i, (_, label) in enumerate(dataset.examples):
         by_class.setdefault(label, []).append(i)

@@ -34,7 +34,7 @@ def finite_diff(f: Callable[[np.ndarray], float], params: np.ndarray, h: float =
     2h the step the floats took, ``(p + h) - (p - h)``. ``h`` must move every parameter
     both ways: a step lost to rounding (``p + h == p``) would read as a zero
     gradient, so it raises ``ValueError``."""
-    if not (isinstance(h, numbers.Real) and 0 < h < math.inf):
+    if isinstance(h, bool) or not (isinstance(h, numbers.Real) and 0 < h < math.inf):
         raise ValueError(f"h must be a finite number > 0, got {h!r}")
     params = np.asarray(params, dtype=np.float64)
     grad = np.empty(params.shape)

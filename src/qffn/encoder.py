@@ -90,7 +90,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuits import MAX_PQC_LAYERS, PqcConfig
-from .data import PAD_ID, atomic_write
+from .data import PAD_ID, atomic_write, check_seed
 from .feedforward import (
     INIT_STD,
     QUANTUM_BLOCKS,
@@ -239,7 +239,10 @@ class EncoderModel(Module):
     def __init__(self, config: ModelConfig, seed: int | np.random.Generator = 0):
         config.validate()
         self.config = config
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = seed
+        if not isinstance(rng, np.random.Generator):
+            check_seed(seed)
+            rng = np.random.default_rng(seed)
         h = config.hidden
         self.tok_emb = rng.normal(0.0, INIT_STD, (config.vocab_size, h))
         self.pos_emb = rng.normal(0.0, INIT_STD, (config.max_seq_len, h))

@@ -43,13 +43,12 @@ checked on load, before any output: the model section with stand-ins for the
 two fields the data fix (``vocab_size`` and ``num_classes``, never written in
 the config), and again, with the real values, once the data are read. An
 ``out_dir`` that is an existing file, or lies under one, is rejected on load;
-once the data are read, ``check_fraction`` rejects a ``sweep.fractions``
-entry that would select no training example.
+a ``sweep.fractions`` entry that would select no training example is rejected
+by ``data.subsample`` once the data are read, before any cell trains.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
@@ -182,30 +181,16 @@ def _build(section: str, cls, values: dict, derived: dict | None = None):
 class RunConfig:
     out_dir: Path
     seed: int
-    task: dict | None  # task, model and train: the sections as written, nulls dropped
-    model: dict
-    train: dict
-    task_config: SynthTask | TsvTask | None
+    task: SynthTask | TsvTask | None
+    model: dict  # the section as written, nulls dropped: the data fix vocab_size and num_classes
+    train: TrainConfig  # the top-level seed included
     sweep: SweepConfig | None
     probe: ProbeConfig | None
     source_path: Path
 
-    def train_config(self) -> TrainConfig:
-        return _build("train", TrainConfig, self.train, {"seed": self.seed})
-
     def model_config(self, vocab_size: int, num_classes: int, **overrides) -> ModelConfig:
         derived = {"vocab_size": vocab_size, "num_classes": num_classes}
         return _build("model", ModelConfig, {**self.model, **overrides}, derived)
-
-    def echo(self, **resolved) -> dict:
-        return {
-            "out_dir": str(self.out_dir),
-            "seed": self.seed,
-            "task": self.task,
-            "model": self.model,
-            "train": self.train,
-            **resolved,
-        }
 
 
 def _task_config(task: dict) -> SynthTask | TsvTask:
@@ -244,23 +229,18 @@ def load_run_config(path, out_override=None) -> RunConfig:
     existing = next((p for p in (out_dir, *out_dir.parents) if p.exists()), None)
     if existing is not None and not existing.is_dir():
         raise ConfigError("out_dir", f"{existing} exists and is not a directory")
-    task = _without_nulls(doc.task)
     model = _without_nulls(doc.model) or {}
     _build("model", ModelConfig, model, _DATA_STAND_INS)
-    task_config = None if task is None else _task_config(task)
-    config = RunConfig(
+    return RunConfig(
         out_dir=out_dir,
         seed=doc.seed,
-        task=task,
+        task=None if doc.task is None else _task_config(doc.task),
         model=model,
-        train=_without_nulls(doc.train) or {},
-        task_config=task_config,
         sweep=None if doc.sweep is None else _build("sweep", SweepConfig, doc.sweep),
         probe=None if doc.probe is None else _build("probe", ProbeConfig, doc.probe),
+        train=_build("train", TrainConfig, doc.train or {}, {"seed": doc.seed}),
         source_path=path,
     )
-    config.train_config()  # rejects a bad train section or seed before any command starts
-    return config
 
 
 def _read(field_path: str, load, *args):
@@ -272,7 +252,7 @@ def _read(field_path: str, load, *args):
 
 def build_task_data(config: RunConfig) -> tuple[Dataset, Dataset, Vocab]:
     """Materialize the train/val splits and the vocabulary for a run."""
-    task = config.task_config
+    task = config.task
     if task is None:
         raise ConfigError("task", "required field is missing")
     if isinstance(task, SynthTask):
@@ -285,11 +265,3 @@ def build_task_data(config: RunConfig) -> tuple[Dataset, Dataset, Vocab]:
         return train_set, val_set, _read("task.vocab_path", Vocab.from_file, task.vocab_path)
     return train_set, val_set, build_vocab(train_set)
 
-
-def check_fraction(field_path: str, fraction: float, train_set: Dataset) -> None:
-    """Reject a data fraction whose subsample of ``train_set``, floor(fraction * N)
-    examples (``data.subsample``), would be empty."""
-    if math.floor(fraction * len(train_set)) == 0:
-        raise ConfigError(
-            field_path, f"{fraction} of {len(train_set)} training examples selects none"
-        )

@@ -59,9 +59,9 @@ class TestTrainCommand:
         }
         assert "wall_clock_s=" in capsys.readouterr().out  # measured time is printed, not stored
         assert doc["gap"] == doc["training_accuracy"] - doc["validation_accuracy"]
-        assert "train_fraction" not in doc["config_echo"]
+        assert set(doc["config_echo"]) == {"model", "train"}  # config.json holds the rest
+        assert doc["config_echo"]["train"]["seed"] == 42
         assert set(doc["epochs"][0]) == {"epoch", "train_loss", "val_loss", "train_acc", "val_acc"}
-        assert doc["config_echo"]["seed"] == 42
         header = (tmp_path / "out" / "epochs.csv").read_text().splitlines()[0]
         assert header == "epoch,train_loss,val_loss,train_acc,val_acc"
 
@@ -210,7 +210,7 @@ class TestVocabularyFile:
         rc = load_run_config(config)
         train_set, val_set, vocab = build_task_data(rc)
         assert vocab.tokens == tokens
-        model, _ = train(rc.model_config(len(tokens), 2), rc.train_config(), train_set, val_set, Vocab(tokens))
+        model, _ = train(rc.model_config(len(tokens), 2), rc.train, train_set, val_set, Vocab(tokens))
         save_model(model, tmp_path / "direct")
         out = tmp_path / "out"
         assert load_model(out).config.vocab_size == len(tokens)
@@ -314,10 +314,10 @@ class TestSweepCommand:
         train_set, val_set, vocab = build_task_data(rc)
         model_cfg = rc.model_config(len(vocab), 2)
         for tag, split in (("1", train_set), ("0.5", subsample(train_set, 0.5, 3))):
-            _, report = train(model_cfg, rc.train_config(), split, val_set, vocab)
+            _, report = train(model_cfg, rc.train, split, val_set, vocab)
             doc = json.loads((tmp_path / "out" / "cells" / f"qffn_L1_frac{tag}" / "metrics.json").read_text())
-            assert doc["config_echo"].pop("train_fraction") == float(tag)
-            assert doc == json.loads(json.dumps({**asdict(report), "config_echo": rc.echo(resolved_model=vars(model_cfg))}))
+            echo = {"model": vars(model_cfg), "train": asdict(rc.train), "train_fraction": float(tag)}
+            assert doc == json.loads(json.dumps({**asdict(report), "config_echo": echo}))
 
     def test_classical_kind_rejected_for_sweep(self, tmp_path, capsys):
         config, _ = self.sweep_config(
@@ -640,8 +640,7 @@ class TestMain:
 
 class TestConfigCopyReproducesTheRun:
     """A run's ``config.json`` holds its source's bytes and, rerun with another
-    ``out``, writes the same files: byte for byte, but for the output directory
-    echoed in ``metrics.json``."""
+    ``out``, writes the same files byte for byte, ``metrics.json`` included."""
 
     COMMANDS = {
         "train": (cmd_train, {}, ["weights.bin", "epochs.csv"]),
@@ -666,12 +665,7 @@ class TestConfigCopyReproducesTheRun:
         assert set(required) <= {str(name) for name in names}
         assert names == self.files(second)
         for name in names:
-            a, b = (first / name).read_bytes(), (second / name).read_bytes()
-            if name.name == "metrics.json":
-                a, b = json.loads(a), json.loads(b)
-                assert a["config_echo"].pop("out_dir") == str(first)
-                assert b["config_echo"].pop("out_dir") == str(second)
-            assert a == b, name
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 class TestOutputDirectoryErrors:

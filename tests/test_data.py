@@ -158,6 +158,22 @@ class TestTokenize:
         with pytest.raises(ValueError):
             tokenize(simple_vocab(), "movie", max_len=1)
 
+    def test_fractional_max_len_is_named(self):
+        with pytest.raises(ValueError, match=re.escape("max_len must be an integer >= 2, got 2.5")):
+            tokenize(simple_vocab(), "movie", max_len=2.5)
+
+    @pytest.mark.parametrize("max_len", [2.5, True])
+    def test_encode_dataset_names_a_max_len_that_is_no_integer(self, max_len):
+        ds = Dataset([("good movie", 1)], 2)
+        with pytest.raises(ValueError, match=re.escape(f"max_len must be an integer >= 2, got {max_len!r}")):
+            encode_dataset(simple_vocab(), ds, max_len=max_len)
+
+    def test_numpy_integer_max_len_accepted(self):
+        ds = Dataset([("good movie", 1)], 2)
+        ids, _ = encode_dataset(simple_vocab(), ds, max_len=np.int64(6))
+        np.testing.assert_array_equal(ids[0], tokenize(simple_vocab(), "good movie", max_len=np.int64(6)))
+        np.testing.assert_array_equal(ids[0], tokenize(simple_vocab(), "good movie", max_len=6))
+
     def test_empty_text(self):
         ids = tokenize(simple_vocab(), "", max_len=4)
         np.testing.assert_array_equal(ids, [CLS_ID, SEP_ID, PAD_ID, PAD_ID])
@@ -281,8 +297,8 @@ class TestSubsample:
             assert abs(int(np.sum(labels == c)) - 0.31 * n_c) <= 1.0
 
     def test_fraction_out_of_range(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -0.5, 1.5, True, "0.5"):
+            with pytest.raises(ValueError, match=re.escape(f"fraction must be in (0, 1], got {bad!r}")):
                 subsample(self.balanced(), bad, seed=1)
 
     @pytest.mark.parametrize("seed", BAD_SEEDS)
@@ -296,7 +312,7 @@ class TestSubsample:
 
     def test_fraction_rounding_to_empty_is_rejected(self):
         # floor(0.001 * 100) = 0 examples; an empty dataset is never returned
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("fraction 0.001 of 100 examples selects none")):
             subsample(self.balanced(), 0.001, seed=1)
 
 

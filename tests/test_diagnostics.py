@@ -33,7 +33,7 @@ class TestFiniteDiff:
         params = np.arange(6.0).reshape(2, 3)
         np.testing.assert_allclose(finite_diff(f, params), 2 * params, atol=1e-7)
 
-    @pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf"), "1e-5"])
+    @pytest.mark.parametrize("h", [0.0, -1e-5, float("nan"), float("inf"), "1e-5", True])
     def test_step_must_be_finite_and_positive(self, h):
         with pytest.raises(ValueError, match=re.escape(f"h must be a finite number > 0, got {h!r}")):
             finite_diff(lambda p: float(p[0]), np.zeros(1), h=h)
@@ -66,7 +66,7 @@ class TestProbe:
     def test_depth_one_readouts_after_the_cnot_ring(self):
         # the closed forms behind the exact depth-1 variances of criterion 10
         x = np.random.default_rng(8).uniform(-np.pi, np.pi, (200, 4))
-        amps = circuits._entangle(circuits._product_states(x), 4, 0)
+        amps = circuits._entangle(circuits._product_states(x), 0)
         s, c = np.sin(x.T), np.cos(x.T)
         x_0 = 2 * np.sum(amps[0::2] * amps[1::2], axis=0)  # real amplitudes
         assert np.max(np.abs(x_0 - s[0] * s[1])) <= 1e-15

@@ -888,6 +888,15 @@ class TestArchiveValidation:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("seed", [-1, 1.5, "a", True])
+    def test_bad_seed_named(self, seed):
+        with pytest.raises(ValueError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            EncoderModel(micro_config(), seed=seed)
+
+    def test_generator_and_numpy_integer_seeds_accepted(self):
+        by_int, by_generator = (EncoderModel(micro_config(), seed) for seed in (np.int64(3), np.random.default_rng(3)))
+        np.testing.assert_array_equal(by_int.tok_emb, by_generator.tok_emb)
+
     def test_head_divisibility(self):
         with pytest.raises(ValueError):
             ModelConfig(vocab_size=10, num_classes=2, hidden=10, num_heads=3).validate()

@@ -265,7 +265,7 @@ class TestBatchKernel:
         expected = np.eye(16, dtype=np.complex128)
         for _, a, b in layer_entangler(layer):
             expected = dense_gate(4, a, b) @ expected
-        perm, sign = circuits._compiled_entangler(4, layer)
+        perm, sign = circuits._compiled_entangler(layer)
         assert (perm is None, sign is None) == (compiled_as == "signs", compiled_as == "permutation")
         # the kernel maps new[j] = sign[j] * old[perm[j]]
         compiled = np.zeros((16, 16), dtype=np.complex128)
@@ -350,7 +350,7 @@ class TestCompiledCircuit:
         theta, x = random_angles(config, np.random.default_rng(621))
         call(config, theta, x)
         entry = circuits._compiled[id(theta)]
-        for cached in (entry.forms, entry.slopes(), *circuits._y_gather(4)):
+        for cached in (entry.forms, entry.slopes(), *circuits._y_gather()):
             assert not cached.flags.writeable
             with pytest.raises(ValueError):
                 cached[...] = 0

@@ -19,8 +19,9 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from qffn.circuits import Ansatz, PqcConfig, pqc_forward, pqc_param_count
 from qffn.data import CLS_ID, PAD_ID, SEP_ID, SPECIAL_TOKENS, UNK_ID, Dataset, Vocab, build_vocab, subsample, tokenize
-from qffn.runconfig import ConfigError, RunConfig, load_run_config
+from qffn.runconfig import ConfigError, RunConfig, SynthTask, TsvTask, load_run_config
 from qffn.statevector import cnot_permutation, cz_signs, rotate_rows
+from qffn.training import TrainConfig
 
 # Hypothesis also caches the constants it finds in local source under its
 # storage directory (./.hypothesis by default), while collecting tests, so the
@@ -242,4 +243,5 @@ def test_fuzzed_documents_load_unmutated(doc, tmp_path, monkeypatch):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc))
     config = load_run_config(path)
-    assert (config.model, config.train, config.task) == (doc["model"], doc["train"], doc["task"])
+    task = {"synth": SynthTask, "tsv": TsvTask}[doc["task"]["kind"]](**doc["task"])
+    assert (config.model, config.train, config.task) == (doc["model"], TrainConfig(**doc["train"], seed=doc["seed"]), task)

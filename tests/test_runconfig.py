@@ -35,7 +35,7 @@ def test_null_counts_as_unset(tmp_path):
     config = load_run_config(path)
     assert config.seed == 42
     assert config.task is config.sweep is config.probe is None
-    assert config.train_config() == TrainConfig()
+    assert (config.model, config.train) == ({}, TrainConfig())
 
 
 def write(tmp_path, doc) -> Path:
